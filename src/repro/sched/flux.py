@@ -183,10 +183,7 @@ class FluxInstance:
 
     def running_by_name(self) -> Dict[str, int]:
         """Running-job counts per job type (for Fig. 6-style series)."""
-        out: Dict[str, int] = {}
-        for record in self.queue.running.values():
-            out[record.spec.name] = out.get(record.spec.name, 0) + 1
-        return out
+        return self.queue.running_by_name()
 
     def history_rows(self) -> List[dict]:
         """Replayable scheduler history (§4.4 'elaborate history files')."""

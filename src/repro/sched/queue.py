@@ -113,6 +113,7 @@ class QueueManager:
         self.inbox: Deque[JobRecord] = deque()   # submitted, not yet ingested
         self.pending: Deque[JobRecord] = deque()  # ingested, awaiting match
         self.running: Dict[int, JobRecord] = {}
+        self._running_names: Dict[str, int] = {}  # spec.name -> count, no zeros
         self.history: List[CycleReport] = []
 
     # --- submission ------------------------------------------------------
@@ -125,6 +126,29 @@ class QueueManager:
     def backlog(self) -> int:
         """Jobs submitted but not yet running."""
         return len(self.inbox) + len(self.pending)
+
+    # --- the running set ----------------------------------------------------
+
+    def _add_running(self, record: JobRecord) -> None:
+        """Every insertion into ``running`` goes through here, so the
+        per-type counts stay exact without rescanning the machine."""
+        self.running[record.job_id] = record
+        name = record.spec.name
+        self._running_names[name] = self._running_names.get(name, 0) + 1
+
+    def _remove_running(self, job_id: int) -> JobRecord:
+        record = self.running.pop(job_id)
+        name = record.spec.name
+        left = self._running_names[name] - 1
+        if left:
+            self._running_names[name] = left
+        else:
+            del self._running_names[name]
+        return record
+
+    def running_by_name(self) -> Dict[str, int]:
+        """Running-job counts per job type, O(job types)."""
+        return dict(self._running_names)
 
     # --- one scheduling cycle ------------------------------------------------
 
@@ -222,7 +246,7 @@ class QueueManager:
             record.allocation = alloc
             record.state = JobState.RUNNING
             record.start_time = now
-            self.running[record.job_id] = record
+            self._add_running(record)
             report.started.append(record)
             self.pending.remove(record)
         self.gangs_placed += 1
@@ -255,7 +279,7 @@ class QueueManager:
         if outcome is None:
             return cost
         alloc, evicted_ids = outcome
-        requeued = [self.running.pop(job_id) for job_id in evicted_ids]
+        requeued = [self._remove_running(job_id) for job_id in evicted_ids]
         for record in requeued:
             record.state = JobState.PENDING
             record.allocation = None
@@ -268,7 +292,7 @@ class QueueManager:
         head.allocation = alloc
         head.state = JobState.RUNNING
         head.start_time = now
-        self.running[head.job_id] = head
+        self._add_running(head)
         report.started.append(head)
         return cost
 
@@ -285,7 +309,7 @@ class QueueManager:
             record.allocation = alloc
             record.state = JobState.RUNNING
             record.start_time = now
-            self.running[record.job_id] = record
+            self._add_running(record)
             report.started.append(record)
         return cost
 
@@ -312,7 +336,7 @@ class QueueManager:
     def finish(self, record: JobRecord, now: float, state: JobState = JobState.COMPLETED) -> None:
         if record.job_id not in self.running:
             raise KeyError(f"job {record.job_id} is not running")
-        del self.running[record.job_id]
+        self._remove_running(record.job_id)
         record.state = state
         record.end_time = now
         if record.allocation is not None:

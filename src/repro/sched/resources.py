@@ -10,6 +10,7 @@ expensive and is counted in :class:`~repro.sched.matcher.MatchStats`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,9 +119,11 @@ class Node:
         gpu_ids = self.free_gpu_ids()[:ngpus]
         core_ids: List[int] = []
         if gpu_ids:
-            want_socket = self.socket_of_gpu(gpu_ids[0])
-            same = [c for c in self.free_core_ids() if self.socket_of_core(c) == want_socket]
-            core_ids = same[:ncores]
+            # Only the GPU's socket block [lo, lo + per) can hold its cores.
+            per = self.ncores // self.nsockets
+            lo = self.socket_of_gpu(gpu_ids[0]) * per
+            block = compress(range(lo, lo + per), self._core_free[lo:lo + per])
+            core_ids = list(islice(block, ncores))
         if len(core_ids) < ncores:
             chosen = set(core_ids)
             for c in self.free_core_ids():
@@ -167,7 +170,9 @@ class ResourceGraph:
     run feasibility scans vectorized at 4000-node scale. The arrays are
     maintained only by the graph-level operations (:meth:`claim`,
     :meth:`release`, :meth:`drain`); mutating a :class:`Node` directly
-    bypasses them and is unsupported.
+    bypasses them and is unsupported. The aggregates are read from them
+    too: ``free_*`` excludes drained nodes, ``used_*`` counts claims on
+    every node, so ``used + free == total`` only while none is drained.
 
     On top of the flat arrays the graph keeps a *partition index*:
     nodes are grouped into fixed-size partitions (``partition_size``)
@@ -224,19 +229,23 @@ class ResourceGraph:
 
     @property
     def free_cores(self) -> int:
-        return sum(n.free_cores for n in self.nodes if not n.drained)
+        """Free cores on undrained nodes."""
+        return int(self._fc.sum(where=~self._drained_mask))
 
     @property
     def free_gpus(self) -> int:
-        return sum(n.free_gpus for n in self.nodes if not n.drained)
+        """Free GPUs on undrained nodes."""
+        return int(self._fg.sum(where=~self._drained_mask))
 
     @property
     def used_cores(self) -> int:
-        return self.total_cores - sum(n.free_cores for n in self.nodes)
+        """Claimed cores on all nodes, drained ones included."""
+        return self.total_cores - int(self._fc.sum())
 
     @property
     def used_gpus(self) -> int:
-        return self.total_gpus - sum(n.free_gpus for n in self.nodes)
+        """Claimed GPUs on all nodes, drained ones included."""
+        return self.total_gpus - int(self._fg.sum())
 
     def total_vertices(self) -> int:
         """All vertices in the graph (the matcher's worst-case traversal)."""

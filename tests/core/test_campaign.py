@@ -144,3 +144,58 @@ class TestLoadCurves:
         in_first_window = sum(1 for t in curve if t <= 120.0)
         assert in_first_window <= 200
         assert max(curve) > 120.0  # the rest arrived in a later window
+
+
+# Per profile event of CampaignConfig(ledger=(RunSpec(256, 6, 1),), seed=1):
+# (GPUs in use, then running jobs of each type in GOLDEN_NAMES order).
+# A scheduler change that moves any placement shifts these numbers.
+GOLDEN_NAMES = ("continuum", "cg-sim", "aa-sim", "createsim", "backmap")
+GOLDEN_EVENTS = (
+    (1000, 1, 1000, 0, 0, 0), (1536, 1, 1198, 338, 2, 0),
+    (1535, 1, 1198, 337, 7, 0), (1535, 1, 1198, 337, 12, 0),
+    (1534, 1, 1198, 336, 17, 0), (1534, 1, 1198, 336, 22, 0),
+    (1533, 1, 1197, 336, 27, 0), (1533, 1, 1197, 336, 28, 4),
+    (1533, 1, 1197, 336, 28, 9), (1534, 1, 1198, 336, 28, 12),
+    (1534, 1, 1198, 336, 27, 12), (1534, 1, 1198, 336, 22, 12),
+    (1534, 1, 1198, 336, 17, 12), (1534, 1, 1198, 336, 14, 12),
+    (1534, 1, 1198, 336, 9, 12), (1534, 1, 1198, 336, 6, 12),
+    (1534, 1, 1198, 336, 5, 12), (1535, 1, 1198, 337, 3, 12),
+    (1535, 1, 1198, 337, 2, 12), (1536, 1, 1198, 338, 2, 10),
+    (1536, 1, 1198, 338, 2, 7), (1536, 1, 1198, 338, 1, 5),
+    (1536, 1, 1198, 338, 0, 2), (1536, 1, 1198, 338, 0, 2),
+    (1536, 1, 1198, 338, 0, 2), (1536, 1, 1198, 338, 0, 2),
+    (1536, 1, 1198, 338, 1, 2), (1536, 1, 1198, 338, 1, 2),
+    (1536, 1, 1198, 338, 1, 2), (1536, 1, 1198, 338, 2, 2),
+    (1536, 1, 1198, 338, 2, 1), (1536, 1, 1198, 338, 2, 1),
+    (1536, 1, 1198, 338, 2, 0), (1536, 1, 1198, 338, 2, 0),
+    (1536, 1, 1198, 338, 3, 0), (1536, 1, 1198, 338, 2, 0),
+)
+
+
+class TestGoldenRun:
+    """A small seeded run pinned exactly: job starts, sims, occupancy
+    and the full per-type running series of every profile event."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        cfg = CampaignConfig(ledger=(RunSpec(256, 6, 1),), seed=1)
+        return CampaignSimulator(cfg).run()
+
+    def test_starts_and_sims(self, golden):
+        assert len(golden.load_curves[256]) == 1593
+        assert golden.counters["cg_sims"] == 1204
+        assert golden.counters["aa_sims"] == 340
+
+    def test_gpu_occupancy(self, golden):
+        gpu = [e.gpu_occupancy for e in golden.profile_events]
+        assert gpu == [row[0] / (256 * 6) for row in GOLDEN_EVENTS]
+        assert np.mean(gpu) == pytest.approx(0.9897099247685185, abs=1e-15)
+
+    def test_running_series(self, golden):
+        expected = [
+            {name: n for name, n in zip(GOLDEN_NAMES, row[1:]) if n}
+            for row in GOLDEN_EVENTS
+        ]
+        # Dict equality also rejects zero-count entries.
+        assert [e.running for e in golden.profile_events] == expected
+        assert [e.pending for e in golden.profile_events] == [0] * len(expected)

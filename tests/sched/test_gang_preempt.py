@@ -8,11 +8,15 @@ the window, and preempted jobs are requeued directly behind the head
 and restart from the beginning (stale completion events are dropped).
 """
 
+import numpy as np
+import pytest
+
 from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobRecord, JobSpec, JobState
 from repro.sched.matcher import Matcher, MatchPolicy
 from repro.sched.queue import DEFAULT_BACKFILL_WINDOW, QueueManager
 from repro.sched.resources import summit_like
+from tests.sched.oracles import assert_running_counts
 
 
 def make_queue(policy=MatchPolicy.GANG, nnodes=2, **kwargs):
@@ -190,3 +194,38 @@ class TestPreemption:
         assert ("high", 14.0) in done
         assert ("low", 27.0) in done
         assert low.start_time == 15.0
+
+
+class TestRunningCounts:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_recount_under_gang_churn(self, seed):
+        """Gang co-placement, backfill, preemption, finish and
+        cancel_pending keep the per-type running counts equal to a
+        recount after every cycle and every finish."""
+        rng = np.random.default_rng(seed)
+        q = make_queue(nnodes=3, backfill_window=4, preemption=True)
+        now = 0.0
+        for step in range(400):
+            action = rng.random()
+            if action < 0.3:
+                q.submit(JobRecord(spec=JobSpec(
+                    name=str(rng.choice(["cg", "aa", "setup"])),
+                    ncores=int(rng.integers(1, 30)), ngpus=int(rng.integers(0, 3)),
+                    priority=int(rng.integers(0, 3)))))
+            elif action < 0.4:
+                size = int(rng.integers(2, 4))
+                for i in range(size):
+                    q.submit(JobRecord(spec=JobSpec(
+                        name=f"member{i}", ncores=8, ngpus=2,
+                        priority=int(rng.integers(0, 3)), gang_id=f"g{step}")))
+            elif action < 0.6 and q.running:
+                running = list(q.running.values())
+                q.finish(running[int(rng.integers(len(running)))], now)
+                assert_running_counts(q)
+            elif action < 0.7 and q.pending:
+                assert q.cancel_pending(q.pending[int(rng.integers(len(q.pending)))], now)
+            else:
+                now += 1.0
+                q.cycle(now, budget=float(rng.uniform(0.5, 20.0)))
+                assert_running_counts(q)
+        assert q.gangs_placed and q.backfilled and q.preempted

@@ -13,6 +13,7 @@ from repro.sched.resources import (
     summit_like,
 )
 from repro.sched.resources import ResourceError
+from tests.sched.oracles import aggregates_walk, pick_walk
 
 
 class TestNode:
@@ -172,3 +173,47 @@ def test_property_array_mirror_stays_consistent(ops):
         for n in g.nodes:
             assert g._fc[n.node_id] == n.free_cores
             assert g._fg[n.node_id] == n.free_gpus
+
+
+@pytest.mark.parametrize("ncores,ngpus,nsockets", [
+    (44, 6, 2), (44, 4, 2), (16, 4, 4), (8, 0, 1),
+])
+def test_pick_matches_the_free_core_walk(ncores, ngpus, nsockets):
+    """Block-scanning the GPU's socket picks exactly the ids the full
+    free-core walk picks, including requests that spill to other sockets
+    and requests without GPUs."""
+    rng = np.random.default_rng(ncores * 100 + ngpus * 10 + nsockets)
+    per = ncores // nsockets
+    spilled = gpuless = 0
+    for _ in range(300):
+        node = Node(0, ncores, ngpus, nsockets)
+        busy = rng.random(ncores) < rng.uniform(0.0, 0.9)
+        busy_gpus = rng.random(ngpus) < rng.uniform(0.0, 0.9)
+        node.claim(np.nonzero(busy)[0].tolist(), np.nonzero(busy_gpus)[0].tolist())
+        want_cores = int(rng.integers(0, node.free_cores + 1))
+        want_gpus = int(rng.integers(0, node.free_gpus + 1))
+        assert node.pick(want_cores, want_gpus) == pick_walk(node, want_cores, want_gpus)
+        spilled += want_gpus > 0 and want_cores > per
+        gpuless += want_gpus == 0
+    assert gpuless > 0
+    if ngpus:
+        assert spilled > 0
+
+
+def test_aggregates_with_a_drained_partly_claimed_node():
+    """``free_*`` skips drained nodes, ``used_*`` does not: with a node
+    drained, used + free falls short of the total by that node's free
+    capacity."""
+    g = summit_like(4, partition_size=2)
+    g.claim([(1, [0, 1, 2, 30], [0, 5]), (2, list(range(10)), [1])])
+    g.drain(1)
+    expected = aggregates_walk(g)
+    assert {name: getattr(g, name) for name in expected} == expected
+    assert g.used_cores == 14 and g.used_gpus == 3
+    assert g.free_cores == 3 * 44 - 10
+    assert g.free_gpus == 3 * 6 - 1
+    assert g.used_cores + g.free_cores == g.total_cores - (44 - 4)
+    assert g.used_gpus + g.free_gpus == g.total_gpus - (6 - 2)
+    g.undrain(1)
+    assert g.used_cores + g.free_cores == g.total_cores
+    assert g.used_gpus + g.free_gpus == g.total_gpus
