@@ -1,93 +1,24 @@
-"""Extension bench: buffered vs byte-at-a-time NetKV frame reads.
+"""Extension bench: many small NetKV GETs, end to end.
 
-The transport hardening replaced the one-``recv()``-per-byte header
-loop with a chunked :class:`_RecvBuffer` on both client and server.
-This bench quantifies the win two ways:
-
-1. a reader micro-benchmark: parse a stream of small response frames
-   off a socketpair with each reader implementation;
-2. end-to-end: many-small-GET throughput through the real server,
-   which pays the reader cost twice per round trip (request header at
-   the server, response header at the client).
+One blocking client reads small values one round trip at a time, so
+every GET pays the full client -> shard -> client path: the request
+header parse at the server, the response frame parse at the client,
+and the event-loop handoffs on both sides.
 
 The paper's >12x CG→continuum feedback speed-up (§5.1, Fig. 7) rides
 on exactly this workload shape — thousands of tiny key reads per
-iteration — so the header read must not dominate the round trip.
+iteration — so the per-request overhead must not dominate the round
+trip.
 """
 
-import socket
-import threading
 import time
 
 from conftest import report
 
-from repro.datastore.netkv import (
-    NetKVClient,
-    NetKVServer,
-    _RecvBuffer,
-    _recv_exact_unbuffered,
-    _recv_line_unbuffered,
-)
-
-N_FRAMES = 20_000
-PAYLOAD = b"x" * 16
-FRAME = b"OK %d\n%s" % (len(PAYLOAD), PAYLOAD)
+from repro.datastore.netkv import NetKVClient, NetKVServer
 
 
-def _feed(sock, data):
-    try:
-        sock.sendall(data)
-    finally:
-        sock.close()
-
-
-def _time_reader(read_frames):
-    """Feed N_FRAMES small frames through a socketpair; time the reader."""
-    left, right = socket.socketpair()
-    feeder = threading.Thread(target=_feed, args=(left, FRAME * N_FRAMES),
-                              daemon=True)
-    feeder.start()
-    t0 = time.perf_counter()
-    read_frames(right)
-    elapsed = time.perf_counter() - t0
-    feeder.join()
-    right.close()
-    return elapsed
-
-
-def _read_unbuffered(sock):
-    for _ in range(N_FRAMES):
-        header = _recv_line_unbuffered(sock)
-        n = int(header[3:])
-        _recv_exact_unbuffered(sock, n)
-
-
-def _read_buffered(sock):
-    buf = _RecvBuffer(sock)
-    for _ in range(N_FRAMES):
-        header = buf.recv_line()
-        n = int(header[3:])
-        buf.recv_exact(n)
-
-
-class TestBufferedReaderWin:
-    def test_reader_microbench(self):
-        t_unbuf = _time_reader(_read_unbuffered)
-        t_buf = _time_reader(_read_buffered)
-        speedup = t_unbuf / t_buf
-        report("ext_netkv_reader", [
-            f"frames               {N_FRAMES}",
-            f"byte-at-a-time       {t_unbuf:.3f} s "
-            f"({N_FRAMES / t_unbuf:,.0f} frames/s)",
-            f"buffered             {t_buf:.3f} s "
-            f"({N_FRAMES / t_buf:,.0f} frames/s)",
-            f"speedup              {speedup:.1f}x",
-        ])
-        # The buffered reader replaces ~22 recv() syscalls per frame
-        # with amortized fractions of one; anything under 2x means the
-        # optimization regressed.
-        assert speedup > 2.0
-
+class TestSmallGets:
     def test_many_small_gets_end_to_end(self):
         nkeys, nreads = 500, 4000
         server = NetKVServer().start()

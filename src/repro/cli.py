@@ -327,6 +327,7 @@ def _cmd_netkv(args) -> int:
         import threading
 
         from repro.datastore.netkv import NetKVServer
+        from repro.datastore.wal import DurabilityConfig
 
         if args.serve < 1:
             print("--serve needs at least one shard", file=sys.stderr)
@@ -334,22 +335,17 @@ def _cmd_netkv(args) -> int:
         if args.max_conns is not None and args.max_conns < 1:
             print("--max-conns must be >= 1", file=sys.stderr)
             return 2
-        servers = []
-        for i in range(args.serve):
-            if args.persist:
-                from repro.datastore.aio import AsyncNetKVServer
-                from repro.datastore.wal import DurabilityConfig
-
-                server = AsyncNetKVServer(
-                    host=args.host,
-                    max_connections=args.max_conns,
-                    persist_dir=os.path.join(args.persist, f"shard{i}"),
-                    durability=DurabilityConfig(fsync=not args.no_fsync),
-                )
-            else:
-                server = NetKVServer(host=args.host)
-                server.max_connections = args.max_conns
-            servers.append(server.start())
+        durability = DurabilityConfig(fsync=not args.no_fsync)
+        servers = [
+            NetKVServer(
+                host=args.host,
+                max_connections=args.max_conns,
+                persist_dir=(os.path.join(args.persist, f"shard{i}")
+                             if args.persist else None),
+                durability=durability,
+            ).start()
+            for i in range(args.serve)
+        ]
         url = "netkv://" + ",".join(f"{h}:{p}" for h, p in
                                     (s.address for s in servers))
         cap = "unlimited" if args.max_conns is None else str(args.max_conns)

@@ -1,32 +1,35 @@
-"""Event-loop transport core for NetKV: framing, server, client channel.
+"""NetKV's transport: framing, server, client channel, transport config.
 
-This module holds the asyncio implementation behind the *sync facades*
-in :mod:`repro.datastore.netkv` (see DESIGN.md, "Event-loop transport"):
+Everything that touches a socket lives here, on asyncio; the blocking
+API callers see is a thin layer over coroutines run on a
+:class:`LoopThread` (see DESIGN.md, "Event-loop transport"):
 
+- :class:`TransportConfig` — the client-side knobs (timeouts, retry
+  budget, backoff, batch size; the ``[transport]`` config section).
 - :class:`ReadBuffer` — zero-copy buffered framing. Incoming chunks are
   appended to one grow-only ``bytearray``; frames are sliced out through
   a ``memoryview`` (one copy per frame, no per-read reallocation) with a
   consumed-offset cursor and lazy compaction.
-- :class:`LoopThread` — a dedicated event loop on a daemon thread; the
-  sync API submits coroutines via ``run_coroutine_threadsafe``.
-- :class:`AsyncNetKVServer` — the per-shard event-loop server. One
-  ``asyncio.Protocol`` connection per client, a per-connection serve
-  task, vectored writes (``transport.writelines``), and backpressure in
-  both directions: write-buffer high-water marks gate the serve loop
-  (bounded per-connection write queue), and the read buffer pauses the
-  transport when a pipelining peer runs ahead of dispatch.
-- :class:`AsyncClientChannel` — one coalescing connection per shard.
-  Concurrent single-key GET/SET/DEL ops from many caller threads are
-  queued on the loop and opportunistically folded into the existing
-  MGET/MSET/MDEL wire batches: while one round trip is in flight, every
-  same-kind op that piles up behind it ships as a single batch frame
-  (the coalescing window is the in-flight round trip — no added
-  latency). The sync method surface matches ``NetKVClient`` so the
-  cluster's failover/repair machinery works against either.
+- :class:`LoopThread` — a dedicated event loop on a daemon thread;
+  blocking callers submit coroutines via ``run_coroutine_threadsafe``.
+- :class:`AsyncNetKVServer` — the shard server (``netkv.NetKVServer``).
+  One ``asyncio.Protocol`` connection per client, a per-connection
+  serve task, vectored writes (``transport.writelines``), and
+  backpressure in both directions: write-buffer high-water marks gate
+  the serve loop (bounded per-connection write queue), and the read
+  buffer pauses the transport when a pipelining peer runs ahead of
+  dispatch.
+- :class:`AsyncClientChannel` — the shard client (``netkv.NetKVClient``):
+  one coalescing connection per shard. Concurrent single-key
+  GET/SET/DEL ops from many caller threads are queued on the loop and
+  opportunistically folded into the existing MGET/MSET/MDEL wire
+  batches: while one round trip is in flight, every same-kind op that
+  piles up behind it ships as a single batch frame (the coalescing
+  window is the in-flight round trip — no added latency).
 
 Wire-protocol primitives (:class:`WireProtocolError`, key validation,
-batch payload packing) live here and are re-exported by ``netkv`` so
-the import graph stays acyclic: ``netkv`` imports ``aio``, never the
+batch payload packing) live here too and are re-exported by ``netkv``
+so the import graph stays acyclic: ``netkv`` imports ``aio``, never the
 reverse.
 """
 
@@ -40,6 +43,7 @@ import socket
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import trace
@@ -49,6 +53,7 @@ from repro.datastore.stats import TransportStats
 from repro.datastore.wal import DurabilityConfig, ShardWAL
 
 __all__ = [
+    "TransportConfig",
     "WireProtocolError",
     "ReadBuffer",
     "LoopThread",
@@ -73,6 +78,51 @@ _WRITE_HIGH_WATER = 1 << 20
 # out together once the buffered backlog drains — or at this many
 # accumulated bytes, so one huge burst can't sit unsent indefinitely.
 _FLUSH_BYTES = 1 << 16
+
+
+@dataclass(frozen=True)
+class TransportConfig:
+    """Client-side transport knobs (the ``[transport]`` config section).
+
+    ``op_timeout`` bounds every round trip; ``retries`` is how many
+    times a failed operation is re-attempted on a fresh connection
+    before :class:`StoreUnavailable`; the backoff between attempts is
+    ``min(backoff_max, backoff_base * 2**attempt)`` scaled by a uniform
+    jitter factor in ``[1 - jitter, 1 + jitter]`` so a thousand clients
+    recovering from one server blip don't reconnect in lockstep.
+    ``batch_keys`` caps how many keys one MGET/MSET/MDEL round trip
+    carries (the pipeline depth); larger batches are chunked.
+    ``route_refresh`` is how often (seconds) a cluster client re-reads
+    the shared routing map published on the shards, which is what lets
+    it observe slot migrations performed by *other* processes; ``0``
+    disables polling (single-writer test setups).
+    """
+
+    op_timeout: float = 5.0
+    connect_timeout: float = 2.0
+    retries: int = 4
+    backoff_base: float = 0.02
+    backoff_max: float = 1.0
+    jitter: float = 0.5
+    max_payload: int = 256 * 1024 * 1024
+    batch_keys: int = 512
+    route_refresh: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.route_refresh < 0:
+            raise ValueError("route_refresh must be >= 0")
+        if self.op_timeout <= 0 or self.connect_timeout <= 0:
+            raise ValueError("timeouts must be > 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.backoff_base < 0 or self.backoff_max < self.backoff_base:
+            raise ValueError("need 0 <= backoff_base <= backoff_max")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError("jitter must be in [0, 1]")
+        if self.max_payload < 1:
+            raise ValueError("max_payload must be >= 1")
+        if self.batch_keys < 1:
+            raise ValueError("batch_keys must be >= 1")
 
 
 class WireProtocolError(StoreError):
@@ -270,7 +320,7 @@ class ReadBuffer:
 class LoopThread:
     """One asyncio event loop running on a dedicated daemon thread.
 
-    The sync facades hand coroutines over with
+    Blocking callers hand coroutines over with
     ``run_coroutine_threadsafe`` and block on the returned future; the
     loop itself never blocks on application code.
     """
@@ -289,6 +339,12 @@ class LoopThread:
             self.loop.run_forever()
         finally:
             try:
+                # One more pass over callbacks already queued before the
+                # stop: ``transport.abort()`` closes its socket in a
+                # ``call_soon`` callback, and skipping it would leave the
+                # connection open until the transport is collected.
+                self.loop.stop()
+                self.loop.run_forever()
                 pending = asyncio.all_tasks(self.loop)
                 for task in pending:
                     task.cancel()
@@ -443,7 +499,7 @@ _MUTATING = frozenset({"SET", "DEL", "RENAME", "MSET", "MSETNX", "MDEL",
 
 
 def _dispatch(server: "AsyncNetKVServer", cmd: str, args: List[str],
-              payload: bytes) -> Optional[bytes]:
+              payload: bytes) -> bytes:
     store = server.backend
     wal = server.wal
     with server.lock:
@@ -505,20 +561,17 @@ def _dispatch(server: "AsyncNetKVServer", cmd: str, args: List[str],
             if wal is not None:
                 wal.append_flush()
             return b""
-        if cmd == "SHUTDOWN":
-            threading.Thread(target=server.stop, daemon=True).start()
-            return None
         raise StoreError(f"unknown command {cmd!r}")
 
 
 class _ServerConnection(_BufferedProtocol):
     """One accepted connection: a serve task looping request→response.
 
-    Error discipline matches the threaded handler exactly: framing
-    violations get one ERR frame and a close (after a malformed SET
-    header the payload boundary is unknowable — continuing would parse
-    payload bytes as the next header); application errors get an ERR
-    frame and the connection continues; KeyNotFound is ``NF``.
+    Error discipline: framing violations get one ERR frame and a close
+    (after a malformed SET header the payload boundary is unknowable —
+    continuing would parse payload bytes as the next header);
+    application errors get an ERR frame and the connection continues;
+    KeyNotFound is ``NF``.
     """
 
     def __init__(self, owner: "AsyncNetKVServer") -> None:
@@ -696,10 +749,6 @@ class _ServerConnection(_BufferedProtocol):
                         out.append(f"ERR {msg}\n".encode("utf-8"))
                         out_bytes += len(out[-1])
                         continue
-                    if response is None:
-                        await flush()
-                        transport.close()
-                        return  # SHUTDOWN
                     hdr = b"OK %d\n" % len(response)
                     out.append(hdr)
                     out.append(response)
@@ -731,7 +780,8 @@ class _ServerConnection(_BufferedProtocol):
 
 
 class AsyncNetKVServer:
-    """One networked shard on a dedicated event loop (sync facade).
+    """One networked shard (``NetKVServer``): an in-memory
+    :class:`KVServer` served from a dedicated event loop.
 
     The listening socket is bound in the constructor so ``address`` is
     available before ``start()`` (and a restart can rebind the same
@@ -918,7 +968,7 @@ class _Op:
     retry ladder runs on the loop thread where that span is not on the
     thread-local stack, so retry/exhausted events are attached to the
     captured span object directly — the store op that pays for a retry
-    records it, exactly as with the threaded client.
+    records it.
     """
 
     __slots__ = ("kind", "arg", "fut", "span")
@@ -939,7 +989,7 @@ def _note_event(spans, name: str, **attrs) -> None:
 
 
 class AsyncClientChannel:
-    """Coalescing sync-facade connection to one shard.
+    """Coalescing blocking-API connection to one shard (``NetKVClient``).
 
     Caller threads enqueue ops onto the channel's event loop and block
     on a future; a drainer task executes the queue over one connection.
@@ -950,21 +1000,27 @@ class AsyncClientChannel:
     per-key round trips. FIFO order across kinds is preserved, and a
     caller's program order is preserved because it blocks per op.
 
-    The retry ladder mirrors ``NetKVClient``: timeouts, connection
-    failures, and protocol violations drop the connection, wait out a
-    jittered capped-exponential backoff, and re-attempt on a fresh
-    connection until the budget is spent (→ StoreUnavailable).
-    Application outcomes (NF → KeyNotFound, ERR → StoreError) are never
-    retried. Method surface and exception contract match
-    ``NetKVClient`` so the cluster's failover machinery is agnostic.
+    Retry ladder: timeouts, connection failures, and protocol
+    violations drop the connection, wait out a jittered
+    capped-exponential backoff, and re-attempt on a fresh connection
+    until the budget is spent (→ StoreUnavailable). Application
+    outcomes (NF → KeyNotFound, ERR → StoreError) are never retried.
+    Retries make every operation at-least-once: SET/GET/RENAME are
+    idempotent, but a DEL whose response was lost can raise
+    :class:`KeyNotFound` on the re-attempt even though the key was
+    removed (see DESIGN.md, "Transport failure semantics").
+
+    Without ``loop_thread`` the channel runs its own loop thread,
+    stopped by :meth:`close`.
     """
 
-    def __init__(self, address: Tuple[str, int], config,
+    def __init__(self, address: Tuple[str, int],
+                 config: Optional[TransportConfig] = None,
                  stats: Optional[TransportStats] = None,
                  loop_thread: Union[LoopThread, Callable[[], LoopThread], None] = None,
                  rng=None) -> None:
         self.address = (str(address[0]), int(address[1]))
-        self.config = config
+        self.config = config if config is not None else TransportConfig()
         self.stats = stats if stats is not None else TransportStats()
         self._loop_source = loop_thread
         self._lt: Optional[LoopThread] = None
@@ -1300,7 +1356,7 @@ class AsyncClientChannel:
             raise StoreError(status[4:])
         raise WireProtocolError(f"unparseable response {status!r}")
 
-    # --- public sync surface (mirrors NetKVClient) ------------------------
+    # --- public blocking surface ------------------------------------------
 
     def ping(self) -> bool:
         return self._submit("PING")

@@ -1,9 +1,13 @@
-"""A networked KV server/client: the Redis substitute over real sockets.
+"""NetKV: the Redis substitute over real sockets — cluster client and store.
 
 The in-process :mod:`~repro.datastore.kvstore` models the cluster's
 semantics; this module provides the same operations over actual TCP so
 deployments where components live in different processes (the paper's
-WM + thousands of simulation jobs) exercise a real wire protocol.
+WM + thousands of simulation jobs) exercise a real wire protocol. The
+transport itself — shard server, client channel, framing — lives in
+:mod:`repro.datastore.aio`; ``NetKVServer`` and ``NetKVClient`` are its
+:class:`~repro.datastore.aio.AsyncNetKVServer` and
+:class:`~repro.datastore.aio.AsyncClientChannel`.
 
 Protocol (text header + raw payload, one request per round trip)::
 
@@ -11,8 +15,9 @@ Protocol (text header + raw payload, one request per round trip)::
     response: OK <len>\\n<payload>   |   NF\\n   |   ERR <message>\\n
 
 Commands: PING, SET key, GET key, DEL key, KEYS prefix, RENAME src dst,
-LEN, FLUSH, SHUTDOWN — plus the pipelined batch commands MGET, MSET,
-and MDEL, which carry many keys (and values) in a single round trip::
+LEN, FLUSH, SNAPSHOT — plus the pipelined batch commands MGET, MSET,
+MSETNX and MDEL, which carry many keys (and values) in a single round
+trip::
 
     MGET <payload_len>\\n<keys joined by NUL>
         -> OK frame whose payload is, per key in order,
@@ -38,13 +43,10 @@ phases can orphan a duplicate but never lose the value.
 Transport resilience (§5.1 / §6 — the in-memory store is the campaign's
 availability bottleneck):
 
-- every client operation runs under a per-operation socket timeout and
-  a capped exponential-backoff retry loop (:class:`TransportConfig`);
+- every client operation runs under a per-operation timeout and a
+  capped exponential-backoff retry loop (:class:`TransportConfig`);
   a dead or flapping server surfaces as
   :class:`~repro.datastore.base.StoreUnavailable` instead of a hang;
-- reads are buffered (:class:`_RecvBuffer`) on both sides instead of
-  one ``recv()`` per header byte — see
-  ``benchmarks/test_ext_netkv_transport.py`` for the measured win;
 - the server validates frames defensively (length fields, header size,
   key charset) and *closes* a connection it can no longer trust rather
   than desyncing on the next request;
@@ -59,11 +61,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import socket
-import socketserver
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -80,662 +79,29 @@ from repro.datastore.aio import (
     AsyncClientChannel,
     AsyncNetKVServer,
     LoopThread,
+    TransportConfig,
     WireProtocolError,
-    _check_wire_key,
-    _pack_items,
-    _pack_values,
-    _split_key_payload,
-    _unpack_items,
-    _unpack_values,
 )
-from repro.datastore.kvstore import _HASH_SLOTS, KVServer, key_slot
+from repro.datastore.kvstore import _HASH_SLOTS, key_slot
 from repro.datastore.stats import TransportStats
-from repro.util.faults import NetworkFaultInjector
 
 __all__ = [
     "TransportConfig",
     "WireProtocolError",
     "NetKVServer",
-    "ThreadedNetKVServer",
     "NetKVClient",
     "NetKVCluster",
     "NetKVStore",
 ]
 
-_MAX_HEADER = 4096
-_RECV_CHUNK = 65536
-
-
-@dataclass(frozen=True)
-class TransportConfig:
-    """Client-side transport knobs (the ``[transport]`` config section).
-
-    ``op_timeout`` bounds every socket send/recv; ``retries`` is how
-    many times a failed operation is re-attempted on a fresh connection
-    before :class:`StoreUnavailable`; the backoff between attempts is
-    ``min(backoff_max, backoff_base * 2**attempt)`` scaled by a uniform
-    jitter factor in ``[1 - jitter, 1 + jitter]`` so a thousand clients
-    recovering from one server blip don't reconnect in lockstep.
-    ``batch_keys`` caps how many keys one MGET/MSET/MDEL round trip
-    carries (the pipeline depth); larger batches are chunked.
-    ``route_refresh`` is how often (seconds) a cluster client re-reads
-    the shared routing map published on the shards, which is what lets
-    it observe slot migrations performed by *other* processes; ``0``
-    disables polling (single-writer test setups).
-    """
-
-    op_timeout: float = 5.0
-    connect_timeout: float = 2.0
-    retries: int = 4
-    backoff_base: float = 0.02
-    backoff_max: float = 1.0
-    jitter: float = 0.5
-    max_payload: int = 256 * 1024 * 1024
-    batch_keys: int = 512
-    route_refresh: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.route_refresh < 0:
-            raise ValueError("route_refresh must be >= 0")
-        if self.op_timeout <= 0 or self.connect_timeout <= 0:
-            raise ValueError("timeouts must be > 0")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_max < self.backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_max")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.max_payload < 1:
-            raise ValueError("max_payload must be >= 1")
-        if self.batch_keys < 1:
-            raise ValueError("batch_keys must be >= 1")
-
-
-class _RecvBuffer:
-    """Buffered reads over a socket: one ``recv()`` per chunk, not per byte.
-
-    EOF raises :class:`ConnectionError` (retryable transport failure);
-    an oversized header raises :class:`WireProtocolError` (the stream
-    can no longer be framed).
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._buf = bytearray()
-
-    def _fill(self) -> None:
-        chunk = self._sock.recv(_RECV_CHUNK)
-        if not chunk:
-            raise ConnectionError("connection closed mid-frame")
-        self._buf.extend(chunk)
-
-    def recv_line(self, limit: int = _MAX_HEADER) -> bytes:
-        """Read up to and including a newline; return it without the newline."""
-        while True:
-            idx = self._buf.find(b"\n")
-            if idx != -1:
-                if idx > limit:
-                    raise WireProtocolError(f"header exceeds {limit} bytes")
-                line = bytes(self._buf[:idx])
-                del self._buf[: idx + 1]
-                return line
-            if len(self._buf) > limit:
-                raise WireProtocolError(f"header exceeds {limit} bytes")
-            self._fill()
-
-    def recv_exact(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            self._fill()
-        data = bytes(self._buf[:n])
-        del self._buf[:n]
-        return data
-
-
-def _recv_line_unbuffered(sock: socket.socket) -> bytes:
-    """The pre-hardening byte-at-a-time header read.
-
-    Kept only as the baseline for the buffered-reader micro-benchmark
-    (``benchmarks/test_ext_netkv_transport.py``); production paths use
-    :class:`_RecvBuffer`.
-    """
-    buf = bytearray()
-    while len(buf) < _MAX_HEADER:
-        b = sock.recv(1)
-        if not b:
-            raise StoreError("connection closed mid-header")
-        if b == b"\n":
-            return bytes(buf)
-        buf.extend(b)
-    raise StoreError("header too long")
-
-
-def _recv_exact_unbuffered(sock: socket.socket, n: int) -> bytes:
-    """The pre-hardening payload read (benchmark baseline, see above)."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, _RECV_CHUNK))
-        if not chunk:
-            raise StoreError("connection closed mid-payload")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-# Wire-protocol key validation and MGET/MSET/MDEL payload framing live
-# in repro.datastore.aio (shared with the event-loop transport) and are
-# re-exported above: _check_wire_key, _split_key_payload, _pack_values,
-# _unpack_values, _pack_items, _unpack_items.
+# The shard server and the single-shard client are the event-loop
+# transport's classes under their public names.
+NetKVServer = AsyncNetKVServer
+NetKVClient = AsyncClientChannel
 
 
 def _chunks(seq: List, size: int) -> List[List]:
     return [seq[i:i + size] for i in range(0, len(seq), size)]
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    """One request-response exchange per connection round trip.
-
-    Connections are persistent: the handler loops until the client
-    disconnects, sends SHUTDOWN, or violates the protocol. A violated
-    connection gets one ERR frame and is closed — after a malformed
-    SET header the payload boundary is unknowable, and continuing would
-    parse payload bytes as the next header (the desync bug).
-    """
-
-    def handle(self) -> None:  # noqa: C901 - a protocol switch is a switch
-        server: "ThreadedNetKVServer" = self.server.owner  # type: ignore[attr-defined]
-        sock = self.request
-        injector = server.fault_injector
-        if injector is not None and injector.connection_fate() == "drop":
-            return  # close before reading anything
-        server._register(sock)
-        try:
-            self._serve(server, sock, injector)
-        finally:
-            server._unregister(sock)
-
-    def _serve(self, server: "ThreadedNetKVServer", sock: socket.socket,
-               injector: Optional[NetworkFaultInjector]) -> None:
-        buf = _RecvBuffer(sock)
-        while True:
-            try:
-                header = buf.recv_line()
-            except (ConnectionError, OSError):
-                return  # client went away
-            except WireProtocolError as exc:
-                self._send_err(sock, str(exc))
-                return
-            if not header:
-                # A blank line cannot start a request; before the fix this
-                # `continue`d and spun forever on a client sending "\n"s.
-                self._send_err(sock, "empty header")
-                return
-            with trace.span("netkv.handle") as sp:
-                if injector is not None:
-                    fate = injector.request_fate()
-                    if fate == "delay":
-                        seconds = injector.delay_duration()
-                        if sp:
-                            sp.event("fault", fate="delay", seconds=seconds)
-                        time.sleep(seconds)
-                    elif fate == "close":
-                        if sp:
-                            sp.event("fault", fate="close")
-                        return
-                    elif fate == "garbage":
-                        if sp:
-                            sp.event("fault", fate="garbage")
-                        try:
-                            sock.sendall(injector.garbage_payload())
-                        except OSError:
-                            pass
-                        return
-                try:
-                    parts = header.decode("utf-8").split()
-                except UnicodeDecodeError:
-                    self._send_err(sock, "header is not UTF-8")
-                    return
-                cmd, args = parts[0].upper(), parts[1:]
-                if sp:
-                    sp.set(cmd=cmd)
-                try:
-                    payload = b""
-                    if cmd in ("SET", "MGET", "MSET", "MSETNX", "MDEL"):
-                        payload, args = self._read_payload(buf, cmd, args, server)
-                    response = self._dispatch(server, cmd, args, payload)
-                except KeyNotFound:
-                    sock.sendall(b"NF\n")
-                    continue
-                except WireProtocolError as exc:
-                    # Framing is broken (bad length field, oversized payload):
-                    # the bytes that follow cannot be trusted as a header.
-                    self._send_err(sock, str(exc))
-                    return
-                except (ConnectionError, OSError):
-                    return
-                except Exception as exc:  # application errors become ERR frames
-                    msg = str(exc).replace("\n", " ")[:500]
-                    sock.sendall(f"ERR {msg}\n".encode("utf-8"))
-                    continue
-                if response is None:
-                    return  # SHUTDOWN
-                sock.sendall(f"OK {len(response)}\n".encode("utf-8") + response)
-
-    @staticmethod
-    def _send_err(sock: socket.socket, msg: str) -> None:
-        try:
-            sock.sendall(f"ERR {msg}\n".encode("utf-8", "replace"))
-        except OSError:
-            pass
-
-    @staticmethod
-    def _read_payload(buf: _RecvBuffer, cmd: str, args: List[str],
-                      server: "ThreadedNetKVServer") -> Tuple[bytes, List[str]]:
-        """Read a payload-carrying command's body (last arg = byte length),
-        or raise :class:`WireProtocolError`."""
-        min_args = 2 if cmd == "SET" else 1  # SET also carries its key
-        if len(args) < min_args:
-            raise WireProtocolError(f"{cmd} header is missing arguments")
-        try:
-            length = int(args[-1])
-        except ValueError:
-            raise WireProtocolError(
-                f"{cmd} length is not an integer: {args[-1]!r}") from None
-        if length < 0 or length > server.max_payload:
-            raise WireProtocolError(f"{cmd} length out of range: {length}")
-        return buf.recv_exact(length), args[:-1]
-
-    @staticmethod
-    def _dispatch(server: "ThreadedNetKVServer", cmd: str, args: List[str],
-                  payload: bytes) -> Optional[bytes]:
-        store = server.backend
-        with server.lock:
-            if cmd == "PING":
-                return b"PONG"
-            if cmd == "SET":
-                store.set(_check_wire_key(args[0]), payload)
-                return b""
-            if cmd == "GET":
-                return store.get(args[0])
-            if cmd == "DEL":
-                store.delete(args[0])
-                return b""
-            if cmd == "KEYS":
-                prefix = args[0] if args else ""
-                return "\x00".join(sorted(store.scan(prefix))).encode("utf-8")
-            if cmd == "RENAME":
-                store.rename(args[0], _check_wire_key(args[1]))
-                return b""
-            if cmd == "MGET":
-                return _pack_values(store.mget(_split_key_payload(payload)))
-            if cmd == "MSET":
-                n = store.mset(_unpack_items(payload, server.max_payload))
-                return str(n).encode("utf-8")
-            if cmd == "MSETNX":
-                flags = store.msetnx(_unpack_items(payload, server.max_payload))
-                return b"".join(b"1" if f else b"0" for f in flags)
-            if cmd == "MDEL":
-                flags = store.mdelete(_split_key_payload(payload))
-                return b"".join(b"1" if f else b"0" for f in flags)
-            if cmd == "LEN":
-                return str(len(store)).encode("utf-8")
-            if cmd == "SNAPSHOT":
-                # Only the event-loop server carries a WAL; the threaded
-                # baseline answers honestly instead of pretending.
-                raise StoreError("shard has no persistence configured")
-            if cmd == "FLUSH":
-                store.flush()
-                return b""
-            if cmd == "SHUTDOWN":
-                threading.Thread(target=server.stop, daemon=True).start()
-                return None
-            raise StoreError(f"unknown command {cmd!r}")
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    # Restarting a shard on its old port must not fail on TIME_WAIT —
-    # the resilience tests stop and revive servers at the same address.
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def process_request(self, request, client_address):
-        # ThreadingMixIn only tracks (and joins) non-daemon handler
-        # threads, so with daemon_threads the stock server_close() joins
-        # nothing: `repro netkv --serve` could exit mid-request, dropping
-        # an acked write on the floor. Spawn the handler ourselves and
-        # register the thread with the owning NetKVServer so stop() can
-        # join it after severing its socket.
-        thread = threading.Thread(
-            target=self.process_request_thread,
-            args=(request, client_address), daemon=True)
-        owner = getattr(self, "owner", None)
-        if owner is not None:
-            owner._track_handler(thread)
-        thread.start()
-
-
-class ThreadedNetKVServer:
-    """The thread-per-connection shard server (pre-event-loop).
-
-    Kept as the comparison baseline for the async transport benchmarks
-    (``benchmarks/test_ext_netkv_async.py``) and as a fallback; the
-    production server is the event-loop :class:`NetKVServer` facade
-    below. ``fault_injector`` plugs a
-    :class:`~repro.util.faults.NetworkFaultInjector` into the accept
-    and request paths for degraded-network testing.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 fault_injector: Optional[NetworkFaultInjector] = None,
-                 max_payload: int = 256 * 1024 * 1024) -> None:
-        self.backend = KVServer()
-        self.lock = threading.Lock()
-        self.fault_injector = fault_injector
-        self.max_payload = max_payload
-        self._tcp = _TCPServer((host, port), _Handler, bind_and_activate=True)
-        self._tcp.owner = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        self._conns: set = set()
-        self._conn_lock = threading.Lock()
-        self._handlers: set = set()
-
-    def _track_handler(self, thread: threading.Thread) -> None:
-        with self._conn_lock:
-            self._handlers = {t for t in self._handlers if t.is_alive()}
-            self._handlers.add(thread)
-
-    def _register(self, sock: socket.socket) -> None:
-        with self._conn_lock:
-            self._conns.add(sock)
-
-    def _unregister(self, sock: socket.socket) -> None:
-        with self._conn_lock:
-            self._conns.discard(sock)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._tcp.server_address  # type: ignore[return-value]
-
-    def start(self) -> "ThreadedNetKVServer":
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self, join_timeout: float = 5.0) -> None:
-        """Stop listening, sever live connections, and join the threads.
-
-        Without the severing step, handler threads on established
-        connections would keep serving a "stopped" shard — a zombie the
-        restart/resilience semantics (and tests) cannot tolerate. And
-        without the join, ``stop()`` could return while a handler was
-        still inside ``_dispatch`` holding the backend lock — the
-        ``repro netkv --serve`` Ctrl-C path used to exit the process
-        mid-request that way. Handler sockets are closed first, so the
-        joins observe prompt exits; ``join_timeout`` bounds the wait per
-        thread regardless.
-        """
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        with self._conn_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-            handlers = list(self._handlers)
-            self._handlers.clear()
-        for sock in conns:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        for thread in handlers:
-            if thread is not threading.current_thread():
-                thread.join(timeout=join_timeout)
-        serve_thread = self._thread
-        if serve_thread is not None and serve_thread is not threading.current_thread():
-            serve_thread.join(timeout=join_timeout)
-            self._thread = None
-
-    def __enter__(self) -> "ThreadedNetKVServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-class NetKVServer(AsyncNetKVServer):
-    """One networked shard wrapping an in-memory :class:`KVServer`.
-
-    Since the event-loop rewrite this is a thin facade over
-    :class:`repro.datastore.aio.AsyncNetKVServer`: one dedicated loop
-    thread per shard, one protocol object (not one thread) per
-    connection, zero-copy buffered framing, and write-queue
-    backpressure — same wire protocol, same error discipline, same
-    ``start()/stop()/address`` surface as the threaded server it
-    replaced (kept as :class:`ThreadedNetKVServer` for benchmarks).
-
-    ``fault_injector`` plugs a
-    :class:`~repro.util.faults.NetworkFaultInjector` into the accept
-    and request paths for degraded-network testing; ``max_connections``
-    bounds concurrently served connections (see OPERATIONS.md).
-    """
-
-
-class NetKVClient:
-    """A connection to one shard with timeouts, reconnect, and retries.
-
-    The connection is opened lazily and re-opened transparently: any
-    timeout, connection failure, or malformed response closes the
-    socket, waits out a jittered backoff, and re-attempts on a fresh
-    connection until the retry budget is spent, at which point
-    :class:`StoreUnavailable` is raised. Application-level outcomes
-    (``NF`` → :class:`KeyNotFound`, ``ERR`` → :class:`StoreError`) are
-    never retried.
-
-    Retries make every operation at-least-once: SET/GET/RENAME are
-    idempotent, but a DEL whose response was lost can raise
-    :class:`KeyNotFound` on the re-attempt even though the key was
-    removed (see DESIGN.md, "Transport failure semantics").
-    """
-
-    def __init__(self, address: Tuple[str, int], timeout: Optional[float] = None,
-                 config: Optional[TransportConfig] = None,
-                 stats: Optional[TransportStats] = None,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        self.address = address
-        cfg = config or TransportConfig()
-        if timeout is not None:  # back-compat with the old timeout-only ctor
-            cfg = dataclasses.replace(cfg, op_timeout=float(timeout))
-        self.config = cfg
-        self.stats = stats if stats is not None else TransportStats()
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._sleep = time.sleep  # swappable in tests
-        self._sock: Optional[socket.socket] = None
-        self._buf: Optional[_RecvBuffer] = None
-        self._ever_connected = False
-
-    # --- connection management -------------------------------------------
-
-    def _ensure_connected(self) -> _RecvBuffer:
-        if self._sock is None:
-            sock = socket.create_connection(self.address,
-                                            timeout=self.config.connect_timeout)
-            sock.settimeout(self.config.op_timeout)
-            self._sock = sock
-            self._buf = _RecvBuffer(sock)
-            if self._ever_connected:
-                self.stats.note_reconnect()
-            self._ever_connected = True
-        assert self._buf is not None
-        return self._buf
-
-    def _drop_connection(self) -> None:
-        """Close a socket we no longer trust; never reuse it."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._sock = None
-        self._buf = None
-
-    def close(self) -> None:
-        self._drop_connection()
-
-    def _backoff(self, attempt: int) -> None:
-        base = min(self.config.backoff_max,
-                   self.config.backoff_base * (2.0 ** attempt))
-        if base <= 0:
-            return
-        spread = self.config.jitter
-        factor = 1.0 if spread == 0 else (1.0 - spread) + 2.0 * spread * float(self._rng.random())
-        self._sleep(base * factor)
-
-    # --- the request loop -------------------------------------------------
-
-    def _roundtrip(self, header: str, payload: bytes = b"") -> bytes:
-        wire = header.encode("utf-8") + b"\n" + payload
-        op = header.split(" ", 1)[0]
-        attempts = self.config.retries + 1
-        last_exc: Optional[BaseException] = None
-        for attempt in range(attempts):
-            t0 = time.perf_counter()
-            try:
-                buf = self._ensure_connected()
-                self.stats.note_request(len(wire))
-                self._sock.sendall(wire)  # type: ignore[union-attr]
-                return self._read_response(buf, header, t0)
-            except (socket.timeout, TimeoutError) as exc:
-                last_exc = exc
-                self._drop_connection()
-                self.stats.note_retry(timed_out=True)
-                trace.event("retry", kind="timeout", op=op, attempt=attempt)
-            except WireProtocolError as exc:
-                # The peer sent something unframeable — desynced or
-                # garbage-injected. The connection is dead to us.
-                last_exc = exc
-                self._drop_connection()
-                self.stats.note_retry(timed_out=False, protocol=True)
-                trace.event("retry", kind="protocol", op=op, attempt=attempt)
-            except (ConnectionError, OSError) as exc:
-                last_exc = exc
-                self._drop_connection()
-                self.stats.note_retry(timed_out=False)
-                trace.event("retry", kind="connection", op=op, attempt=attempt)
-            if attempt < attempts - 1:
-                self._backoff(attempt)
-        self.stats.note_exhausted()
-        trace.event("exhausted", op=op, attempts=attempts)
-        raise StoreUnavailable(
-            f"{header.split()[0]} against {self.address[0]}:{self.address[1]} "
-            f"failed after {attempts} attempt(s): {last_exc}"
-        ) from last_exc
-
-    def _read_response(self, buf: _RecvBuffer, header: str, t0: float) -> bytes:
-        status = buf.recv_line().decode("utf-8", "replace")
-        if status.startswith("OK "):
-            try:
-                n = int(status[3:])
-            except ValueError:
-                raise WireProtocolError(f"malformed OK length: {status!r}") from None
-            if n < 0 or n > self.config.max_payload:
-                raise WireProtocolError(f"OK length out of range: {n}")
-            body = buf.recv_exact(n)
-            self.stats.note_response(n, time.perf_counter() - t0)
-            return body
-        if status == "NF":
-            self.stats.note_response(0, time.perf_counter() - t0)
-            raise KeyNotFound(header.split()[1] if " " in header else "?")
-        if status.startswith("ERR "):
-            self.stats.note_response(0, time.perf_counter() - t0)
-            raise StoreError(status[4:])
-        raise WireProtocolError(f"unparseable response {status!r}")
-
-    # --- operations -------------------------------------------------------
-
-    def ping(self) -> bool:
-        return self._roundtrip("PING") == b"PONG"
-
-    def set(self, key: str, value: bytes) -> None:
-        self._roundtrip(f"SET {_check_wire_key(key)} {len(value)}", value)
-
-    def get(self, key: str) -> bytes:
-        return self._roundtrip(f"GET {key}")
-
-    def delete(self, key: str) -> None:
-        self._roundtrip(f"DEL {key}")
-
-    def keys(self, prefix: str = "") -> List[str]:
-        raw = self._roundtrip(f"KEYS {prefix}" if prefix else "KEYS")
-        return raw.decode("utf-8").split("\x00") if raw else []
-
-    def rename(self, src: str, dst: str) -> None:
-        self._roundtrip(f"RENAME {src} {_check_wire_key(dst)}")
-
-    # --- pipelined batch operations (one round trip per call) -------------
-
-    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
-        """Values for ``keys`` in order; None where the key is missing."""
-        if not keys:
-            return []
-        payload = "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
-        raw = self._roundtrip(f"MGET {len(payload)}", payload)
-        values = _unpack_values(raw, len(keys))
-        self.stats.note_batch(len(keys))
-        return values
-
-    def mset(self, items: List[Tuple[str, bytes]]) -> int:
-        if not items:
-            return 0
-        payload = _pack_items(items)
-        raw = self._roundtrip(f"MSET {len(payload)}", payload)
-        try:
-            n = int(raw)
-        except ValueError:
-            raise WireProtocolError(f"malformed MSET response: {raw!r}") from None
-        self.stats.note_batch(len(items))
-        return n
-
-    def msetnx(self, items: List[Tuple[str, bytes]]) -> List[bool]:
-        """Set each pair only where the key is absent; per-key flags say
-        which were stored (the migration copier's no-overwrite write)."""
-        if not items:
-            return []
-        payload = _pack_items(items)
-        raw = self._roundtrip(f"MSETNX {len(payload)}", payload)
-        if len(raw) != len(items) or raw.strip(b"01"):
-            raise WireProtocolError(f"malformed MSETNX response: {raw[:64]!r}")
-        self.stats.note_batch(len(items))
-        return [b == 0x31 for b in raw]
-
-    def mdelete(self, keys: List[str]) -> List[bool]:
-        """Delete ``keys``; per-key flags say which existed."""
-        if not keys:
-            return []
-        payload = "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
-        raw = self._roundtrip(f"MDEL {len(payload)}", payload)
-        if len(raw) != len(keys) or raw.strip(b"01"):
-            raise WireProtocolError(f"malformed MDEL response: {raw[:64]!r}")
-        self.stats.note_batch(len(keys))
-        return [b == 0x31 for b in raw]
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Ask the shard to write a snapshot and compact its WAL;
-        returns the shard's persistence counters."""
-        return json.loads(self._roundtrip("SNAPSHOT").decode("utf-8"))
-
-    def __len__(self) -> int:
-        return int(self._roundtrip("LEN"))
-
-    def shutdown_server(self) -> None:
-        try:
-            self._ensure_connected()
-            self._sock.sendall(b"SHUTDOWN\n")  # type: ignore[union-attr]
-        except OSError:
-            pass
-        self.close()
 
 
 # Internal namespace for deletion markers. A delete that cannot reach
@@ -763,96 +129,6 @@ class _ShardState:
         self.last_attempt = 0.0
 
 
-class _ClientPool:
-    """Bounded pool of connections to one shard (threaded transport).
-
-    Feedback managers fetch through thread pools, so several threads
-    may talk to the same shard at once; the pool lets each borrow its
-    own connection instead of serializing on one socket. Connections
-    that failed mid-operation are discarded, never reused.
-
-    Total outstanding connections are capped by ``max_size`` with a
-    bounded semaphore: a checkout that misses the idle list *waits for
-    a permit* instead of opening a fresh socket per concurrent miss —
-    the old behavior churned one short-lived connection per miss under
-    bursty fan-out, defeating the pool entirely.
-    """
-
-    def __init__(self, address: Tuple[str, int], config: TransportConfig,
-                 stats: TransportStats, spawn_rng, max_idle: int = 4,
-                 max_size: int = 8) -> None:
-        if max_size < max_idle:
-            raise StoreError("pool max_size must be >= max_idle")
-        self.address = address
-        self._config = config
-        self._stats = stats
-        self._spawn_rng = spawn_rng
-        self._max_idle = max_idle
-        self._max_size = max_size
-        self._permits = threading.BoundedSemaphore(max_size)
-        self._idle: List[NetKVClient] = []
-        self._lock = threading.Lock()
-        self.created = 0  # lifetime connections opened (regression hook)
-
-    def acquire(self) -> NetKVClient:
-        self._permits.acquire()
-        with self._lock:
-            if self._idle:
-                return self._idle.pop()
-            self.created += 1
-        return NetKVClient(self.address, config=self._config,
-                           stats=self._stats, rng=self._spawn_rng())
-
-    def release(self, client: NetKVClient, discard: bool = False) -> None:
-        try:
-            if not discard:
-                with self._lock:
-                    if len(self._idle) < self._max_idle:
-                        self._idle.append(client)
-                        return
-            client.close()
-        finally:
-            try:
-                self._permits.release()
-            except ValueError:
-                pass  # release without acquire: never pooled, don't wedge
-
-    def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for client in idle:
-            client.close()
-
-
-class _ChannelPool:
-    """Pool facade over one shared coalescing channel per shard.
-
-    The async transport multiplexes every borrower onto a single
-    :class:`~repro.datastore.aio.AsyncClientChannel` — concurrent
-    checkouts become queue depth (and fold into batch frames) instead
-    of parallel sockets. ``release(discard=True)`` is a no-op because
-    the channel already drops its connection internally on transport
-    failure; the acquire/release surface only exists so the cluster's
-    ``_shard_op`` works against either transport.
-    """
-
-    def __init__(self, address: Tuple[str, int], config: TransportConfig,
-                 stats: TransportStats, spawn_rng, loop_provider) -> None:
-        self.address = address
-        self._channel = AsyncClientChannel(
-            address, config, stats=stats, loop_thread=loop_provider,
-            rng=spawn_rng())
-
-    def acquire(self) -> AsyncClientChannel:
-        return self._channel
-
-    def release(self, client, discard: bool = False) -> None:
-        pass
-
-    def close(self) -> None:
-        self._channel.close()
-
-
 class NetKVCluster:
     """Replicated, slot-routed client over several networked shards.
 
@@ -873,10 +149,13 @@ class NetKVCluster:
     the writes it missed, pushes acked writes only it holds, and prunes
     keys its peers saw deleted (tombstones, see ``_TOMB``).
 
-    All per-shard clients share one :class:`TransportStats` and one
-    :class:`TransportConfig`, so the cluster reports transport health
-    for the store as a whole. With ``replication=1`` the behavior is
-    exactly the old single-copy cluster.
+    Each shard gets one coalescing :class:`NetKVClient` channel for
+    operations and one single-attempt channel for health probes, all on
+    one event loop owned by the cluster. Every channel shares one
+    :class:`TransportStats` and one :class:`TransportConfig`, so the
+    cluster reports transport health for the store as a whole. With
+    ``replication=1`` the behavior is exactly the old single-copy
+    cluster.
     """
 
     def __init__(self, addresses: List[Tuple[str, int]],
@@ -884,7 +163,6 @@ class NetKVCluster:
                  rng: Optional[np.random.Generator] = None,
                  replication: int = 1,
                  probe_cooldown: float = 0.25,
-                 transport: str = "async",
                  route_refresh: Optional[float] = None) -> None:
         if not addresses:
             raise StoreError("cluster needs at least one server address")
@@ -892,38 +170,30 @@ class NetKVCluster:
             raise StoreError("replication must be >= 1")
         if probe_cooldown < 0:
             raise StoreError("probe_cooldown must be >= 0")
-        if transport not in ("async", "threaded"):
-            raise StoreError(f"unknown transport {transport!r} "
-                             "(expected 'async' or 'threaded')")
         self.addresses = [tuple(a) for a in addresses]
         self.config = config or TransportConfig()
         self.stats = TransportStats()
         self.replication = min(int(replication), len(self.addresses))
         self.probe_cooldown = float(probe_cooldown)
-        self.transport = transport
         self._rng = rng if rng is not None else np.random.default_rng()
         self._rng_lock = threading.Lock()
         # One event loop per cluster, created lazily on the first op so
         # never-connected clusters (routing-only tests) stay threadless.
         self._loop_thread: Optional[LoopThread] = None
         self._loop_lock = threading.Lock()
-        if transport == "async":
-            self._pools: List = [
-                _ChannelPool(addr, self.config, self.stats, self._spawn_rng,
-                             self._get_loop)
-                for addr in self.addresses
-            ]
-        else:
-            self._pools = [
-                _ClientPool(addr, self.config, self.stats, self._spawn_rng)
-                for addr in self.addresses
-            ]
+        # Concurrent callers share one channel per shard: they become
+        # queue depth (and fold into batch frames), not parallel sockets.
+        self._channels = [
+            NetKVClient(addr, self.config, stats=self.stats,
+                        loop_thread=self._get_loop, rng=self._spawn_rng())
+            for addr in self.addresses
+        ]
         # Probes must answer fast even when the shard is dead: one
         # attempt, no retry ladder.
         probe_cfg = dataclasses.replace(self.config, retries=0)
         self._probers = [
-            NetKVClient(addr, config=probe_cfg, stats=self.stats,
-                        rng=self._spawn_rng())
+            NetKVClient(addr, probe_cfg, stats=self.stats,
+                        loop_thread=self._get_loop, rng=self._spawn_rng())
             for addr in self.addresses
         ]
         self._states = [_ShardState() for _ in self.addresses]
@@ -963,13 +233,6 @@ class NetKVCluster:
         # per-shard GET they will never need.
         self._route_last = self._now()
         self._route_frozen = False  # True while *we* migrate
-        # Dedicated single-connection clients, one per shard: kept for
-        # introspection (len(), direct shard access) and older callers.
-        self.clients = [
-            NetKVClient(addr, config=self.config, stats=self.stats,
-                        rng=self._spawn_rng())
-            for addr in self.addresses
-        ]
 
     def _spawn_rng(self) -> np.random.Generator:
         # One Generator per client: numpy Generators are not thread-safe.
@@ -987,10 +250,10 @@ class NetKVCluster:
 
     def _primary_for_slot(self, slot: int) -> int:
         """Owning shard of a hash slot (caller holds ``_route_lock``)."""
-        return self._slot_owner.get(slot, slot % len(self._pools))
+        return self._slot_owner.get(slot, slot % len(self._channels))
 
     def _window(self, primary: int) -> List[int]:
-        n = len(self._pools)
+        n = len(self._channels)
         return [(primary + r) % n for r in range(self.replication)]
 
     def _replicas_for(self, key: str) -> List[int]:
@@ -1052,7 +315,7 @@ class NetKVCluster:
         doc = self._route_doc()
         acked = 0
         last_exc: Optional[StoreError] = None
-        for idx in range(len(self._pools)):
+        for idx in range(len(self._channels)):
             try:
                 self._shard_op(idx, lambda c, v=doc: c.set(_ROUTE_KEY, v))
                 acked += 1
@@ -1085,7 +348,7 @@ class NetKVCluster:
         missing copy, so the map survives shards that were down when a
         migration published it.
         """
-        n = len(self._pools)
+        n = len(self._channels)
         best: Optional[Dict[str, Any]] = None
         best_epoch = -1
         seen: Dict[int, int] = {}
@@ -1142,10 +405,6 @@ class NetKVCluster:
         phase depends on it."""
         if self.route_refresh > 0:
             time.sleep(self.route_refresh * 1.5)
-
-    def client_for(self, key: str) -> NetKVClient:
-        """Legacy accessor: the dedicated client of a key's primary shard."""
-        return self.clients[self._replicas_for(key)[0]]
 
     def _split_health(self, shards: List[int]) -> Tuple[List[int], List[int], List[int]]:
         """Partition shards into (up, probe-eligible, cooling-down).
@@ -1206,24 +465,16 @@ class NetKVCluster:
             self._mark_up(idx)
 
     def _shard_op(self, idx: int, fn):
-        """Run ``fn(client)`` against shard ``idx`` on a pooled connection,
-        folding the outcome into the shard's health state."""
-        pool = self._pools[idx]
-        client = pool.acquire()
+        """Run ``fn(channel)`` against shard ``idx``, folding the outcome
+        into the shard's health state."""
         try:
-            result = fn(client)
+            result = fn(self._channels[idx])
         except StoreUnavailable:
-            pool.release(client, discard=True)
             self._mark_down(idx)
             raise
         except StoreError:
-            pool.release(client)  # the shard answered; the connection is fine
-            self._mark_up(idx)
+            self._mark_up(idx)  # the shard answered
             raise
-        except BaseException:
-            pool.release(client, discard=True)
-            raise
-        pool.release(client)
         self._mark_up(idx)
         return result
 
@@ -1397,7 +648,7 @@ class NetKVCluster:
     def keys(self, prefix: str = "") -> List[str]:
         self._maybe_repair()
         self._maybe_refresh_route()
-        n = len(self._pools)
+        n = len(self._channels)
         out: set = set()
         reached: set = set()
         last_exc: Optional[BaseException] = None
@@ -1511,7 +762,7 @@ class NetKVCluster:
         left out — the caller routes them through the single-key path,
         which knows how to dual-write and double-read.
         """
-        n = len(self._pools)
+        n = len(self._channels)
         with self._route_lock:
             owner = dict(self._slot_owner) if self._slot_owner else None
         groups: Dict[int, List[int]] = {}
@@ -1614,7 +865,7 @@ class NetKVCluster:
         self._maybe_repair()
         self._maybe_refresh_route()
         items = list(items)
-        n = len(self._pools)
+        n = len(self._channels)
         migrating = self._migrating_slots()
         with self._route_lock:
             owner = dict(self._slot_owner) if self._slot_owner else None
@@ -1787,7 +1038,7 @@ class NetKVCluster:
     def _repair_shard(self, s: int) -> None:
         """Anti-entropy for a recovered shard: prune deletions it missed,
         pull writes it missed, push acked writes only it holds."""
-        n = len(self._pools)
+        n = len(self._channels)
         r = self.replication
         if r < 2:
             return
@@ -1881,7 +1132,7 @@ class NetKVCluster:
 
     def _gc_tombstones(self) -> None:
         """Drop deletion markers once every shard is healthy again."""
-        for idx in range(len(self._pools)):
+        for idx in range(len(self._channels)):
             try:
                 tombs = self._shard_op(idx, lambda c: c.keys(_TOMB))
                 for chunk in _chunks(tombs, self.config.batch_keys):
@@ -1927,7 +1178,7 @@ class NetKVCluster:
         and publish the final map.  A failure after cutover leaves the
         slots draining — re-running the same migration resumes at (5).
         """
-        n = len(self._pools)
+        n = len(self._channels)
         dst = int(dst)
         if not 0 <= dst < n:
             raise StoreError(f"destination shard {dst} out of range 0..{n - 1}")
@@ -2155,7 +1406,7 @@ class NetKVCluster:
         """Ask every shard to write a snapshot and compact its WAL;
         returns one persistence-counter dict per shard."""
         return [self._shard_op(idx, lambda c: c.snapshot())
-                for idx in range(len(self._pools))]
+                for idx in range(len(self._channels))]
 
     # --- introspection ----------------------------------------------------
 
@@ -2185,10 +1436,8 @@ class NetKVCluster:
         }
 
     def close(self) -> None:
-        for pool in self._pools:
-            pool.close()
-        for client in self._probers + self.clients:
-            client.close()
+        for channel in self._channels + self._probers:
+            channel.close()
         with self._loop_lock:
             lt, self._loop_thread = self._loop_thread, None
         if lt is not None:
@@ -2211,12 +1460,10 @@ class NetKVStore(DataStore):
                 rng: Optional[np.random.Generator] = None,
                 replication: int = 1,
                 probe_cooldown: float = 0.25,
-                transport: str = "async",
                 route_refresh: Optional[float] = None) -> "NetKVStore":
         return cls(NetKVCluster(addresses, config=config, rng=rng,
                                 replication=replication,
                                 probe_cooldown=probe_cooldown,
-                                transport=transport,
                                 route_refresh=route_refresh))
 
     @property

@@ -73,7 +73,7 @@ def _run_campaign(seed: int) -> Dict[str, object]:
                              backoff_max=0.01, op_timeout=5.0,
                              connect_timeout=2.0)
     store = NetKVStore.connect(addresses, config=config, replication=2,
-                               probe_cooldown=0.05, transport="async")
+                               probe_cooldown=0.05)
     schedule = _schedule()
     acked: Dict[str, bytes] = {}
 

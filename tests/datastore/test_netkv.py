@@ -1,11 +1,20 @@
 """Tests for the networked KV server/client over real TCP sockets."""
 
 import threading
+import time
 
 import pytest
 
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.base import KeyNotFound, StoreError
-from repro.datastore.netkv import NetKVClient, NetKVCluster, NetKVServer, NetKVStore
+from repro.datastore.netkv import (
+    NetKVClient,
+    NetKVCluster,
+    NetKVServer,
+    NetKVStore,
+    TransportConfig,
+)
+from tests.datastore.test_netkv_protocol import raw_exchange
 
 
 @pytest.fixture
@@ -73,9 +82,10 @@ class TestClientServer:
             client.set(f"k{i}", b"")
         assert len(client) == 5
 
-    def test_unknown_command_is_err(self, client):
-        with pytest.raises(StoreError):
-            client._roundtrip("BOGUS")
+    def test_unknown_command_is_err(self, server):
+        resp, closed = raw_exchange(server.address, b"BOGUS\n")
+        assert resp.startswith(b"ERR unknown command")
+        assert not closed  # an application error keeps the connection
 
     def test_many_roundtrips_one_connection(self, client):
         for i in range(200):
@@ -121,7 +131,7 @@ class TestNetKVCluster:
     def test_routing_spreads_keys(self, cluster):
         for i in range(300):
             cluster.set(f"frame-{i:04d}", b"x")
-        sizes = [len(c) for c in cluster.clients]
+        sizes = [len(c) for c in cluster._channels]
         assert sum(sizes) == 300
         assert all(s > 0 for s in sizes)
 
@@ -191,33 +201,25 @@ class TestNetKVStoreAdapter:
 
 
 class TestShutdown:
-    def test_shutdown_command_stops_server(self):
-        srv = NetKVServer().start()
-        client = NetKVClient(srv.address)
-        client.shutdown_server()
-        # The listener should go away; a fresh connect eventually fails.
-        import socket as socketlib
-        import time
-
-        deadline = time.time() + 5
-        refused = False
-        while time.time() < deadline:
-            try:
-                probe = socketlib.create_connection(srv.address, timeout=0.2)
-                probe.close()
-                time.sleep(0.05)
-            except OSError:
-                refused = True
-                break
-        assert refused
+    def test_shutdown_command_is_rejected(self, server):
+        """No wire command stops a shard: any peer that can connect
+        could otherwise take it down with one unauthenticated line."""
+        resp, closed = raw_exchange(server.address, b"SHUTDOWN\n")
+        assert resp.startswith(b"ERR unknown command")
+        assert not closed
+        client = NetKVClient(server.address)
+        try:
+            assert client.ping()
+        finally:
+            client.close()
 
     def test_stop_severs_connections_and_joins_loop(self):
         """``stop()`` must sever live connections and join the loop thread.
 
-        The event-loop server replaces per-connection handler threads
-        with one loop thread per shard; stop() awaits in-flight serve
-        tasks (acked writes are fully applied), aborts the transports,
-        and joins the loop — a "stopped" shard must not keep serving.
+        One loop thread serves every connection of a shard; stop()
+        awaits in-flight serve tasks (acked writes are fully applied),
+        aborts the transports, and joins the loop — a "stopped" shard
+        must not keep serving.
         """
         srv = NetKVServer().start()
         client = NetKVClient(srv.address)
@@ -232,25 +234,26 @@ class TestShutdown:
         assert srv.connection_count() == 0  # live connections severed
         client.close()
 
-    def test_threaded_stop_joins_handler_threads(self):
-        """Regression (threaded baseline): ``stop()`` must join handler
-        threads.
 
-        Handler threads are daemons, and ``socketserver`` only tracks
-        non-daemon threads for ``server_close()`` to join — so the old
-        shutdown path left handlers running and could drop an acked
-        write on Ctrl-C (`repro netkv --serve`). ``stop()`` tracks and
-        joins them itself.
-        """
-        from repro.datastore.netkv import ThreadedNetKVServer
+def _wait_for_no_connections(server, seconds=1.0):
+    deadline = time.monotonic() + seconds
+    while server.connection_count() > 0:
+        assert time.monotonic() < deadline, "the shard slot was not freed"
+        time.sleep(0.01)
 
-        srv = ThreadedNetKVServer().start()
-        client = NetKVClient(srv.address)
-        client.set("k", b"v")  # opens a persistent handler connection
-        with srv._conn_lock:
-            handlers = list(srv._handlers)
-        assert handlers, "handler thread was not tracked"
-        srv.stop()
-        assert all(not t.is_alive() for t in handlers)
-        assert srv._thread is None  # serve_forever thread joined too
-        client.close()
+
+class TestClose:
+    def test_close_frees_the_shard_slot(self, server):
+        """Closing a client closes its TCP connection promptly, not when
+        the transport is garbage-collected."""
+        channel = AsyncClientChannel(server.address, TransportConfig())
+        assert channel.ping()
+        assert server.connection_count() == 1
+        channel.close()
+        _wait_for_no_connections(server)
+
+        cluster = NetKVCluster([server.address])
+        cluster.set("k", b"v")
+        assert server.connection_count() == 1
+        cluster.close()
+        _wait_for_no_connections(server)

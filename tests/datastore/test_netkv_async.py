@@ -1,32 +1,30 @@
-"""Async-transport unit tests: coalescing, pool bounds, connection caps.
+"""Event-loop transport unit tests: coalescing, connection bounds and caps.
 
-The protocol/cluster/resilience suites exercise the async transport
-through the same surface as the old threaded one; this file targets
-what is *new* in the event-loop rewrite — the opportunistic request
-coalescer, the ``max_connections`` accept cap, and the bounded
-``_ClientPool`` semaphore that fixed the threaded transport's
-connection churn.
+The protocol/cluster/resilience suites exercise the transport through
+the client and store surface; this file targets the channel's
+opportunistic request coalescer, the one-connection-per-shard bound on
+concurrent callers, the server's ``max_connections`` accept cap, the
+loop thread's shutdown, and the single transport's public names.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import random
 import threading
 import time
 
 import pytest
 
-from repro.datastore.aio import AsyncClientChannel, _Op
+from repro.datastore import aio, netkv
+from repro.datastore.aio import AsyncClientChannel, LoopThread, _Op
 from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
 from repro.datastore.netkv import (
     NetKVClient,
     NetKVCluster,
     NetKVServer,
+    NetKVStore,
     TransportConfig,
-    _ClientPool,
 )
-from repro.datastore.stats import TransportStats
 
 pytestmark = pytest.mark.async_transport
 
@@ -156,50 +154,59 @@ class TestCoalescing:
             chan.close()
 
 
-class TestClientPoolBounds:
-    def test_churn_is_bounded_by_max_size(self, server):
-        """Regression: bursty fan-out used to open one short-lived
-        connection per concurrent miss; the semaphore caps lifetime
-        connections at max_size.
+def _hammer(server, op, threads=16, rounds=30):
+    """Run ``op(i)`` from many threads at once; return the peak number
+    of connections the shard served while they ran."""
+    errors = []
+    peak = [0]
+    peak_lock = threading.Lock()
+    start = threading.Barrier(threads)
 
-        max_idle == max_size so every released client goes back to the
-        idle list: with a smaller idle cap the pool *deliberately*
-        closes surplus connections on release and reopens on the next
-        miss, so `created` drifts above max_size whenever more than
-        max_idle borrowers happen to overlap — a scheduling accident,
-        which made this test flaky. The bug being pinned (one socket
-        per miss) would still blow past the bound by two orders."""
-        pool = _ClientPool(server.address, TransportConfig(),
-                           TransportStats(), lambda: random.Random(7),
-                           max_idle=4, max_size=4)
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(30):
-                    client = pool.acquire()
-                    try:
-                        assert client.ping()
-                    finally:
-                        pool.release(client)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    def worker(w):
         try:
-            assert not errors
-            assert 1 <= pool.created <= 4
-        finally:
-            pool.close()
+            start.wait()
+            for r in range(rounds):
+                op(w * rounds + r)
+                with peak_lock:
+                    peak[0] = max(peak[0], server.connection_count())
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
 
-    def test_max_size_must_cover_max_idle(self, server):
-        with pytest.raises(StoreError):
-            _ClientPool(server.address, TransportConfig(), TransportStats(),
-                        lambda: random.Random(7), max_idle=8, max_size=4)
+    pool = [threading.Thread(target=worker, args=(w,)) for w in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    assert not errors
+    return peak[0]
+
+
+class TestConnectionBounds:
+    """Regression: bursty fan-out once opened one short-lived connection
+    per concurrent caller. Concurrent callers must become queue depth on
+    one connection per shard, however many of them overlap."""
+
+    def test_concurrent_callers_share_one_connection(self, server, channel):
+        peak = _hammer(server, lambda i: channel.ping())
+        assert peak == 1
+        assert server.connection_count() == 1
+        assert channel.stats.reconnects == 0
+
+    def test_cluster_churn_is_bounded(self, server):
+        cluster = NetKVCluster([server.address])
+        try:
+            def op(i):
+                cluster.set(f"k{i}", b"v")
+                assert cluster.get(f"k{i}") == b"v"
+
+            peak = _hammer(server, op)
+            # One operation channel; the health prober only connects
+            # once a shard has failed, which never happens here.
+            assert peak == 1
+            assert cluster.stats.reconnects == 0
+            assert len(cluster.keys()) == 16 * 30
+        finally:
+            cluster.close()
 
 
 class TestMaxConnections:
@@ -231,16 +238,46 @@ class TestMaxConnections:
             srv.stop()
 
 
-class TestTransportSelection:
-    def test_threaded_transport_still_serves(self, server):
-        cluster = NetKVCluster([server.address], transport="threaded")
-        try:
-            cluster.set("k", b"v")
-            assert cluster.get("k") == b"v"
-            assert all(isinstance(p, _ClientPool) for p in cluster._pools)
-        finally:
-            cluster.close()
+class TestLoopThread:
+    def test_stop_runs_callbacks_queued_before_it(self):
+        """``loop.stop()`` leaves callbacks scheduled by the last batch
+        unrun; ``transport.abort()`` closes its socket in one, so the
+        loop thread must run them before it closes the loop."""
+        lt = LoopThread(name="test-loop")
+        ran = threading.Event()
 
-    def test_unknown_transport_is_rejected(self, server):
-        with pytest.raises(StoreError):
-            NetKVCluster([server.address], transport="carrier-pigeon")
+        def last_batch():
+            lt.loop.call_soon(ran.set)
+            lt.loop.stop()
+
+        lt.call_soon(last_batch)
+        lt.stop()
+        assert not lt.is_alive()
+        assert ran.is_set()
+        assert lt.loop.is_closed()
+
+
+class TestSingleTransport:
+    def test_public_names_are_the_event_loop_classes(self):
+        # perfbench traces AsyncClientChannel by name; callers keep
+        # importing NetKVClient / NetKVServer / TransportConfig.
+        assert NetKVClient is AsyncClientChannel
+        assert NetKVServer is aio.AsyncNetKVServer
+        assert netkv.TransportConfig is aio.TransportConfig
+
+    def test_channel_config_defaults(self, server):
+        chan = AsyncClientChannel(server.address)
+        try:
+            assert chan.config == TransportConfig()
+            chan.set("k", b"v")
+            assert chan.get("k") == b"v"
+        finally:
+            chan.close()
+
+    @pytest.mark.parametrize("factory", [NetKVCluster, NetKVStore.connect],
+                             ids=["cluster", "store"])
+    def test_transport_argument_is_rejected(self, server, factory):
+        """There is one transport: selecting one fails loudly instead of
+        being silently ignored."""
+        with pytest.raises(TypeError):
+            factory([server.address], transport="threaded")

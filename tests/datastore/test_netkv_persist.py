@@ -27,6 +27,7 @@ from repro.datastore.netkv import (
     key_slot,
 )
 from repro.datastore.wal import DurabilityConfig
+from tests.datastore.test_netkv_protocol import raw_exchange
 
 pytestmark = [pytest.mark.persist, pytest.mark.async_transport]
 
@@ -102,7 +103,8 @@ def test_restart_preserves_rename_and_flush(tmp_path):
         c.set("old", b"x")
         c.rename("old", "new")
         c.set("pre-flush", b"y")
-        c._roundtrip("FLUSH 0")  # no public client wrapper; wire op
+        # No client wrapper for FLUSH; send the wire frame itself.
+        assert raw_exchange(srv.address, b"FLUSH\n") == (b"OK 0\n", False)
         c.set("post-flush", b"z")
     srv.stop()
 
@@ -143,14 +145,7 @@ def test_snapshot_command_compacts_and_recovery_uses_it(tmp_path):
 
 
 def test_snapshot_refused_without_persistence():
-    srv = NetKVServer().start()  # threaded baseline: no WAL at all
-    try:
-        with client_for(srv) as c:
-            with pytest.raises(StoreError, match="no persistence"):
-                c.snapshot()
-    finally:
-        srv.stop()
-    srv = AsyncNetKVServer().start()  # async but in-memory
+    srv = NetKVServer().start()  # in-memory: no WAL at all
     try:
         with client_for(srv) as c:
             with pytest.raises(StoreError, match="no persistence"):

@@ -34,7 +34,7 @@ class TestOpenStore:
                                         (s.address for s in servers))
             store = open_store(url)
             assert isinstance(store, NetKVStore)
-            assert len(store.cluster.clients) == 2
+            assert len(store.cluster._channels) == 2
             store.write("a", b"x")
             assert store.read("a") == b"x"
             store.close()

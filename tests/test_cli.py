@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+import selectors
+import signal
+import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -111,6 +117,79 @@ def test_python_dash_m_entrypoint():
     )
     assert proc.returncode == 0
     assert "MuMMI" in proc.stdout
+
+
+class _LineReader:
+    """Lines from a child's binary stdout, with a deadline per line."""
+
+    def __init__(self, stream):
+        self._fd = stream.fileno()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._fd, selectors.EVENT_READ)
+        self._buf = b""
+
+    def until(self, needle, timeout=30.0):
+        """Return the first line containing ``needle``."""
+        deadline = time.monotonic() + timeout
+        while True:
+            while b"\n" in self._buf:
+                line, self._buf = self._buf.split(b"\n", 1)
+                if needle in line.decode():
+                    return line.decode()
+            left = deadline - time.monotonic()
+            assert left > 0, f"no line with {needle!r} within {timeout} s"
+            if self._sel.select(left):
+                chunk = os.read(self._fd, 4096)
+                assert chunk, f"process exited before printing {needle!r}"
+                self._buf += chunk
+
+    def close(self):
+        self._sel.close()
+
+
+class TestNetKVServe:
+    def test_serve_caps_connections_and_stops_on_sigint(self):
+        """Without ``--persist`` the shard still honours ``--max-conns``;
+        SIGINT stops it cleanly."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "netkv", "--serve", "1",
+             "--max-conns", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        lines = _LineReader(proc.stdout)
+        try:
+            line = lines.until("netkv://")
+            assert "(max 1 connections/shard)" in line
+            host, port = re.search(r"netkv://([^:\s]+):(\d+)", line).groups()
+            addr = (host, int(port))
+            lines.until("press Ctrl-C")
+            with socket.create_connection(addr, timeout=5) as first:
+                first.sendall(b"PING\n")
+                first.settimeout(5)
+                reply = b""
+                while not reply.endswith(b"PONG"):
+                    chunk = first.recv(64)
+                    assert chunk, reply
+                    reply += chunk
+                assert reply == b"OK 4\nPONG"
+                # The one slot is taken: the next accept is closed at once.
+                with socket.create_connection(addr, timeout=5) as second:
+                    second.settimeout(5)
+                    try:
+                        second.sendall(b"PING\n")
+                        assert second.recv(64) == b""
+                    except ConnectionError:
+                        pass
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err
+            assert "stopped 1 shard(s)" in out
+        finally:
+            lines.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
 
 
 class TestNetKVAdminFlags:
