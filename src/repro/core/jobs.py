@@ -15,8 +15,9 @@ carries a simulation tag, and retries keep the tag.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -83,7 +84,11 @@ class JobTracker:
         self.abandoned: List[str] = []  # tags that exhausted retries
         self._retries: Dict[str, int] = {}
         self._tag_hooks: Dict[str, List[Callable[[JobRecord], None]]] = {}
-        self._settle_hooks: Dict[str, Callable[[JobRecord], None]] = {}
+        # A threaded adapter may finish a job before launch() records it
+        # in ``active``; such early settles are parked here so launch()
+        # does not then track a finished job forever.
+        self._active_lock = threading.Lock()
+        self._settled_untracked: Set[int] = set()
 
     # --- submission ------------------------------------------------------
 
@@ -92,22 +97,20 @@ class JobTracker:
         tag: str,
         fn: Optional[Callable[[], Any]] = None,
         duration: Optional[float] = None,
-        on_settled: Optional[Callable[[JobRecord], None]] = None,
     ) -> JobRecord:
         """Submit one job for simulation ``tag``.
 
-        ``on_settled`` fires exactly once when the tag reaches a
-        *terminal* outcome — completed, abandoned after exhausting
-        retries, or cancelled — never on a failure that will be
-        resubmitted. It is keyed by tag so retries carry it: the
-        coroutine WM's round barrier awaits these settle events where
-        the threaded WM joined the pool.
+        A failed job's retry is submitted from inside the adapter's
+        completion callback, so an adapter's ``wait_all`` — which counts
+        a job until that callback returns — also covers the retry.
         """
-        if on_settled is not None:
-            self._settle_hooks[tag] = on_settled
         spec = self.config.make_spec(tag, self.rng, duration=duration)
         record = self.adapter.submit(spec, fn=fn, on_complete=self._job_done)
-        self.active[record.job_id] = record
+        with self._active_lock:
+            if record.job_id in self._settled_untracked:
+                self._settled_untracked.discard(record.job_id)
+            else:
+                self.active[record.job_id] = record
         return record
 
     def when_done(self, tag: str, callback: Callable[[JobRecord], None]) -> None:
@@ -124,7 +127,9 @@ class JobTracker:
         self._tag_hooks.setdefault(tag, []).append(callback)
 
     def _job_done(self, record: JobRecord) -> None:
-        self.active.pop(record.job_id, None)
+        with self._active_lock:
+            if self.active.pop(record.job_id, None) is None:
+                self._settled_untracked.add(record.job_id)
         tag = record.spec.tag or ""
         if record.state is JobState.COMPLETED:
             self.completed.append(record)
@@ -133,24 +138,17 @@ class JobTracker:
                 self.on_success(record)
             for hook in self._tag_hooks.pop(tag, []):
                 hook(record)
-            self._settle(tag, record)
             return
         # FAILED (or CANCELLED by a node failure): retry with same tag.
         tries = self._retries.get(tag, 0)
         if record.state is JobState.FAILED and tries < self.config.max_retries:
             self._retries[tag] = tries + 1
             self.launch(tag, duration=record.spec.duration)
-            return  # not settled: the resubmission carries the tag on
+            return
         if record.state is JobState.FAILED:
             self.abandoned.append(tag)
             if self.on_abandon is not None:
                 self.on_abandon(tag)
-        self._settle(tag, record)
-
-    def _settle(self, tag: str, record: JobRecord) -> None:
-        hook = self._settle_hooks.pop(tag, None)
-        if hook is not None:
-            hook(record)
 
     # --- scanning -------------------------------------------------------------
 

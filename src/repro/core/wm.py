@@ -21,17 +21,14 @@ functional workflow.
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import trace
-from repro.datastore.aio import LoopThread
 from repro.core.feedback import FeedbackManager
 from repro.core.jobs import JobTracker, JobTypeConfig
 from repro.core.patches import Patch, PatchCreator
@@ -161,17 +158,6 @@ class WorkflowManager:
         # with contention counters (§4.4 "Parallelism and Locking").
         self._selector_guard = SharedState(None)
 
-        # Coroutine round machinery. Adapters whose completions always
-        # settle (ThreadAdapter, TenantAdapter) let the round barrier be
-        # an asyncio.gather over per-job settle futures on a dedicated
-        # loop thread; inline/virtual adapters (ChaosAdapter, Flux)
-        # keep the legacy pool-join round.
-        self._async_rounds = bool(getattr(self.adapter, "settles_async", False))
-        self._loop_thread: Optional[LoopThread] = None
-        self._loop_lock = threading.Lock()
-        self._collecting = False  # True while an async round gathers settles
-        self._round_inflight: List[Future] = []
-
         # Task 3 state: ready buffers and trackers per job type.
         self.cg_ready: List[CGSystem] = []
         self.aa_ready: List[AASystem] = []
@@ -259,22 +245,6 @@ class WorkflowManager:
     # Task 3: schedule and manage jobs (which triggers Task 2 selections)
     # ------------------------------------------------------------------
 
-    def _launch(self, tracker: JobTracker, tag: str,
-                fn: Callable[[], object]) -> None:
-        """Launch one job, registering it with the active round barrier.
-
-        Inside an async round every launch contributes a settle future
-        the barrier gathers on; the settle hook is tag-keyed in the
-        tracker, so a retried job keeps the round waiting until its
-        resubmission reaches a terminal state.
-        """
-        on_settled = None
-        if self._collecting:
-            settle: Future = Future()
-            self._round_inflight.append(settle)
-            on_settled = lambda record: settle.set_result(record)  # noqa: E731
-        tracker.launch(tag=tag, fn=trace.wrap(fn), on_settled=on_settled)
-
     def _fill_cg_buffer(self) -> int:
         """Launch createsim jobs until the ready buffer will hit target."""
         launched = 0
@@ -308,7 +278,7 @@ class WorkflowManager:
                         self.cg_ready.append(system)
                 return system.nparticles
 
-            self._launch(tracker, patch.patch_id, setup_job)
+            tracker.launch(patch.patch_id, fn=trace.wrap(setup_job))
             launched += 1
         return launched
 
@@ -328,7 +298,7 @@ class WorkflowManager:
             def cg_job(system=system, sim_id=sim_id):
                 return self._run_cg_sim(system, sim_id)
 
-            self._launch(tracker, sim_id, cg_job)
+            tracker.launch(sim_id, fn=trace.wrap(cg_job))
             spawned += 1
         return spawned
 
@@ -390,7 +360,7 @@ class WorkflowManager:
                         self.aa_ready.append(aa)
                 return aa.natoms
 
-            self._launch(tracker, frame_id, backmap_job)
+            tracker.launch(frame_id, fn=trace.wrap(backmap_job))
             launched += 1
         return launched
 
@@ -409,7 +379,7 @@ class WorkflowManager:
             def aa_job(system=system, sim_id=sim_id):
                 return self._run_aa_sim(system, sim_id)
 
-            self._launch(tracker, sim_id, aa_job)
+            tracker.launch(sim_id, fn=trace.wrap(aa_job))
             spawned += 1
         return spawned
 
@@ -466,91 +436,36 @@ class WorkflowManager:
     def round(self, advance_us: float = 1.0, wait: bool = True) -> Dict[str, int]:
         """One coordination round across all four tasks.
 
-        With ``wait=True`` (default) the round blocks until every job
-        launched this round settled — deterministic laptop mode. With
-        ``wait=False`` jobs overlap rounds like the production WM.
+        Task 1 → Task 3 → barrier → Task 3 → barrier → Task 4. The
+        barrier is ``adapter.wait_all()``: it returns once every job
+        this adapter submitted has settled, retries included — the
+        deterministic laptop mode. The second scan starts sims on the
+        buffers the setup jobs just filled. With ``wait=False`` both
+        the barrier and the second scan are skipped, so jobs overlap
+        rounds like the production WM.
 
-        On adapters that settle every job (``settles_async``) the
-        waiting round runs as a coroutine on a dedicated loop thread:
-        CPU-bound tasks offload through ``run_in_executor`` and the
-        barrier is an ``asyncio.gather`` over per-job settle futures —
-        not a pool join — so the barrier covers exactly this round's
-        jobs (including their retries) and never another tenant's.
-        The sync signature is a facade; callers block either way.
+        Task 1 and Task 4 run on ``adapter.executor`` when the adapter
+        has one (a tenant's are billed to its fair share as
+        ``wm-offload`` jobs) and inline otherwise.
         """
-        if wait and self._async_rounds:
-            parent = trace.current_id()
-            self._ensure_loop().run(self._round_async(advance_us, parent))
-        else:
-            self._round_sync(advance_us, wait)
+        with trace.span("wm.round", round=self.rounds):
+            self._offload(functools.partial(self.task1_process_macro, advance_us))
+            self.task3_manage_jobs()
+            if wait:
+                self.adapter.wait_all()
+                self.task3_manage_jobs()
+                self.adapter.wait_all()
+            self._offload(self.task4_feedback)
         self.rounds += 1
         return self.counters_snapshot()
 
-    def _round_sync(self, advance_us: float, wait: bool) -> None:
-        """Legacy inline round (chaos/virtual adapters, overlap mode)."""
-        with trace.span("wm.round", round=self.rounds):
-            self.task1_process_macro(advance_us)
-            self.task3_manage_jobs()
-            # Any adapter that can block on completion (thread pool,
-            # chaos harness) supports deterministic rounds; virtual-time
-            # adapters (Flux) never block.
-            if wait and hasattr(self.adapter, "wait_all"):
-                self.adapter.wait_all()
-                # Setup jobs may have refilled buffers; start the sims now.
-                self.task3_manage_jobs()
-                self.adapter.wait_all()
-            self.task4_feedback()
-
-    async def _round_async(self, advance_us: float,
-                           parent: Optional[int]) -> None:
-        """Coroutine round: offload CPU tasks, gather on settle futures.
-
-        Runs on this WM's private loop thread, so holding the
-        ``wm.round`` span across awaits is safe (nothing else traces on
-        this thread); job bodies and offloads run in executor threads
-        and parent back through ``trace.wrap``. Task 3 itself stays on
-        the loop — launching is non-blocking and its selector critical
-        sections are short.
-        """
-        loop = asyncio.get_running_loop()
-        offload = getattr(self.adapter, "executor", None)
-        with trace.inherit(parent):
-            with trace.span("wm.round", round=self.rounds):
-                await loop.run_in_executor(
-                    offload,
-                    trace.wrap(functools.partial(
-                        self.task1_process_macro, advance_us)),
-                )
-                self._collecting = True
-                try:
-                    self.task3_manage_jobs()
-                    await self._gather_settled()
-                    # Setup jobs may have refilled buffers; start sims now.
-                    self.task3_manage_jobs()
-                    await self._gather_settled()
-                finally:
-                    self._collecting = False
-                await loop.run_in_executor(
-                    offload, trace.wrap(self.task4_feedback))
-
-    async def _gather_settled(self) -> None:
-        """The round barrier: await every settle future launched so far.
-
-        Settle hooks fire from executor threads; ``wrap_future`` bridges
-        them onto this loop. Futures carry job records, never
-        exceptions — a failed job is data (the tracker retried or
-        abandoned it), not a barrier error.
-        """
-        while self._round_inflight:
-            batch, self._round_inflight = self._round_inflight, []
-            await asyncio.gather(*(asyncio.wrap_future(f) for f in batch))
-
-    def _ensure_loop(self) -> LoopThread:
-        """The WM's round loop thread, (re)created lazily."""
-        with self._loop_lock:
-            if self._loop_thread is None or not self._loop_thread.is_alive():
-                self._loop_thread = LoopThread(name="wm-round-loop")
-            return self._loop_thread
+    def _offload(self, fn: Callable[[], object]) -> None:
+        """Run ``fn`` on the adapter's executor (inline if none) and wait."""
+        executor = self.adapter.executor
+        if executor is None:
+            fn()
+        else:
+            executor.submit(trace.wrap(fn)).result()
 
     def run(self, nrounds: int, advance_us: float = 1.0,
             wait: bool = True) -> Dict[str, int]:
@@ -593,14 +508,8 @@ class WorkflowManager:
         other tenants.
         """
         self._quiesce()
-        if self._owns_adapter:
-            shutdown = getattr(self.adapter, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-        with self._loop_lock:
-            loop_thread, self._loop_thread = self._loop_thread, None
-        if loop_thread is not None:
-            loop_thread.stop()
+        if self._owns_adapter:  # always the ThreadAdapter built in __init__
+            self.adapter.shutdown()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (§4.4 resilience)
@@ -613,14 +522,12 @@ class WorkflowManager:
         final round's jobs in flight; a checkpoint taken at that moment
         used to strand them — their patches were already popped from the
         side tables, their outputs not yet in the ready buffers, so a
-        restore silently lost that work. Blocking adapters drain first;
-        virtual-time adapters (no ``wait_all``) have nothing to flush.
+        restore silently lost that work. ``adapter.flush()`` drains
+        them: the round barrier for thread-pool adapters, a drain that
+        ignores stalls for the chaos adapter, and a no-op for
+        virtual-time adapters, which have nothing to flush.
         """
-        flush = getattr(self.adapter, "flush", None)
-        if flush is not None:
-            flush()
-        elif hasattr(self.adapter, "wait_all"):
-            self.adapter.wait_all()
+        self.adapter.flush()
 
     def checkpoint(self, key: str = "wm/checkpoint") -> None:
         """Persist WM counters, selector state, histories — and the

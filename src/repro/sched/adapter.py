@@ -13,6 +13,10 @@ Two adapters ship here:
 - :class:`ThreadAdapter` — real execution: runs a Python callable per
   job in a thread pool, which is how the examples run actual (small)
   simulations on a laptop.
+
+Every adapter also serves the WM round: :meth:`~SchedulerAdapter.wait_all`
+is its barrier and :attr:`~SchedulerAdapter.executor` (None = inline)
+runs its Task 1/Task 4 work.
 """
 
 from __future__ import annotations
@@ -20,16 +24,20 @@ from __future__ import annotations
 import abc
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobRecord, JobSpec, JobState
 
-__all__ = ["SchedulerAdapter", "FluxAdapter", "ThreadAdapter"]
+__all__ = ["SchedulerAdapter", "FluxAdapter", "ThreadAdapter", "InFlight"]
 
 
 class SchedulerAdapter(abc.ABC):
-    """Scheduler-agnostic submit/poll/cancel."""
+    """Scheduler-agnostic submit/poll/cancel plus the WM round hooks."""
+
+    #: ``concurrent.futures``-style executor for the WM's Task 1/Task 4
+    #: offloads; None runs them inline on the round's thread.
+    executor: Optional[Any] = None
 
     @abc.abstractmethod
     def submit(
@@ -49,6 +57,56 @@ class SchedulerAdapter(abc.ABC):
     @abc.abstractmethod
     def cancel(self, job_id: int) -> None:
         """Best-effort cancellation."""
+
+    def wait_all(self, timeout: Optional[float] = None) -> None:
+        """The WM round barrier: block until submitted jobs settled.
+
+        Virtual time never blocks, so the default returns at once.
+        """
+
+    def flush(self) -> None:
+        """Checkpoint quiesce barrier; the round barrier unless overridden."""
+        self.wait_all()
+
+
+class InFlight:
+    """Jobs between submit and the return of their ``on_complete``.
+
+    :meth:`wait` blocks until the count is zero. A callback that
+    resubmits (a tracker retry) tracks the new job before its own job
+    is counted out, so the count never touches zero between the two.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._n = 0
+
+    def track(self, on_complete: Optional[Callable[[JobRecord], None]]
+              ) -> Callable[[JobRecord], None]:
+        """Count one job in; returns the completion callback that runs
+        ``on_complete`` and then counts the job out."""
+        with self._cond:
+            self._n += 1
+
+        def settled(record: JobRecord) -> None:
+            try:
+                if on_complete is not None:
+                    on_complete(record)
+            finally:
+                self.done()
+
+        return settled
+
+    def done(self) -> None:
+        with self._cond:
+            self._n -= 1
+            if self._n == 0:
+                self._cond.notify_all()
+
+    def wait(self, timeout: Optional[float] = None) -> None:
+        with self._cond:
+            if not self._cond.wait_for(lambda: self._n == 0, timeout):
+                raise TimeoutError(f"{self._n} jobs still in flight")
 
 
 class FluxAdapter(SchedulerAdapter):
@@ -72,30 +130,22 @@ class ThreadAdapter(SchedulerAdapter):
 
     Resource modeling is trivial (max_workers concurrent jobs); this
     adapter exists so the same Workflow Manager code drives both the
-    campaign simulator and real laptop-scale runs.
+    campaign simulator and real laptop-scale runs. Every job settles
+    exactly once — it runs, fails, or is cancelled while queued — and
+    its ``on_complete`` fires on settle.
     """
-
-    #: Every submitted job eventually settles (completes, fails, or is
-    #: cancelled) and its ``on_complete`` always fires — the contract
-    #: the WM's coroutine round barrier (``asyncio.gather`` over settle
-    #: futures) depends on. Inline/virtual adapters (ChaosAdapter,
-    #: FluxAdapter) deliberately lack this flag: they drain on
-    #: ``wait_all``/virtual time and must keep the legacy sync round.
-    settles_async = True
 
     def __init__(self, max_workers: int = 4) -> None:
         self._pool = ThreadPoolExecutor(max_workers=max_workers)
         self._records: Dict[int, JobRecord] = {}
-        self._futures: Dict[int, Future] = {}
-        self._callbacks: Dict[int, Callable[[JobRecord], None]] = {}
+        # Unsettled jobs only: (future, counted callback), popped on settle.
+        self._live: Dict[int, Tuple[Future, Callable[[JobRecord], None]]] = {}
         self._lock = threading.Lock()
+        self._inflight = InFlight()
 
     def submit(self, spec, fn=None, on_complete=None) -> JobRecord:
         record = JobRecord(spec=spec)
-        with self._lock:
-            self._records[record.job_id] = record
-            if on_complete is not None:
-                self._callbacks[record.job_id] = on_complete
+        settled = self._inflight.track(on_complete)
 
         def body():
             record.state = JobState.RUNNING
@@ -105,39 +155,44 @@ class ThreadAdapter(SchedulerAdapter):
             except Exception as exc:  # job failure is data, not a crash
                 record.result = exc
                 record.state = JobState.FAILED
-            callback = self._callbacks.pop(record.job_id, None)
-            if callback is not None:
-                callback(record)
+            self._settle(record)
             return record.result
 
-        self._futures[record.job_id] = self._pool.submit(body)
+        try:
+            # Held across pool.submit so a fast body cannot settle
+            # before its entry exists.
+            with self._lock:
+                self._records[record.job_id] = record
+                self._live[record.job_id] = (self._pool.submit(body), settled)
+        except BaseException:
+            self._inflight.done()
+            raise
         return record
+
+    def _settle(self, record: JobRecord) -> None:
+        with self._lock:
+            _future, settled = self._live.pop(record.job_id)
+        settled(record)
 
     def poll(self, job_id: int) -> JobState:
         return self._records[job_id].state
 
     def cancel(self, job_id: int) -> None:
-        future = self._futures.get(job_id)
-        if future is not None and future.cancel():
+        with self._lock:
+            entry = self._live.get(job_id)
+        if entry is not None and entry[0].cancel():
             record = self._records[job_id]
             record.state = JobState.CANCELLED
-            callback = self._callbacks.pop(job_id, None)
-            if callback is not None:
-                callback(record)
+            self._settle(record)
 
     def wait_all(self, timeout: Optional[float] = None) -> None:
-        """Block until every submitted job has finished (test/demo helper)."""
-        for future in list(self._futures.values()):
-            future.result(timeout=timeout)
+        """Block until every submitted job settled, retries included."""
+        self._inflight.wait(timeout)
 
     @property
-    def executor(self):
-        """``concurrent.futures``-style executor for WM task offloads.
-
-        The coroutine WM runs its CPU-bound tasks via
-        ``loop.run_in_executor(adapter.executor, ...)`` so offloads and
-        job bodies share one substrate instead of spawning side pools.
-        """
+    def executor(self) -> ThreadPoolExecutor:
+        """The job pool itself: WM offloads and job bodies share one
+        substrate instead of spawning side pools."""
         return self._pool
 
     def shutdown(self) -> None:

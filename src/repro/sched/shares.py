@@ -14,11 +14,11 @@ while an idle tenant's unused share flows to the others (work
 conservation).
 
 Campaigns talk to the arbiter through :meth:`FairShareAdapter.view`,
-which returns a per-tenant :class:`TenantAdapter` implementing the
-standard :class:`~repro.sched.adapter.SchedulerAdapter` API plus the
-``wait_all``/``flush`` hooks the WM's deterministic rounds use — scoped
-to that tenant's jobs only, so one campaign's round barrier never waits
-on another tenant's work.
+which returns a :class:`TenantAdapter` implementing the standard
+:class:`~repro.sched.adapter.SchedulerAdapter` API. ``wait_all`` — the
+WM's round barrier — waits only on jobs submitted through that view,
+and the registry builds one view per campaign, so one campaign's
+barrier never waits on another campaign's work.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from repro.sched.adapter import SchedulerAdapter
+from repro.sched.adapter import InFlight, SchedulerAdapter
 from repro.sched.jobspec import JobRecord, JobSpec, JobState
 
 __all__ = ["StrideScheduler", "FairShareAdapter", "TenantAdapter",
@@ -36,6 +36,18 @@ __all__ = ["StrideScheduler", "FairShareAdapter", "TenantAdapter",
 
 #: Stride numerator; any constant works, this keeps passes readable.
 _STRIDE_K = 1 << 16
+
+#: A queued job: (record, body, on_complete).
+_Queued = Tuple[JobRecord, Optional[Callable[[], Any]],
+                Optional[Callable[[JobRecord], None]]]
+
+
+def _settle_cancelled(entry: _Queued) -> None:
+    """A queued job that will never run still settles, as CANCELLED."""
+    record, _fn, on_complete = entry
+    record.state = JobState.CANCELLED
+    if on_complete is not None:
+        on_complete(record)
 
 
 class StrideScheduler:
@@ -84,12 +96,11 @@ class StrideScheduler:
 class TenantExecutor:
     """``concurrent.futures``-style view over a tenant's fair share.
 
-    The coroutine WM offloads its CPU-bound tasks through
-    ``loop.run_in_executor``; handing it this object (instead of a
-    private thread pool) routes those offloads through the arbiter as
-    ordinary ``wm-offload`` jobs, so a tenant's coordination work is
-    charged against the same share as its simulation jobs and cannot
-    starve other tenants.
+    The WM runs Task 1 and Task 4 through its adapter's ``executor``;
+    handing it this object (instead of a private thread pool) routes
+    that work through the arbiter as ordinary ``wm-offload`` jobs, so a
+    tenant's coordination work is charged against the same share as its
+    simulation jobs and cannot starve other tenants.
     """
 
     def __init__(self, shared: "FairShareAdapter", tenant: str) -> None:
@@ -119,16 +130,18 @@ class TenantExecutor:
 
 
 class TenantAdapter(SchedulerAdapter):
-    """One tenant's scoped handle on a :class:`FairShareAdapter`."""
+    """One campaign's scoped handle on a :class:`FairShareAdapter`.
 
-    #: Same settle contract as ThreadAdapter: the pool always fires
-    #: ``on_complete`` (run, failure, or queued-cancel), so the WM's
-    #: coroutine round barrier can gather on settle futures.
-    settles_async = True
+    The pool fires ``on_complete`` for every job it settles (run,
+    failure, or cancel while queued); this view counts its own jobs
+    from submit until that callback returns, and :meth:`wait_all`
+    waits on that count alone.
+    """
 
     def __init__(self, shared: "FairShareAdapter", tenant: str) -> None:
         self.shared = shared
         self.tenant = tenant
+        self._inflight = InFlight()
 
     @property
     def executor(self) -> TenantExecutor:
@@ -139,7 +152,12 @@ class TenantAdapter(SchedulerAdapter):
                fn: Optional[Callable[[], Any]] = None,
                on_complete: Optional[Callable[[JobRecord], None]] = None,
                ) -> JobRecord:
-        return self.shared.submit_for(self.tenant, spec, fn, on_complete)
+        settled = self._inflight.track(on_complete)
+        try:
+            return self.shared.submit_for(self.tenant, spec, fn, settled)
+        except BaseException:
+            self._inflight.done()
+            raise
 
     def poll(self, job_id: int) -> JobState:
         return self.shared.poll(job_id)
@@ -148,12 +166,8 @@ class TenantAdapter(SchedulerAdapter):
         self.shared.cancel(job_id)
 
     def wait_all(self, timeout: Optional[float] = None) -> None:
-        """Block until every job *this tenant* submitted has finished."""
-        self.shared.wait_tenant(self.tenant, timeout=timeout)
-
-    def flush(self) -> None:
-        """Quiesce hook (WM checkpoints): drain this tenant's jobs."""
-        self.shared.wait_tenant(self.tenant)
+        """Block until every job *this view* submitted settled."""
+        self._inflight.wait(timeout)
 
 
 class FairShareAdapter:
@@ -176,13 +190,9 @@ class FairShareAdapter:
         self._stride = StrideScheduler()
         for tenant, weight in (shares or {}).items():
             self._stride.set_weight(tenant, weight)
-        self._queues: Dict[str, Deque[Tuple[JobRecord, Optional[Callable],
-                                            Optional[Callable]]]] = {}
+        self._queues: Dict[str, Deque[_Queued]] = {}
         self._active = 0
         self._records: Dict[int, JobRecord] = {}
-        self._done_events: Dict[int, threading.Event] = {}
-        self._tenant_of: Dict[int, str] = {}
-        self._cancelled: set = set()
         self._dispatched: Dict[str, int] = {}
         self._completed: Dict[str, int] = {}
         self._closed = False
@@ -190,7 +200,8 @@ class FairShareAdapter:
     # --- tenant plumbing --------------------------------------------------
 
     def view(self, tenant: str) -> TenantAdapter:
-        """The per-tenant adapter a campaign's WM plugs into."""
+        """A fresh per-tenant adapter for one campaign's WM; its barrier
+        covers only the jobs submitted through it."""
         return TenantAdapter(self, tenant)
 
     def set_share(self, tenant: str, weight: float) -> None:
@@ -208,8 +219,6 @@ class FairShareAdapter:
             if self._closed:
                 raise RuntimeError("FairShareAdapter is shut down")
             self._records[record.job_id] = record
-            self._done_events[record.job_id] = threading.Event()
-            self._tenant_of[record.job_id] = tenant
             self._queues.setdefault(tenant, deque()).append(
                 (record, fn, on_complete)
             )
@@ -227,8 +236,6 @@ class FairShareAdapter:
                 if tenant is None:
                     return
                 record, fn, on_complete = self._queues[tenant].popleft()
-                if record.job_id in self._cancelled:
-                    continue  # cancelled while queued; slot stays free
                 self._active += 1
                 self._dispatched[tenant] = self._dispatched.get(tenant, 0) + 1
             self._pool.submit(self._run, tenant, record, fn, on_complete)
@@ -250,7 +257,6 @@ class FairShareAdapter:
             if on_complete is not None:
                 on_complete(record)
         finally:
-            self._done_events[record.job_id].set()
             self._dispatch()
 
     # --- SchedulerAdapter surface ----------------------------------------
@@ -259,40 +265,34 @@ class FairShareAdapter:
         return self._records[job_id].state
 
     def cancel(self, job_id: int) -> None:
-        """Best-effort: only jobs still queued can be cancelled."""
-        with self._lock:
-            record = self._records.get(job_id)
-            if record is None or record.state is not JobState.PENDING:
-                return
-            self._cancelled.add(job_id)
-            record.state = JobState.CANCELLED
-        self._done_events[job_id].set()
+        """Best-effort: only jobs still queued can be cancelled.
 
-    def wait_tenant(self, tenant: str, timeout: Optional[float] = None) -> None:
-        """Block until every job this tenant ever submitted finished."""
+        A cancelled job settles like any other: its ``on_complete``
+        fires (outside the pool lock) with state CANCELLED.
+        """
         with self._lock:
-            events = [self._done_events[jid]
-                      for jid, t in self._tenant_of.items() if t == tenant]
-        for event in events:
-            if not event.wait(timeout=timeout):
-                raise TimeoutError(f"tenant {tenant!r} jobs did not drain")
+            entry = self._unqueue(job_id)
+        if entry is not None:
+            _settle_cancelled(entry)
 
-    def wait_all(self, timeout: Optional[float] = None) -> None:
-        with self._lock:
-            events = list(self._done_events.values())
-        for event in events:
-            if not event.wait(timeout=timeout):
-                raise TimeoutError("shared pool did not drain")
+    def _unqueue(self, job_id: int) -> Optional[_Queued]:
+        for queue in self._queues.values():
+            for i, entry in enumerate(queue):
+                if entry[0].job_id == job_id:
+                    del queue[i]
+                    return entry
+        return None
 
     def shutdown(self) -> None:
+        """Refuse new work, cancel every queued job, drain running ones."""
         with self._lock:
             self._closed = True
+            cancelled = [entry for queue in self._queues.values()
+                         for entry in queue]
             for queue in self._queues.values():
-                while queue:
-                    record, _fn, _cb = queue.popleft()
-                    self._cancelled.add(record.job_id)
-                    record.state = JobState.CANCELLED
-                    self._done_events[record.job_id].set()
+                queue.clear()
+        for entry in cancelled:
+            _settle_cancelled(entry)
         self._pool.shutdown(wait=True)
 
     # --- telemetry --------------------------------------------------------

@@ -289,7 +289,7 @@ class CampaignHandle:
                     self._transition(CampaignState.FAILED)
         finally:
             try:
-                wm.close()  # drains this tenant's in-flight jobs
+                wm.close()  # drains this campaign's in-flight jobs
             except Exception:
                 pass
 

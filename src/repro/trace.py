@@ -53,12 +53,11 @@ latency table the ``repro trace`` CLI command prints.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 __all__ = [
     "Span",
@@ -71,8 +70,6 @@ __all__ = [
     "span",
     "event",
     "current_span",
-    "current_id",
-    "inherit",
     "wrap",
     "load_trace",
     "stage_breakdown",
@@ -432,39 +429,6 @@ def current_span() -> Optional[Span]:
     """The active span on this thread, or None."""
     tracer = _TRACER
     return tracer.current() if tracer is not None else None
-
-
-def current_id() -> Optional[int]:
-    """Id of this thread's active (or inherited) span, or None.
-
-    This is the capture half of explicit cross-thread context transfer:
-    grab the id where the work is *decided*, re-install it with
-    :func:`inherit` where the work *runs* (e.g. a coroutine on a
-    dedicated event-loop thread whose spans should parent back to the
-    submitting thread's round span).
-    """
-    tracer = _TRACER
-    return tracer.current_id() if tracer is not None else None
-
-
-@contextlib.contextmanager
-def inherit(parent_id: Optional[int]) -> Iterator[None]:
-    """Install ``parent_id`` as this thread's ambient span parent.
-
-    The re-install half of :func:`current_id`: spans opened inside the
-    ``with`` block parent to ``parent_id`` even though it was captured
-    on another thread. No-op when tracing is off or the id is None.
-    """
-    tracer = _TRACER
-    if tracer is None or parent_id is None:
-        yield
-        return
-    previous = getattr(tracer._local, "inherited", None)
-    tracer._local.inherited = parent_id
-    try:
-        yield
-    finally:
-        tracer._local.inherited = previous
 
 
 def wrap(fn: Callable[..., Any]) -> Callable[..., Any]:

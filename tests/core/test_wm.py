@@ -12,7 +12,7 @@ from repro.sims.cg.forcefield import martini_like
 from repro.sims.continuum import ContinuumConfig, ContinuumSim
 
 
-def make_wm(store=None, **cfg_kwargs):
+def make_wm(store=None, adapter=None, **cfg_kwargs):
     macro = ContinuumSim(ContinuumConfig(grid=16, n_inner=2, n_outer=2,
                                          n_proteins=3, dt=0.25, seed=0))
     store = store if store is not None else KVStore(nservers=2)
@@ -27,7 +27,7 @@ def make_wm(store=None, **cfg_kwargs):
         encoder=encoder,
         forcefield=ff,
         store=store,
-        adapter=ThreadAdapter(max_workers=1),
+        adapter=adapter if adapter is not None else ThreadAdapter(max_workers=1),
         config=config,
         patch_creator=PatchCreator(patch_grid=9, store=store),
     )

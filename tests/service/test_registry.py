@@ -13,7 +13,7 @@ from repro.datastore.base import StoreError, StoreUnavailable
 from repro.datastore.kvstore import KVStore
 from repro.datastore.namespaced import (NamespacedStore,
                                         validate_namespace_segment)
-from repro.sched.jobspec import JobSpec
+from repro.sched.jobspec import JobSpec, JobState
 from repro.sched.shares import FairShareAdapter, StrideScheduler
 from repro.service.registry import (CampaignRegistry, CampaignSpec,
                                     CampaignState, Draining,
@@ -313,20 +313,54 @@ class TestFairShares:
         passes = sched.passes()
         assert passes["new"] <= passes["old"] * 2
 
-    def test_wait_tenant_ignores_other_tenants(self):
+    def test_view_wait_all_ignores_other_tenants(self):
         pool = FairShareAdapter(max_workers=2)
         release = threading.Event()
         done = []
         try:
             pool.view("slow").submit(JobSpec(name="s"),
                                      lambda: release.wait(10))
-            pool.view("fast").submit(JobSpec(name="f"),
-                                     lambda: done.append("f"))
-            pool.wait_tenant("fast", timeout=10.0)
+            fast = pool.view("fast")
+            fast.submit(JobSpec(name="f"), lambda: done.append("f"))
+            fast.wait_all(timeout=10.0)
             assert done == ["f"]  # returned without waiting on "slow"
         finally:
             release.set()
             pool.shutdown()
+
+    def test_cancel_of_queued_job_fires_on_complete(self):
+        pool = FairShareAdapter(max_workers=1)
+        release = threading.Event()
+        settled = []
+        try:
+            pool.view("a").submit(JobSpec(name="busy"),
+                                  lambda: release.wait(10))
+            queued = pool.view("a").submit(JobSpec(name="q"), lambda: None,
+                                           on_complete=settled.append)
+            pool.cancel(queued.job_id)
+            assert [r.state for r in settled] == [JobState.CANCELLED]
+            pool.cancel(queued.job_id)  # already settled: no second fire
+            assert len(settled) == 1
+            assert pool.share_stats()["a"]["queued"] == 0
+        finally:
+            release.set()
+            pool.shutdown()
+
+    def test_shutdown_fires_on_complete_for_queued_jobs(self):
+        pool = FairShareAdapter(max_workers=1)
+        release = threading.Event()
+        settled = []
+
+        def cancelled(record):
+            settled.append(record)
+            release.set()  # lets shutdown's drain of "busy" finish
+
+        view = pool.view("a")
+        view.submit(JobSpec(name="busy"), lambda: release.wait(10))
+        view.submit(JobSpec(name="q"), lambda: None, on_complete=cancelled)
+        pool.shutdown()
+        assert [r.state for r in settled] == [JobState.CANCELLED]
+        view.wait_all(timeout=1)  # the cancelled job no longer counts
 
     def test_share_stats_account_per_tenant(self):
         pool = FairShareAdapter(max_workers=2, shares={"alice": 2.0})
@@ -334,7 +368,7 @@ class TestFairShares:
             view = pool.view("alice")
             for i in range(3):
                 view.submit(JobSpec(name=f"j{i}"), lambda: None)
-            pool.wait_tenant("alice", timeout=10.0)
+            view.wait_all(timeout=10.0)
             stats = pool.share_stats()["alice"]
             assert stats["weight"] == 2.0
             assert stats["completed"] == 3
