@@ -33,7 +33,9 @@ def _bare_rounds(config):
     t0 = time.perf_counter()
     for _ in range(config.rounds):
         campaign.wm.round(config.advance_us)
-    return time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    campaign.store.close()
+    return elapsed
 
 
 def _full_campaign(config):

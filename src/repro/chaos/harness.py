@@ -2,7 +2,8 @@
 
 A :class:`ChaosCampaign` builds the full three-scale pipeline (real
 continuum, encoder, selectors, CG/AA sims, both feedback loops) against
-a :class:`~repro.chaos.store.ChaosStore` and a synchronous
+a :class:`~repro.chaos.store.ChaosStore` (the production NetKV cluster
+over in-process shards, on the campaign's clock) and a synchronous
 :class:`ChaosAdapter`, registers every :class:`FaultEvent` on a
 :class:`~repro.util.clock.EventLoop`, and then alternates
 
@@ -192,6 +193,7 @@ class ChaosCampaign:
             replication=self.config.replication,
             injector=self.injector,
             durable=self.config.durable,
+            clock=lambda: self.clock.now,
         )
         self.suite = InvariantSuite()
         self.tracer: Optional[trace.Tracer] = None
@@ -273,7 +275,10 @@ class ChaosCampaign:
                 self.store.crash_restart(int(event.arg))
                 self.chaos_counters["crash_restarts"] += 1
             elif event.kind == "reshard":
-                moved = self.store.reshard(int(event.arg))
+                try:
+                    moved = self.store.reshard(int(event.arg))
+                except StoreUnavailable:
+                    moved = 0  # the migration aborted and rolled back
                 self.chaos_counters["reshards"] += 1
                 self.chaos_counters["slots_moved"] += moved
 
@@ -316,6 +321,7 @@ class ChaosCampaign:
             return self._run_rounds()
         finally:
             trace.configure(previous_tracer)
+            self.store.close()
 
     def _run_rounds(self) -> CampaignReport:
         for event in self.schedule:

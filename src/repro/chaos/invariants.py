@@ -13,10 +13,10 @@ paper's coordination guarantees:
   losing one silently corrupts the feedback loops.
 - ``tombstone_resurrection`` — a delete the store acknowledged must not
   come back when a dead replica rejoins with its stale copy.
-- ``durability_after_crash`` — a shard that crash-restarts must hold at
-  least what its durable log replays (every fsynced record, at no older
-  a version); ack-after-fsync is the contract the persistent NetKV
-  shards make.
+- ``durability_after_crash`` — every shard's memory must equal a replay
+  of its WAL, so a crash-restart recovers exactly what the shard
+  served; ack-after-write is the contract the persistent NetKV shards
+  make.
 - ``jobs_terminal`` — every job the WM launched ends COMPLETED, FAILED
   (retried/abandoned), or CANCELLED; a job in limbo means the tracker
   leaks resources forever.
@@ -140,12 +140,7 @@ class InvariantSuite:
         return out
 
     def _durability(self, store, round_no: int) -> List[Violation]:
-        """Shards must hold at least what their durable log replays.
-
-        ``hasattr``-guarded so the suite also runs against stores with
-        no durability promise (they simply have nothing to check)."""
-        if not hasattr(store, "verify_durable"):
-            return []
+        """Each shard's memory must equal a replay of its WAL."""
         return [Violation("durability_after_crash", round_no, problem)
                 for problem in store.verify_durable()]
 

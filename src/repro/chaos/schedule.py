@@ -10,7 +10,8 @@ schedule always produces the same campaign, byte for byte.
 
 Fault kinds (``arg`` meaning in parentheses):
 
-- ``shard_down`` / ``shard_up`` — kill / revive one ChaosStore shard
+- ``shard_down`` / ``shard_up`` — one ChaosStore shard refuses every
+  request / answers again and the cluster runs its fail-back repair
   (shard index; taken modulo the shard count).
 - ``delay`` / ``garble`` — set the transport injector's delay /
   garbage rate (probability in [0, 1]); modeled as retried wire-level
@@ -25,14 +26,12 @@ Fault kinds (``arg`` meaning in parentheses):
 - ``clock_skip`` — insert ``arg`` seconds of dead virtual time before
   the next round (an allocation gap).
 - ``crash_restart`` — kill one shard *process* (shard index) and
-  restart it immediately: the restarted shard holds exactly what its
-  durable log replays (everything acked, for a durable store; nothing,
-  for an in-memory one), which is the crash-consistency invariant the
-  persistent NetKV shards make.
-- ``reshard`` — live slot migration: move half of one shard's owned
-  hash slots (shard index) to its successor mid-campaign, with the
-  handoff copy and hinted leftovers the online ``migrate_slots`` path
-  produces.
+  restart it immediately from its WAL directory: it holds exactly what
+  the WAL replays (everything acked, for a durable store; nothing, for
+  an in-memory one).
+- ``reshard`` — live slot migration: ``NetKVCluster.migrate_slots``
+  moves half of one shard's owned hash slots (shard index) to its
+  successor mid-campaign.
 
 Schedules serialize to plain JSON so a failing campaign can be saved
 and replayed with ``repro chaos --replay FILE``.

@@ -1,136 +1,168 @@
-"""ChaosStore: an in-process replicated store the harness can break.
+"""ChaosStore: the production NetKV cluster over shards the harness can break.
 
-The live NetKV cluster replicates writes across consecutive shards,
-acks on the first healthy copy, fails reads over in placement order,
-read-repairs stale replicas, and masks deletes with tombstones. Chaos
-campaigns need those *semantics* without sockets or threads, so this
-store reimplements them deterministically on plain dicts:
-
-- placement: ``key_slot(key) % nshards`` plus ``replication - 1``
-  consecutive followers — the same slot math as the KV cluster;
-- every write carries a monotonically increasing version; reads return
-  the newest copy among healthy, *current* replicas;
-- a write that misses a downed replica leaves a hinted-handoff entry;
-  a replica with a hint for a key is not current for it and is never
-  allowed to serve a stale answer — if no current replica is up the
-  read raises ``StoreUnavailable`` instead of silently losing the
-  acked value;
-- deletes write tombstones (versioned ``None``), which are only
-  garbage-collected when every replica is healthy and fully repaired;
-- ``shard_up`` triggers anti-entropy repair of all outstanding hints;
-- every shard keeps a *durable log* mirroring what its write-ahead log
-  would hold (``durable=False`` models memory-only shards);
-  :meth:`crash_restart` wipes a shard's memory and replays that log —
-  exactly the acked set, like a persistent NetKV shard restarting;
-- :meth:`reshard` migrates half of one shard's owned hash slots to its
-  successor live, with the handoff copy and hinted leftovers the
-  online ``migrate_slots`` path produces.
-
-The store keeps its own *ack log* — the last value (or deletion) each
-key was acknowledged with. :meth:`verify_acked` replays the log against
-the cluster, which is exactly the "no acked write lost across
-failovers" and "tombstones never resurrect deletes" invariants.
-
-Wire-level misbehaviour (delay/garble) comes from a
-:class:`~repro.util.faults.NetworkFaultInjector`: faults are modeled as
-retried round trips that cost deterministic virtual time (the hardened
-transport absorbs them in production), accounted in a
-:class:`~repro.datastore.stats.TransportStats` so the existing
-telemetry report renders a chaos campaign with zero changes.
+Every replication decision (placement, failover, read repair, markers,
+fail-back repair, slot migration) is made by the production
+:class:`~repro.datastore.netkv.NetKVCluster`, built here over
+in-process shards on the campaign's clock, with no socket or thread.
+A shard answers the cluster's channel API through the server's own
+``aio._dispatch`` on a ``KVServer``; when durable it logs to a real
+``ShardWAL`` and acks only once the record is written. The driver adds
+the faults, an *ack log* (the last value or deletion acked per key)
+that :meth:`ChaosStore.verify_acked` reads back through the cluster,
+and wire delay/garble faults that cost deterministic virtual time, as
+the hardened transport would retry them.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+import weakref
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.datastore.base import (
-    DataStore,
-    KeyNotFound,
-    StoreError,
-    StoreUnavailable,
-    validate_key,
-)
+from repro.datastore.aio import (_MUTATING, _dispatch, _pack_items,
+                                 _unpack_values, open_shard)
+from repro.datastore.base import (DataStore, KeyNotFound, StoreError,
+                                  StoreUnavailable, validate_key)
 from repro.datastore.kvstore import key_slot
+from repro.datastore.netkv import NetKVCluster
 from repro.datastore.stats import TransportStats
+from repro.datastore.wal import DurabilityConfig, ShardWAL
 from repro.util.faults import NetworkFaultInjector
 
 __all__ = ["ChaosStore"]
 
-# (version, payload); payload None is a tombstone.
-_Entry = Tuple[int, Optional[bytes]]
+# A shard "crash" here kills the process, not the kernel: the page
+# cache survives, so skipping fsync changes nothing a restart can see.
+_NOSYNC = DurabilityConfig(fsync=False)
+
+
+def _joined(keys: List[str]) -> bytes:
+    return "\x00".join(keys).encode("utf-8")
+
+
+def _flags(raw: bytes) -> List[bool]:
+    return [b == 0x31 for b in raw]
+
+
+class _Shard:
+    """One in-process shard behind the channel API ``NetKVCluster`` calls,
+    with the attributes ``_dispatch`` reads from a server."""
+
+    max_payload = 256 * 1024 * 1024
+
+    def __init__(self, index: int, directory: Optional[str]) -> None:
+        self.address = ("chaos", index)
+        self.directory = directory
+        self.lock = threading.Lock()
+        self.start()
+
+    def start(self) -> None:
+        """Start from the WAL directory (empty when memory-only)."""
+        self.backend, self.wal = open_shard(self.directory, _NOSYNC)
+        self.up = True
+
+    def close(self) -> None:
+        self.up = False
+        if self.wal is not None:
+            self.wal.close()
+            self.wal = None
+
+    def _call(self, cmd: str, args: List[str] = (), payload: bytes = b""):
+        if not self.up:
+            raise StoreUnavailable(f"chaos shard {self.address[1]} is down")
+        reply = _dispatch(self, cmd, list(args), payload)
+        if self.wal is not None and cmd in _MUTATING:
+            self.wal._write_and_sync()  # the ack waits for the record
+            if self.wal.needs_compaction():
+                self.snapshot()
+        return reply
+
+    # --- the channel API ----------------------------------------------------
+
+    def ping(self) -> bool:
+        return self._call("PING") == b"PONG"
+
+    def set(self, key: str, value: bytes) -> None:
+        self._call("SET", [key], value)
+
+    def get(self, key: str) -> bytes:
+        return self._call("GET", [key])
+
+    def delete(self, key: str) -> None:
+        self._call("DEL", [key])
+
+    def keys(self, prefix: str = "") -> List[str]:
+        raw = self._call("KEYS", [prefix] if prefix else [])
+        return raw.decode("utf-8").split("\x00") if raw else []
+
+    def rename(self, src: str, dst: str) -> None:
+        self._call("RENAME", [src, dst])
+
+    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
+        return _unpack_values(self._call("MGET", payload=_joined(keys)),
+                              len(keys))
+
+    def mset(self, items) -> int:
+        return int(self._call("MSET", payload=_pack_items(items)))
+
+    def mdelete(self, keys: List[str]) -> List[bool]:
+        return _flags(self._call("MDEL", payload=_joined(keys)))
+
+    def msetnx(self, items) -> List[bool]:
+        return _flags(self._call("MSETNX", payload=_pack_items(items)))
+
+    def snapshot(self) -> dict:
+        if self.wal is None:
+            raise StoreError("shard has no persistence configured")
+        with self.lock:
+            items = self.backend.items()
+            self.wal.begin_snapshot()
+        keys = self.wal.write_snapshot(items)["keys"]
+        return dict(self.wal.info(), keys=keys)
+
+
+def _release(shards: List[_Shard], directory: Optional[str]) -> None:
+    for shard in shards:
+        shard.close()
+    if directory is not None:
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 class ChaosStore(DataStore):
-    """Deterministic replicated shard cluster with injectable failures."""
+    """``NetKVCluster`` over deterministic in-process shards."""
 
-    def __init__(
-        self,
-        nshards: int = 4,
-        replication: int = 2,
-        injector: Optional[NetworkFaultInjector] = None,
-        rng: Optional[np.random.Generator] = None,
-        durable: bool = True,
-    ) -> None:
-        if nshards < 1:
-            raise StoreError("ChaosStore needs at least one shard")
+    def __init__(self, nshards: int = 4, replication: int = 2,
+                 injector: Optional[NetworkFaultInjector] = None,
+                 rng: Optional[np.random.Generator] = None,
+                 durable: bool = True,
+                 clock: Optional[Callable[[], float]] = None) -> None:
         if not 1 <= replication <= nshards:
-            raise StoreError(
-                f"replication must be in [1, {nshards}], got {replication}"
-            )
+            raise StoreError(f"need 1 <= replication ({replication}) <= "
+                             f"shards ({nshards})")
         self.nshards = nshards
         self.replication = replication
-        self.durable = durable
         self.injector = injector if injector is not None else NetworkFaultInjector(
-            rng=rng if rng is not None else np.random.default_rng(0)
-        )
-        self._shards: List[Dict[str, _Entry]] = [dict() for _ in range(nshards)]
-        # What each shard's write-ahead log would replay after a crash:
-        # mirrors every entry the shard stores, because a real shard
-        # acks only after the WAL fsyncs the record.
-        self._log: List[Dict[str, _Entry]] = [dict() for _ in range(nshards)]
-        self._down: List[bool] = [False] * nshards
-        # Hinted handoff: per shard, the keys whose newest write it missed.
-        self._pending: List[Set[str]] = [set() for _ in range(nshards)]
-        # Live-migration overrides: slot -> owning shard (default s % n).
-        self._slot_owner: Dict[int, int] = {}
-        self._version = 0
-        self._lock = threading.RLock()
-        self.transport_stats = TransportStats()
+            rng=rng if rng is not None else np.random.default_rng(0))
+        self.directory = (tempfile.mkdtemp(prefix="repro-chaos-")
+                          if durable else None)
+        self.shards = [_Shard(i, self.directory and os.path.join(
+            self.directory, f"shard{i}")) for i in range(nshards)]
+        self._release = weakref.finalize(self, _release, self.shards,
+                                         self.directory)
+        # No clock: time stands still, so probe cooldowns never lapse.
+        self.cluster = NetKVCluster(
+            [s.address for s in self.shards], replication=replication,
+            route_refresh=0.0,
+            channels=self.shards, clock=clock or (lambda: 0.0))
+        self.transport_stats: TransportStats = self.cluster.stats
         self.acked: Dict[str, Optional[bytes]] = {}
-        self.fault_counts: Dict[str, int] = {
-            "delayed": 0, "garbled": 0, "unavailable": 0,
-        }
+        self.fault_counts = {"delayed": 0, "garbled": 0, "unavailable": 0}
         self._virtual_delay = 0.0
-        # Version each key was last acked at: anti-entropy may install
-        # an older copy it finds, but only a copy at least this fresh
-        # clears the hint that keeps a shard from serving stale data.
-        self._acked_ver: Dict[str, int] = {}
-
-    # --- placement / wire model ------------------------------------------
-
-    def _owner(self, slot: int) -> int:
-        return self._slot_owner.get(slot, slot % self.nshards)
-
-    def _replicas(self, key: str) -> List[int]:
-        base = self._owner(key_slot(key))
-        return [(base + r) % self.nshards for r in range(self.replication)]
-
-    def _store_entry(self, i: int, key: str, entry: _Entry) -> None:
-        """All shard writes funnel through here so the durable log
-        mirrors exactly what the shard acked."""
-        self._shards[i][key] = entry
-        if self.durable:
-            self._log[i][key] = entry
-
-    def _drop_entry(self, i: int, key: str) -> None:
-        self._shards[i].pop(key, None)
-        self._log[i].pop(key, None)
-
-    def _ups(self, key: str) -> List[int]:
-        return [i for i in self._replicas(key) if not self._down[i]]
 
     def _touch(self, nbytes: int = 0) -> None:
         """One logical op hits the wire: account it, maybe misbehave."""
@@ -142,348 +174,127 @@ class ChaosStore(DataStore):
         elif fate in ("close", "garbage"):
             # The hardened transport retries these; charge the retry.
             self.transport_stats.note_retry(
-                timed_out=(fate == "close"), protocol=(fate == "garbage")
-            )
+                timed_out=(fate == "close"), protocol=(fate == "garbage"))
             self._virtual_delay += self.injector.delay_duration()
             self.fault_counts["garbled"] += 1
 
-    def _unavailable(self, key: str, why: str) -> StoreUnavailable:
-        self.transport_stats.note_exhausted()
-        self.fault_counts["unavailable"] += 1
-        return StoreUnavailable(f"chaos store: {why} for key {key!r}")
-
-    # --- core replicated ops (uninstrumented internals) --------------------
-
-    def _put(self, key: str, payload: Optional[bytes]) -> None:
-        """Replicate one versioned write (payload None = tombstone).
-
-        Raises ``StoreUnavailable`` (nothing acked, nothing written)
-        when no replica is up; otherwise acks and hints the rest.
-        """
-        ups = self._ups(key)
-        if not ups:
-            raise self._unavailable(key, "all replicas down")
-        self._version += 1
-        entry: _Entry = (self._version, payload)
-        for i in self._replicas(key):
-            if self._down[i]:
-                self._pending[i].add(key)
-            else:
-                self._store_entry(i, key, entry)
-                self._pending[i].discard(key)
-        self.acked[key] = payload
-        self._acked_ver[key] = self._version
-
-    def _lookup(self, key: str, repair: bool = True) -> bytes:
-        """Newest live value among healthy *current* replicas.
-
-        A replica with an outstanding hint for ``key`` may be stale and
-        never serves it; if no current replica is up the answer is
-        unknowable and the read refuses rather than risk returning a
-        value older than one already acked.
-
-        ``repair=False`` makes the lookup observation-only: the
-        invariant checkers use it so that *verifying* the store cannot
-        read-repair away the very divergence being checked for.
-        """
-        reps = self._replicas(key)
-        ups = [i for i in reps if not self._down[i]]
-        if not ups:
-            raise self._unavailable(key, "all replicas down")
-        current = [i for i in ups if key not in self._pending[i]]
-        if not current:
-            raise self._unavailable(key, "no current replica up")
-        best_ver, best_payload, best_shard = -1, None, current[0]
-        for i in current:
-            entry = self._shards[i].get(key)
-            if entry is not None and entry[0] > best_ver:
-                best_ver, best_payload, best_shard = entry[0], entry[1], i
-        if repair and best_shard != reps[0]:
-            self.transport_stats.note_failover()
-        if repair and best_ver >= 0:
-            # Read repair: refresh hinted/stale healthy replicas in passing.
-            for i in ups:
-                entry = self._shards[i].get(key)
-                if entry is None or entry[0] < best_ver:
-                    self._store_entry(i, key, (best_ver, best_payload))
-                    self._pending[i].discard(key)
-                    self.transport_stats.note_read_repair()
-        if best_ver < 0 or best_payload is None:
-            raise KeyNotFound(key)
-        return best_payload
+    def _op(self, fn, *args):
+        try:
+            return fn(*args)
+        except StoreUnavailable:
+            self.transport_stats.note_exhausted()
+            self.fault_counts["unavailable"] += 1
+            raise
 
     # --- DataStore primitives ---------------------------------------------
 
     def write(self, key: str, data: bytes) -> None:
-        with self._lock:
-            self._touch(len(data))
-            self._put(validate_key(key), bytes(data))
+        self._touch(len(data))
+        self._op(self.cluster.set, validate_key(key), bytes(data))
+        self.acked[key] = bytes(data)
 
     def read(self, key: str) -> bytes:
-        with self._lock:
-            value = self._lookup(key)
-            self._touch(len(value))
-            return value
+        value = self._op(self.cluster.get, key)
+        self._touch(len(value))
+        return value
 
     def delete(self, key: str) -> None:
-        with self._lock:
-            self._touch()
-            self._lookup(key)  # raises KeyNotFound / StoreUnavailable
-            self._put(key, None)
+        self._touch()
+        self._op(self.cluster.delete, key)
+        self.acked[key] = None
 
     def move(self, src: str, dst: str) -> None:
-        with self._lock:
-            self._touch()
-            value = self._lookup(src)
-            if not self._ups(validate_key(dst)):
-                raise self._unavailable(dst, "all replicas down")
-            self._put(dst, value)
-            self._put(src, None)
+        self._touch()
+        self._op(self.cluster.rename, src, validate_key(dst))
+        self.acked[dst] = self.acked.get(src)
+        self.acked[src] = None
 
     def keys(self, prefix: str = "") -> List[str]:
-        with self._lock:
-            self._touch()
-            # A fully-dead replica window would silently lose its whole
-            # key range from the scan — refuse instead (NetKV semantics).
-            for base in range(self.nshards):
-                group = [(base + r) % self.nshards for r in range(self.replication)]
-                if all(self._down[i] for i in group):
-                    raise self._unavailable(prefix or "*", "replica group down")
-            candidates: Set[str] = set()
-            for i, shard in enumerate(self._shards):
-                if not self._down[i]:
-                    candidates.update(shard)
-                candidates.update(self._pending[i])
-            out = []
-            for key in sorted(candidates):
-                if not key.startswith(prefix):
-                    continue
-                try:
-                    self._lookup(key)
-                except KeyNotFound:
-                    continue
-                out.append(key)
-            return out
+        self._touch()
+        return self._op(self.cluster.keys, prefix)
 
     # --- failure control ----------------------------------------------------
 
     def shard_down(self, index: int) -> None:
-        with self._lock:
-            i = index % self.nshards
-            if not self._down[i]:
-                self._down[i] = True
-                self.transport_stats.note_shard_down()
+        self.shards[index % self.nshards].up = False
 
     def shard_up(self, index: int) -> None:
-        with self._lock:
-            i = index % self.nshards
-            if self._down[i]:
-                self._down[i] = False
-                self.transport_stats.note_shard_up()
-            self._repair_all()
+        self.shards[index % self.nshards].up = True
+        self.cluster.repair()
 
     def crash_restart(self, index: int) -> None:
-        """Kill one shard process and restart it from its durable log.
-
-        A durable shard replays exactly the acked set — its WAL fsynced
-        every record before the ack, so nothing acked is missing and
-        nothing unacked resurrects. A memory-only (``durable=False``)
-        shard comes back empty with no record of what it lost; its
-        peers' copies and hints are the only protection left, which is
-        precisely the gap the persistent shards close.
-        """
-        with self._lock:
-            i = index % self.nshards
-            if not self._down[i]:
-                self.transport_stats.note_shard_down()
-            self._shards[i] = dict(self._log[i]) if self.durable else {}
-            self._down[i] = False
-            self.transport_stats.note_shard_up()
-            self._repair_all()
+        """Kill a shard process; restart it from its WAL directory."""
+        shard = self.shards[index % self.nshards]
+        shard.close()
+        shard.start()
+        self.cluster.repair()
 
     def reshard(self, index: int) -> int:
-        """Live slot migration: move every other hash slot owned by
-        shard ``index`` to its successor, handing off the newest copies.
-
-        Only slots currently holding acked keys move (the rest have no
-        observable state). Mirrors ``migrate_slots``: cutover flips the
-        owner, the handoff writes the freshest copy into the new
-        window (hinting shards that are down or donor-less, exactly
-        like a write they missed), and out-of-window leftovers are
-        pruned. Returns the number of slots moved.
-        """
-        with self._lock:
-            src = index % self.nshards
-            dst = (src + 1) % self.nshards
-            if dst == src:
-                return 0  # single shard: nowhere to move
-            owned = sorted({key_slot(k) for k in self.acked
-                            if self._owner(key_slot(k)) == src})
-            moving = set(owned[::2])
-            if not moving:
-                return 0
-            keys = [k for k in sorted(self.acked) if key_slot(k) in moving]
-            # Cutover before the handoff: any write that lands mid-move
-            # already routes to the new window, so the versioned copy
-            # below can never overtake it.
-            for s in moving:
-                if dst == s % self.nshards:
-                    self._slot_owner.pop(s, None)
-                else:
-                    self._slot_owner[s] = dst
-            for key in keys:
-                best: Optional[_Entry] = None
-                for j in range(self.nshards):
-                    if self._down[j] or key in self._pending[j]:
-                        continue
-                    entry = self._shards[j].get(key)
-                    if entry is not None and (best is None or entry[0] > best[0]):
-                        best = entry
-                if best is None and self.acked.get(key) is None:
-                    continue  # deleted and GC'd: nothing observable moves
-                new_window = self._replicas(key)
-                for j in new_window:
-                    if self._down[j]:
-                        self._pending[j].add(key)
-                        continue
-                    held = self._shards[j].get(key)
-                    if best is not None and (held is None or held[0] < best[0]):
-                        self._store_entry(j, key, best)
-                    elif best is None and held is None:
-                        # No healthy donor right now: the shard must not
-                        # answer NF for a key an acked write created.
-                        self._pending[j].add(key)
-                for j in range(self.nshards):
-                    if j in new_window:
-                        continue
-                    # Hints are client-side metadata: an out-of-window
-                    # shard will never serve the key, so its hint (and,
-                    # when reachable, its copy) can go.
-                    self._pending[j].discard(key)
-                    if not self._down[j] and key in self._shards[j]:
-                        self._drop_entry(j, key)
-            self.transport_stats.note_migration(len(moving), len(keys))
-            self._repair_all()
-            return len(moving)
+        """Migrate every other slot of acked keys whose primary is shard
+        ``index`` to its successor; returns the number of slots moved."""
+        src = index % self.nshards
+        dst = (src + 1) % self.nshards
+        owned = sorted({key_slot(k) for k in self.acked
+                        if self.cluster._replicas_for(k)[0] == src})
+        if dst == src or not owned:
+            return 0
+        return self._op(self.cluster.migrate_slots, owned[::2], dst)["slots"]
 
     def heal_all(self) -> None:
-        """Revive every shard and run anti-entropy to convergence."""
-        with self._lock:
-            for i in range(self.nshards):
-                if self._down[i]:
-                    self._down[i] = False
-                    self.transport_stats.note_shard_up()
-            self._repair_all()
+        """Revive every shard and run the cluster's fail-back repair."""
+        for shard in self.shards:
+            shard.up = True
+        self.cluster.repair()
 
-    def _repair_all(self) -> None:
-        """Drain hinted handoffs wherever a healthy donor exists.
-
-        A donor can be *any* healthy, current shard still holding the
-        key — not just a window member: after a reshard the freshest
-        copy may sit on an old-window shard, and after a crash-restart
-        an out-of-window leftover is still a valid anti-entropy source.
-        """
-        for i in range(self.nshards):
-            if self._down[i]:
-                continue
-            for key in sorted(self._pending[i]):
-                donors = [
-                    j for j in range(self.nshards)
-                    if j != i and not self._down[j] and key not in self._pending[j]
-                ]
-                best: Optional[_Entry] = None
-                for j in donors:
-                    entry = self._shards[j].get(key)
-                    if entry is not None and (best is None or entry[0] > best[0]):
-                        best = entry
-                if best is not None:
-                    self._store_entry(i, key, best)
-                    # An out-of-window leftover can be older than the
-                    # acked version; installing it is fine (versions
-                    # order reads) but only a fresh-enough copy makes
-                    # the shard current again.
-                    if best[0] >= self._acked_ver.get(key, best[0]):
-                        self._pending[i].discard(key)
-                    self.transport_stats.note_read_repair()
-        if not any(self._down) and not any(self._pending):
-            self._gc_tombstones()
-
-    def _gc_tombstones(self) -> None:
-        """Drop tombstones — only safe once every replica has seen them."""
-        for i, shard in enumerate(self._shards):
-            for key in [k for k, (_, payload) in shard.items() if payload is None]:
-                self._drop_entry(i, key)
+    def close(self) -> None:
+        """Close every shard's WAL and delete the WAL directory."""
+        self._release()
 
     # --- invariant hooks ------------------------------------------------------
 
     def verify_acked(self, strict: bool = False) -> List[str]:
-        """Replay the ack log against the cluster; returns problem strings.
-
-        Non-strict mode skips keys whose replica set is currently
-        unreadable (mid-campaign check); strict mode — run after
-        :meth:`heal_all` — treats unreadability as a failure too.
-        """
+        """Read the ack log back through the cluster; returns problems.
+        Unreadable keys count only when ``strict`` (after a heal)."""
         problems: List[str] = []
-        with self._lock:
-            for key in sorted(self.acked):
-                expect = self.acked[key]
-                try:
-                    got = self._lookup(key, repair=False)
-                except KeyNotFound:
-                    if expect is not None:
-                        problems.append(f"acked write lost: {key}")
-                    continue
-                except StoreUnavailable:
-                    if strict:
-                        problems.append(f"unverifiable after heal: {key}")
-                    continue
-                if expect is None:
-                    problems.append(f"tombstone resurrected delete: {key}")
-                elif got != expect:
-                    problems.append(f"stale read (not the acked value): {key}")
+        for key in sorted(self.acked):
+            expect = self.acked[key]
+            try:
+                got = self.cluster.get(key)
+            except KeyNotFound:
+                if expect is not None:
+                    problems.append(f"acked write lost: {key}")
+                continue
+            except StoreUnavailable:
+                if strict:
+                    problems.append(f"unverifiable after heal: {key}")
+                continue
+            if expect is None:
+                problems.append(f"tombstone resurrected delete: {key}")
+            elif got != expect:
+                problems.append(f"stale read (not the acked value): {key}")
         return problems
 
     def verify_durable(self) -> List[str]:
-        """Check every shard holds at least what its durable log replays.
-
-        The crash-consistency contract: a shard acks only after its WAL
-        has the record, so after any number of crash-restarts the shard
-        must hold every logged entry at no older a version. Returns
-        problem strings (empty for a memory-only store, which promises
-        nothing).
-        """
+        """Check every durable shard's memory equals a replay of its WAL,
+        i.e. a restart recovers exactly what it serves."""
         problems: List[str] = []
-        with self._lock:
-            if not self.durable:
-                return problems
-            for i in range(self.nshards):
-                for key in sorted(self._log[i]):
-                    logged = self._log[i][key]
-                    held = self._shards[i].get(key)
-                    if held is None:
-                        problems.append(
-                            f"durable log entry missing from shard {i}: {key}")
-                    elif held[0] < logged[0]:
-                        problems.append(
-                            f"shard {i} older than its durable log: {key}")
+        for i, shard in enumerate(self.shards):
+            if shard.wal is None:
+                continue
+            replay = ShardWAL(shard.directory, _NOSYNC)  # what a restart reads
+            replay.close()
+            replayed = replay.recovered
+            held = dict(shard.backend.items())
+            for key in sorted(replayed.keys() | held.keys()):
+                if replayed.get(key) != held.get(key):
+                    problems.append(
+                        f"shard {i} memory differs from its WAL replay: {key}")
         return problems
 
     def replica_health(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "replication": self.replication,
-                "nshards": self.nshards,
-                "up": sum(1 for d in self._down if not d),
-                "pending_repairs": sum(len(p) for p in self._pending),
-                "slot_overrides": len(self._slot_owner),
-                "shards": [
-                    {"address": f"chaos://shard{i}", "up": not self._down[i]}
-                    for i in range(self.nshards)
-                ],
-            }
+        return self.cluster.replica_health()
 
     def drain_virtual_delay(self) -> float:
         """Return and reset virtual seconds lost to injected wire faults."""
-        with self._lock:
-            t, self._virtual_delay = self._virtual_delay, 0.0
-            return t
+        t, self._virtual_delay = self._virtual_delay, 0.0
+        return t

@@ -498,6 +498,20 @@ _MUTATING = frozenset({"SET", "DEL", "RENAME", "MSET", "MSETNX", "MDEL",
                        "FLUSH"})
 
 
+def open_shard(persist_dir: Optional[str],
+               durability: Optional[DurabilityConfig] = None
+               ) -> Tuple[KVServer, Optional[ShardWAL]]:
+    """A shard's key space and WAL: empty and memory-only without
+    ``persist_dir``, else recovered from it (snapshot load + WAL replay,
+    torn tail truncated) so it already holds every acked write."""
+    backend = KVServer()
+    if persist_dir is None:
+        return backend, None
+    wal = ShardWAL(persist_dir, durability)
+    backend._data.update(wal.recovered)
+    return backend, wal
+
+
 def _dispatch(server: "AsyncNetKVServer", cmd: str, args: List[str],
               payload: bytes) -> bytes:
     store = server.backend
@@ -804,14 +818,9 @@ class AsyncNetKVServer:
                  backlog: int = 4096,
                  persist_dir: Optional[str] = None,
                  durability: Optional[DurabilityConfig] = None) -> None:
-        self.backend = KVServer()
-        self.wal: Optional[ShardWAL] = None
-        if persist_dir is not None:
-            # Recovery happens here, before the port accepts anything:
-            # snapshot load + WAL replay (torn tail truncated), so the
-            # first request already sees every previously acked write.
-            self.wal = ShardWAL(persist_dir, durability)
-            self.backend._data.update(self.wal.recovered)
+        # Recovery happens here, before the port accepts anything, so
+        # the first request already sees every previously acked write.
+        self.backend, self.wal = open_shard(persist_dir, durability)
         self.lock = threading.Lock()
         self.fault_injector = fault_injector
         self.max_payload = max_payload

@@ -63,7 +63,8 @@ import dataclasses
 import json
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -110,12 +111,29 @@ def _chunks(seq: List, size: int) -> List[List]:
 # "written while you were down" and does not resurrect tagged keys.
 _TOMB = "__repro_tomb__/"
 
+# Internal namespace for missed-write markers, the mirror image of
+# tombstones. A write that cannot reach every replica leaves a marker
+# (value: the write's stamp) on the replicas that took it, so fail-back
+# repair can tell the returning replica's copy is stale and overwrite
+# it — "lacks the key" is not the only way to have missed a write.
+_MISSED = "__repro_missed__/"
+
 # Reserved key holding the cluster's routing map (slot overrides plus
 # in-flight migration state), written to *every* shard so any client —
 # including one in a different process — can discover placement changes.
 # Durable shards persist it through their WAL, so the map survives a
 # full cluster restart.  Excluded from keys()/repair/migration sweeps.
 _ROUTE_KEY = "__repro_route__"
+
+
+def _stamp(raw: Optional[bytes]) -> int:
+    """A marker's stamp: -1 for no marker, 0 for an unstamped one."""
+    return -1 if raw is None else int(raw or b"0")
+
+
+def _internal(key: str) -> bool:
+    """Keys the cluster keeps for itself (markers, routing map)."""
+    return key.startswith((_TOMB, _MISSED)) or key == _ROUTE_KEY
 
 
 class _ShardState:
@@ -136,18 +154,20 @@ class NetKVCluster:
     primary plus the following ``replication - 1``, wrapping around).
     Writes go to every healthy replica and succeed with at least one
     acknowledgement; reads try replicas in placement order and fail
-    over past dead copies, repairing stale replicas with the value they
-    missed. A slot's slice of the keyspace raises
-    :class:`StoreUnavailable` only when *all* of its replicas are down.
+    over past dead copies, repairing replicas that lack the value. A
+    slot's slice of the keyspace raises :class:`StoreUnavailable` only
+    when no replica that can answer for it is up.
 
     Per-shard health is tracked continuously: an operation that
     exhausts its retry budget marks the shard down, after which it is
     skipped until ``probe_cooldown`` elapses; then a single half-open
     probe (or a last-ditch attempt when no other replica is left) may
     fail it back. A recovered shard is queued for an anti-entropy
-    repair pass — run automatically at the next operation — that pulls
-    the writes it missed, pushes acked writes only it holds, and prunes
-    keys its peers saw deleted (tombstones, see ``_TOMB``).
+    repair pass — run automatically at the next operation — that
+    settles keys a partial write or delete marked (``_MISSED``,
+    ``_TOMB``), pulls the writes it missed and pushes acked writes only
+    it holds. Until that pass has reached every peer it shares a window
+    with, the shard takes writes but answers nothing for that window.
 
     Each shard gets one coalescing :class:`NetKVClient` channel for
     operations and one single-attempt channel for health probes, all on
@@ -156,6 +176,11 @@ class NetKVCluster:
     cluster reports transport health for the store as a whole. With
     ``replication=1`` the behavior is exactly the old single-copy
     cluster.
+
+    ``channels`` replaces the socket channels with given objects that
+    speak the same API (one per address; they also answer the health
+    probes) and ``clock`` replaces ``time.monotonic``: the chaos harness
+    runs this class over in-process shards on virtual time that way.
     """
 
     def __init__(self, addresses: List[Tuple[str, int]],
@@ -163,7 +188,9 @@ class NetKVCluster:
                  rng: Optional[np.random.Generator] = None,
                  replication: int = 1,
                  probe_cooldown: float = 0.25,
-                 route_refresh: Optional[float] = None) -> None:
+                 route_refresh: Optional[float] = None,
+                 *, channels: Optional[List[Any]] = None,
+                 clock: Optional[Callable[[], float]] = None) -> None:
         if not addresses:
             raise StoreError("cluster needs at least one server address")
         if replication < 1:
@@ -181,27 +208,43 @@ class NetKVCluster:
         # never-connected clusters (routing-only tests) stay threadless.
         self._loop_thread: Optional[LoopThread] = None
         self._loop_lock = threading.Lock()
-        # Concurrent callers share one channel per shard: they become
-        # queue depth (and fold into batch frames), not parallel sockets.
-        self._channels = [
-            NetKVClient(addr, self.config, stats=self.stats,
-                        loop_thread=self._get_loop, rng=self._spawn_rng())
-            for addr in self.addresses
-        ]
-        # Probes must answer fast even when the shard is dead: one
-        # attempt, no retry ladder.
-        probe_cfg = dataclasses.replace(self.config, retries=0)
-        self._probers = [
-            NetKVClient(addr, probe_cfg, stats=self.stats,
-                        loop_thread=self._get_loop, rng=self._spawn_rng())
-            for addr in self.addresses
-        ]
+        if channels is not None:
+            if len(channels) != len(self.addresses):
+                raise StoreError("need exactly one channel per address")
+            self._channels = list(channels)
+            self._probers = self._channels
+        else:
+            # Concurrent callers share one channel per shard: they
+            # become queue depth (and fold into batch frames), not
+            # parallel sockets.
+            self._channels = [
+                NetKVClient(addr, self.config, stats=self.stats,
+                            loop_thread=self._get_loop,
+                            rng=self._spawn_rng())
+                for addr in self.addresses
+            ]
+            # Probes must answer fast even when the shard is dead: one
+            # attempt, no retry ladder.
+            probe_cfg = dataclasses.replace(self.config, retries=0)
+            self._probers = [
+                NetKVClient(addr, probe_cfg, stats=self.stats,
+                            loop_thread=self._get_loop,
+                            rng=self._spawn_rng())
+                for addr in self.addresses
+            ]
         self._states = [_ShardState() for _ in self.addresses]
         self._health_lock = threading.Lock()
         self._repair_pending: set = set()
+        # Shard -> peers it may still be missing writes from. Set in
+        # full when a shard fails back; its repair narrows it to the
+        # peers it could not reach. Such a shard takes writes, but its
+        # answers do not count for a window holding one of those peers.
+        self._behind: Dict[int, set] = {}
         self._repairing = False
         self._repair_gate = threading.Lock()
         self._tombstones = False
+        self._markers = False  # tombstones or missed-write markers exist
+        self._stamp = 0        # last missed-write stamp handed out
         # Slot routing: by default slot s lives on shard s % n; a
         # finished migration records an override. While a slot is in
         # ``_migrating`` writes go to both windows and reads try the
@@ -226,7 +269,7 @@ class NetKVCluster:
                               else float(route_refresh))
         if self.route_refresh < 0:
             raise StoreError("route_refresh must be >= 0")
-        self._now = time.monotonic  # swappable in tests
+        self._now = clock or time.monotonic
         # First poll happens one interval after construction: a fresh
         # client has the same bounded staleness as a running one, and
         # quick one-shot flows (health checks, unit tests) don't pay a
@@ -449,9 +492,28 @@ class NetKVCluster:
                 return
             st.up = True
             self._repair_pending.add(idx)
+            peers = self._peers(idx)
+            if peers:
+                self._behind[idx] = peers
+            # Shards that could not reach this one in their own repair
+            # can finish it now.
+            self._repair_pending.update(
+                s for s, missing in self._behind.items() if idx in missing)
         self.stats.note_shard_up()
         trace.event("netkv.shard_up", shard=idx,
                     downtime=self._now() - st.down_since)
+
+    def _peers(self, s: int) -> set:
+        """Shards that share a replica window with shard ``s``."""
+        n = len(self._channels)
+        r = self.replication
+        return {(s + d) % n for d in range(-(r - 1), r)} - {s}
+
+    def _suspect(self, idx: int, replicas: List[int]) -> bool:
+        """Whether ``idx`` may lack writes a peer in ``replicas`` took:
+        it failed back and has not been repaired against that peer."""
+        missing = self._behind.get(idx)
+        return bool(missing) and not missing.isdisjoint(replicas)
 
     def _probe(self, idx: int) -> None:
         """Half-open check of a down shard: one cheap PING, no retries."""
@@ -463,6 +525,20 @@ class NetKVCluster:
             self._mark_up(idx)  # it answered, even if with an error
         else:
             self._mark_up(idx)
+
+    def _fan_out(self, attempt, up: List[int], probe: List[int],
+                 rest: List[int], done) -> None:
+        """Run ``attempt`` on every up replica. If none got through
+        (``done`` still empty), try the down ones as a last resort;
+        else just probe those whose cooldown is over."""
+        for idx in up:
+            attempt(idx)
+        if not done:
+            for idx in probe + rest:
+                attempt(idx)
+        else:
+            for idx in probe:
+                self._probe(idx)
 
     def _shard_op(self, idx: int, fn):
         """Run ``fn(channel)`` against shard ``idx``, folding the outcome
@@ -511,18 +587,13 @@ class NetKVCluster:
             except StoreUnavailable as exc:
                 last_exc = exc
 
-        for idx in up:
-            attempt(idx)
-        if not acked:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
+        self._fan_out(attempt, up, probe, rest, acked)
         if not acked:
             raise StoreUnavailable(
                 f"no replica of {len(replicas)} accepted the write of {key!r}"
             ) from last_exc
+        if len(acked) < len(replicas):
+            self._mark_missed([key], acked)
         if self._tombstones:
             self._clear_tombstones([key], acked)
 
@@ -563,10 +634,14 @@ class NetKVCluster:
                 try:
                     value = self._shard_op(idx, lambda c, k=key: c.get(k))
                 except KeyNotFound:
-                    nf.append(idx)
+                    if not self._suspect(idx, replicas):
+                        nf.append(idx)
                     continue
                 except StoreUnavailable as exc:
                     last_exc = exc
+                    continue
+                if self._suspect(idx, replicas):
+                    value = None  # possibly stale: not an answer
                     continue
                 break
             if value is not None or nf:
@@ -628,17 +703,10 @@ class NetKVCluster:
             except StoreUnavailable as exc:
                 last_exc = exc
 
-        for idx in up:
-            attempt(idx)
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not reached:
+        self._fan_out(attempt, up, probe, rest, reached)
+        if all(self._suspect(idx, replicas) for idx in reached):
             raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for {key!r} are unavailable"
+                f"no replica for {key!r} that can vouch for it is available"
             ) from last_exc
         if force_tombstone or len(reached) < len(replicas):
             self._write_tombstones([key], reached)
@@ -662,23 +730,28 @@ class NetKVCluster:
             except StoreUnavailable as exc:
                 last_exc = exc
 
+        def witnessed(window: List[int]) -> bool:
+            return any(w in reached and not self._suspect(w, window)
+                       for w in window)
+
         for idx in up + probe:
             scan(idx)
         attempted = set(up) | set(probe)
         # Coverage check: a dead shard must not silently erase its slice
-        # of the keyspace — every replica window needs a live witness.
+        # of the keyspace — every replica window needs a live witness
+        # that is not missing writes another window member took.
         for p in range(n):
             window = [(p + r) % n for r in range(self.replication)]
-            if any(w in reached for w in window):
+            if witnessed(window):
                 continue
             for idx in window:
                 if idx in attempted:
                     continue
                 attempted.add(idx)
                 scan(idx)
-                if idx in reached:
+                if witnessed(window):
                     break
-            if not any(w in reached for w in window):
+            if not witnessed(window):
                 raise StoreUnavailable(
                     f"replica window {window} is entirely unavailable; a key "
                     f"listing would silently lose its keyspace slice"
@@ -688,9 +761,7 @@ class NetKVCluster:
         tombs = {k[len(_TOMB):] for k in out if k.startswith(_TOMB)}
         if prefix.startswith(_TOMB):  # explicit tombstone listing (GC)
             return sorted(k for k in out if k.startswith(prefix))
-        return sorted(k for k in out
-                      if not k.startswith(_TOMB) and k not in tombs
-                      and k != _ROUTE_KEY)
+        return sorted(k for k in out if not _internal(k) and k not in tombs)
 
     def rename(self, src: str, dst: str) -> None:
         self._maybe_repair()
@@ -717,31 +788,33 @@ class NetKVCluster:
             trace.event("netkv.rename_orphan", src=src, dst=dst)
 
     def _rename_native(self, src: str, dst: str, replicas: List[int]) -> None:
-        """Same-window rename: one RENAME round trip per replica."""
+        """Same-window rename: one RENAME round trip per replica.
+
+        Replicas that may have missed writes sit it out (they could move
+        a stale ``src``); the tombstone and marker below catch them up
+        at repair.
+        """
         up, probe, rest = self._split_health(replicas)
+        up = [idx for idx in up if not self._suspect(idx, replicas)]
         reached: List[int] = []
-        renamed = False
+        renamed: List[int] = []
         last_exc: Optional[BaseException] = None
 
         def attempt(idx: int) -> None:
-            nonlocal renamed, last_exc
+            nonlocal last_exc
+            if self.replication > 1 and not self._states[idx].up:
+                self._probe(idx)  # it would fail back unrepaired
+                return
             try:
                 self._shard_op(idx, lambda c, s=src, d=dst: c.rename(s, d))
                 reached.append(idx)
-                renamed = True
+                renamed.append(idx)
             except KeyNotFound:
                 reached.append(idx)
             except StoreUnavailable as exc:
                 last_exc = exc
 
-        for idx in up:
-            attempt(idx)
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
+        self._fan_out(attempt, up, probe, rest, reached)
         if not reached:
             raise StoreUnavailable(
                 f"all {len(replicas)} replica(s) for {src!r} are unavailable"
@@ -750,6 +823,8 @@ class NetKVCluster:
             raise KeyNotFound(src)
         if len(reached) < len(replicas):
             self._write_tombstones([src], reached)
+        if len(renamed) < len(replicas):
+            self._mark_missed([dst], renamed)
 
     # --- pipelined batch operations --------------------------------------
 
@@ -815,6 +890,8 @@ class NetKVCluster:
             except StoreUnavailable as exc:
                 last_exc = exc
                 return
+            if self._suspect(idx, replicas):
+                return  # possibly stale: its answers do not count
             still: List[int] = []
             for p, v in zip(remaining, values):
                 if v is None:
@@ -899,19 +976,14 @@ class NetKVCluster:
             except StoreUnavailable as exc:
                 last_exc = exc
 
-        for idx in up:
-            attempt(idx)
-        if not acked:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
+        self._fan_out(attempt, up, probe, rest, acked)
         if not acked:
             raise StoreUnavailable(
                 f"no replica of {len(replicas)} accepted a "
                 f"{len(chunk)}-key batch write"
             ) from last_exc
+        if len(acked) < len(replicas):
+            self._mark_missed([k for k, _ in chunk], acked)
         if self._tombstones:
             self._clear_tombstones([k for k, _ in chunk], acked)
 
@@ -957,34 +1029,43 @@ class NetKVCluster:
                 if f:
                     flags[p] = True
 
-        for idx in up:
-            attempt(idx)
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not reached:
+        self._fan_out(attempt, up, probe, rest, reached)
+        if all(self._suspect(idx, replicas) for idx in reached):
             raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for a {len(positions)}-key "
-                f"batch delete are unavailable"
+                f"no replica for a {len(positions)}-key batch delete that "
+                f"can vouch for it is available"
             ) from last_exc
         if len(reached) < len(replicas):
             self._write_tombstones(chunk_keys, reached)
 
     # --- tombstones -------------------------------------------------------
 
-    def _write_tombstones(self, keys: List[str], reached: List[int]) -> None:
-        """Mark deletions a down replica missed, on the replicas reached."""
-        items = [(_TOMB + k, b"") for k in keys]
+    def _write_markers(self, prefix: str, keys: List[str],
+                       reached: List[int], value: bytes) -> None:
+        items = [(prefix + k, value) for k in keys]
         for idx in reached:
             try:
                 self._shard_op(idx, lambda c, it=items: c.mset(it))
             except StoreError:
                 pass
+        self._markers = True
+
+    def _next_stamp(self) -> bytes:
+        """Order of markers for one key: this client's clock in µs,
+        strictly increasing, so repair can tell which one is newest."""
+        self._stamp = max(self._stamp + 1, int(self._now() * 1e6))
+        return b"%d" % self._stamp
+
+    def _write_tombstones(self, keys: List[str], reached: List[int]) -> None:
+        """Mark deletions a down replica missed, on the replicas reached."""
+        self._write_markers(_TOMB, keys, reached, self._next_stamp())
         self._tombstones = True
-        trace.event("netkv.tombstone", keys=len(items))
+        trace.event("netkv.tombstone", keys=len(keys))
+
+    def _mark_missed(self, keys: List[str], reached: List[int]) -> None:
+        """Mark writes a replica missed, on the replicas that took them."""
+        self._write_markers(_MISSED, keys, reached, self._next_stamp())
+        trace.event("netkv.missed_write", keys=len(keys))
 
     def _clear_tombstones(self, keys: List[str], reached: List[int]) -> None:
         """A re-write supersedes any pending deletion marker."""
@@ -1026,21 +1107,20 @@ class NetKVCluster:
                     idx = min(self._repair_pending)
                     self._repair_pending.discard(idx)
                 self._repair_shard(idx)
-            if self._tombstones:
+            if self._markers:
                 with self._health_lock:
                     all_up = (not self._repair_pending
                               and all(st.up for st in self._states))
                 if all_up:
-                    self._gc_tombstones()
+                    self._gc_markers()
         finally:
             self._repairing = False
 
     def _repair_shard(self, s: int) -> None:
-        """Anti-entropy for a recovered shard: prune deletions it missed,
-        pull writes it missed, push acked writes only it holds."""
-        n = len(self._channels)
-        r = self.replication
-        if r < 2:
+        """Anti-entropy for a recovered shard: settle every key a partial
+        write or delete marked, pull writes it missed, and push acked
+        writes only it holds."""
+        if self.replication < 2:
             return
         with trace.span("netkv.repair") as sp:
             try:
@@ -1048,9 +1128,8 @@ class NetKVCluster:
             except StoreError:
                 return  # went down again; re-queued at the next fail-back
             skeys.discard(_ROUTE_KEY)  # lives on every shard by design
-            peers = sorted({(s + d) % n for d in range(-(r - 1), r)} - {s})
-            peer_keys: Dict[int, set] = {}
-            all_tombs: set = set()
+            peers = sorted(self._peers(s))
+            held: Dict[int, set] = {s: skeys}
             for d in peers:
                 if not self._states[d].up:
                     continue
@@ -1059,52 +1138,30 @@ class NetKVCluster:
                 except StoreError:
                     continue
                 dk.discard(_ROUTE_KEY)
-                peer_keys[d] = dk
-                all_tombs.update(k[len(_TOMB):] for k in dk
-                                 if k.startswith(_TOMB))
-            copied = 0
-            # 1) prune: keys a healthy peer saw deleted while s was down
-            dead = [k for k in skeys
-                    if not k.startswith(_TOMB) and k in all_tombs]
-            for chunk in _chunks(dead, self.config.batch_keys):
-                try:
-                    self._shard_op(s, lambda c, ks=chunk: c.mdelete(ks))
-                    skeys.difference_update(chunk)
-                except StoreError:
-                    break
+                held[d] = dk
+            # 1) settle: the newest tombstone or missed-write marker of
+            # a key decides it on every replica reached
+            copied, pruned, settled = self._settle_marked(s, held)
             # 2) pull: live keys peers hold for windows that include s
-            for d, dk in peer_keys.items():
-                want = [k for k in dk
-                        if not k.startswith(_TOMB) and k not in skeys
-                        and k not in all_tombs
-                        and s in self._replicas_for(k)]
-                for chunk in _chunks(want, self.config.batch_keys):
-                    try:
-                        values = self._shard_op(d, lambda c, ks=chunk: c.mget(ks))
-                        items = [(k, v) for k, v in zip(chunk, values)
-                                 if v is not None]
-                        if items:
-                            self._shard_op(s, lambda c, it=items: c.mset(it))
-                            copied += len(items)
-                            skeys.update(k for k, _ in items)
-                    except StoreError:
-                        break
+            for d, dk in held.items():
+                got = self._copy_keys(d, s, [
+                    k for k in dk if not _internal(k) and k not in skeys
+                    and k not in settled and s in self._replicas_for(k)])
+                copied += len(got)
+                skeys.update(got)
             # 3) push: acked writes only s holds (its peers were down too)
-            for d, dk in peer_keys.items():
-                give = [k for k in skeys
-                        if not k.startswith(_TOMB) and k not in dk
-                        and k not in all_tombs
-                        and d in self._replicas_for(k)]
-                for chunk in _chunks(give, self.config.batch_keys):
-                    try:
-                        values = self._shard_op(s, lambda c, ks=chunk: c.mget(ks))
-                        items = [(k, v) for k, v in zip(chunk, values)
-                                 if v is not None]
-                        if items:
-                            self._shard_op(d, lambda c, it=items: c.mset(it))
-                            copied += len(items)
-                    except StoreError:
-                        break
+            for d, dk in held.items():
+                copied += len(self._copy_keys(s, d, [
+                    k for k in skeys if not _internal(k) and k not in dk
+                    and k not in settled and d in self._replicas_for(k)]))
+            # s stays behind the peers this pass could not reach
+            unreached = {d for d in peers
+                         if d not in held or not self._states[d].up}
+            with self._health_lock:
+                if unreached:
+                    self._behind[s] = unreached
+                elif self._states[s].up:
+                    self._behind.pop(s, None)
             # 4) prune foreign copies: keys whose slot migrated away
             # while s was down, so s missed the post-cutover cleanup.
             # Keys of a slot still mid-migration or draining are left
@@ -1116,7 +1173,7 @@ class NetKVCluster:
                 migrating = set(self._migrating) | set(self._draining)
             if overrides:
                 foreign = [k for k in skeys
-                           if not k.startswith(_TOMB)
+                           if not _internal(k)
                            and key_slot(k) not in migrating
                            and s not in self._replicas_for(k)]
                 for chunk in _chunks(foreign, self.config.batch_keys):
@@ -1127,19 +1184,113 @@ class NetKVCluster:
             if copied:
                 self.stats.note_read_repair(copied)
             if sp:
-                sp.set(shard=s, copied=copied,
-                       pruned=len(dead) + len(foreign))
+                sp.set(shard=s, copied=copied, pruned=pruned + len(foreign))
 
-    def _gc_tombstones(self) -> None:
-        """Drop deletion markers once every shard is healthy again."""
+    def _copy_keys(self, src: int, dst: int, keys: List[str]) -> List[str]:
+        """Copy ``keys`` from shard ``src`` to ``dst`` in batches, until
+        either fails; returns the keys copied."""
+        done: List[str] = []
+        for chunk in _chunks(keys, self.config.batch_keys):
+            try:
+                values = self._shard_op(src, lambda c, ks=chunk: c.mget(ks))
+                items = [(k, v) for k, v in zip(chunk, values)
+                         if v is not None]
+                if items:
+                    self._shard_op(dst, lambda c, it=items: c.mset(it))
+                    done += [k for k, _ in items]
+            except StoreError:
+                break
+        return done
+
+    def _settle_marked(self, s: int, held: Dict[int, set]
+                       ) -> Tuple[int, int, set]:
+        """Decide each marked key in a window holding ``s`` by its newest
+        marker on the reachable replicas (``held``: shard -> keys).
+
+        A newest tombstone deletes the key wherever it is held; a newest
+        missed-write marker copies its replica's value, marker included,
+        over every other copy and clears stale tombstones. Returns
+        ``(copied, pruned, keys settled)``.
+        """
+        marked = set()
+        for keys in held.values():
+            for k in keys:
+                if k.startswith(_TOMB):
+                    marked.add(k[len(_TOMB):])
+                elif k.startswith(_MISSED):
+                    marked.add(k[len(_MISSED):])
+        windows = {k: w for k in sorted(marked)
+                   for w in (self._replicas_for(k),) if s in w}
+        # shard -> key -> (value, marker stamp, tombstone stamp), -1 = none
+        views: Dict[int, Dict[str, Tuple[Optional[bytes], int, int]]] = {}
+        for x in held:
+            mine = [k for k, w in windows.items() if x in w]
+            view: Optional[Dict[str, Tuple[Optional[bytes], int, int]]] = {}
+            for chunk in _chunks(mine, max(1, self.config.batch_keys // 3)):
+                n = len(chunk)
+                probe = (chunk + [_MISSED + k for k in chunk]
+                         + [_TOMB + k for k in chunk])
+                try:
+                    got = self._shard_op(x, lambda c, ks=probe: c.mget(ks))
+                except StoreError:
+                    view = None
+                    break
+                for i, k in enumerate(chunk):
+                    view[k] = (got[i], _stamp(got[n + i]),
+                               _stamp(got[2 * n + i]))
+            if view is not None:
+                views[x] = view
+        # newest event per key: (stamp, 1, value) for a marked copy,
+        # (stamp, 0, None) for a tombstone
+        best: Dict[str, Tuple[int, int, Optional[bytes]]] = {}
+        for view in views.values():
+            for k, (value, mark, tomb) in view.items():
+                events = [(tomb, 0, None)] if tomb >= 0 else []
+                if mark >= 0 and value is not None:
+                    events.append((mark, 1, value))
+                for ev in events:
+                    if k not in best or ev > best[k]:
+                        best[k] = ev
+        copied = pruned = 0
+        for x, view in views.items():
+            doomed: List[str] = []
+            items: List[Tuple[str, bytes]] = []
+            for k, (value, mark, tomb) in view.items():
+                if k not in best:
+                    continue
+                stamp, is_copy, newest = best[k]
+                if not is_copy:
+                    if value is not None:
+                        doomed.append(k)
+                    continue
+                if (mark, value) != (stamp, newest):
+                    items += [(k, newest), (_MISSED + k, b"%d" % stamp)]
+                if tomb >= 0:
+                    doomed.append(_TOMB + k)  # older than the write
+            try:
+                for chunk in _chunks(items, self.config.batch_keys):
+                    self._shard_op(x, lambda c, it=chunk: c.mset(it))
+                    copied += sum(not k.startswith(_MISSED) for k, _ in chunk)
+                for chunk in _chunks(doomed, self.config.batch_keys):
+                    self._shard_op(x, lambda c, ks=chunk: c.mdelete(ks))
+                    pruned += sum(not k.startswith(_TOMB) for k in chunk)
+            except StoreError:
+                continue
+        return copied, pruned, set(windows)
+
+    def _gc_markers(self) -> None:
+        """Drop tombstones and missed-write markers once every shard is
+        healthy and repaired again."""
         for idx in range(len(self._channels)):
             try:
-                tombs = self._shard_op(idx, lambda c: c.keys(_TOMB))
-                for chunk in _chunks(tombs, self.config.batch_keys):
+                marks = (self._shard_op(idx, lambda c: c.keys(_TOMB))
+                         + self._shard_op(idx, lambda c: c.keys(_MISSED)))
+                for chunk in _chunks(marks, self.config.batch_keys):
                     self._shard_op(idx, lambda c, ks=chunk: c.mdelete(ks))
             except StoreError:
                 return  # a shard vanished again; keep markers, retry later
         self._tombstones = False
+        self._markers = False
 
     # --- online slot migration --------------------------------------------
 
@@ -1352,34 +1503,34 @@ class NetKVCluster:
         """Replicated set-if-absent across a window; ack-on->=1 like
         :meth:`_mset_chunk`. Returns how many keys were actually new."""
         up, probe, rest = self._split_health(replicas)
-        acked: List[int] = []
-        stored = 0
+        stored: Dict[int, List[str]] = {}  # replica -> keys it took
         last_exc: Optional[BaseException] = None
 
         def attempt(idx: int) -> None:
-            nonlocal stored, last_exc
+            nonlocal last_exc
             try:
                 flags = self._shard_op(idx, lambda c, it=items: c.msetnx(it))
             except StoreUnavailable as exc:
                 last_exc = exc
                 return
-            acked.append(idx)
-            stored = max(stored, sum(flags))
+            stored[idx] = [k for (k, _), f in zip(items, flags) if f]
 
-        for idx in up:
-            attempt(idx)
-        if not acked:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not acked:
+        self._fan_out(attempt, up, probe, rest, stored)
+        if not stored:
             raise StoreUnavailable(
                 f"no replica of {len(replicas)} accepted a "
                 f"{len(items)}-key migration copy"
             ) from last_exc
-        return stored
+        if (len(stored) < len(replicas)
+                or any(len(ks) < len(items) for ks in stored.values())):
+            # A replica that missed or declined the copy may hold a
+            # stale value. A copy only fills gaps, so it is older than
+            # any write: its markers carry stamp 0, which beats an
+            # unmarked copy at repair but never a marked write.
+            for idx, ks in stored.items():
+                if ks:
+                    self._write_markers(_MISSED, ks, [idx], b"0")
+        return max(len(ks) for ks in stored.values())
 
     def _cleanup_moved(self, moving: set, sources: set,
                        dst_window: List[int]) -> None:
@@ -1394,8 +1545,8 @@ class NetKVCluster:
                 held = self._shard_op(idx, lambda c: c.keys())
             except StoreError:
                 continue  # down: fail-back repair prunes foreign copies
-            doomed = [k for k in held if not k.startswith(_TOMB)
-                      and k != _ROUTE_KEY and key_slot(k) in moving]
+            doomed = [k for k in held
+                      if not _internal(k) and key_slot(k) in moving]
             for chunk in _chunks(doomed, self.config.batch_keys):
                 try:
                     self._shard_op(idx, lambda c, ks=chunk: c.mdelete(ks))

@@ -1,8 +1,8 @@
 """Seeded FaultSchedule campaign against the *async* NetKV transport.
 
-The chaos harness normally drives the simulated ChaosStore on a virtual
-clock. This suite points the same fault-schedule DSL at live asyncio
-servers instead: ``shard_down``/``shard_up`` stop and rebind real
+The chaos harness normally drives the production NetKV cluster over
+in-process shards on a virtual clock. This suite points the same
+fault-schedule DSL at live asyncio servers instead: ``shard_down``/``shard_up`` stop and rebind real
 event-loop shards, ``delay``/``garble`` set rates on each shard's
 :class:`~repro.util.faults.NetworkFaultInjector`. Two invariants from
 CHAOS.md must survive the transport rewrite:

@@ -1,36 +1,29 @@
 """CampaignFuzzer: sampling, crash capture, shrinking, replay files.
 
-The centrepiece is the planted-bug test: we break the ChaosStore's
-hinted-handoff bookkeeping (a write that misses a downed replica leaves
-no hint), fuzz, and require the fuzzer to (a) catch the resulting
-stale-data invariant violations and (b) shrink the failing schedule to
-a handful of fault events whose replay file still reproduces the bug.
+The centrepiece is the planted-bug test. It breaks the production
+``NetKVCluster`` the chaos store runs on, in two ways:
+
+- ``_mark_missed`` does nothing, so an overwrite a downed replica
+  missed leaves no missed-write marker, and fail-back repair cannot
+  tell the replica's copy is stale (``stale_read``);
+- ``_write_tombstones`` does nothing, so a delete a downed replica
+  missed leaves no tombstone, and the replica's copy comes back
+  (``tombstone_resurrection``).
+
+For each, the fuzzer must (a) catch the violation, (b) shrink the
+failing schedule to a handful of fault events, and (c) save a replay
+file that still reproduces it, and that passes once the bug is gone.
 """
 
 import pytest
 
 from repro.chaos import (CampaignFuzzer, ChaosCampaign, FaultSchedule,
                          load_replay, save_replay)
-from repro.chaos.store import ChaosStore
+from repro.datastore.netkv import NetKVCluster
 
 
-def buggy_put(self, key, payload):
-    """ChaosStore._put with hinted handoff 'forgotten' (the planted bug).
-
-    Writes that miss a downed replica leave no hint, so the replica
-    rejoins believing it is current and its stale data can be served
-    (or a GC pass can collect a tombstone the replica never saw).
-    """
-    ups = self._ups(key)
-    if not ups:
-        raise self._unavailable(key, "all replicas down")
-    self._version += 1
-    entry = (self._version, payload)
-    for i in self._replicas(key):
-        if not self._down[i]:
-            self._shards[i][key] = entry
-            self._pending[i].discard(key)
-    self.acked[key] = payload
+def forgets(self, keys, reached):
+    """The planted bug: a marker writer that writes nothing."""
 
 
 def test_sampled_schedules_are_stable_and_distinct():
@@ -67,16 +60,20 @@ def test_replay_file_round_trip(tmp_path):
 
 @pytest.mark.chaos
 @pytest.mark.timeout(600)
-def test_planted_bug_is_caught_and_shrunk(tmp_path, monkeypatch):
-    monkeypatch.setattr(ChaosStore, "_put", buggy_put)
-    # seed 3 trips the lost-hint bug within a handful of campaigns.
-    fuzzer = CampaignFuzzer(seed=3, rounds=6)
-    result = fuzzer.run(6)
-    assert not result.ok, "planted hinted-handoff bug went undetected"
+@pytest.mark.parametrize("method, invariant", [
+    ("_mark_missed", "stale_read"),
+    ("_write_tombstones", "tombstone_resurrection"),
+])
+def test_planted_bug_is_caught_and_shrunk(tmp_path, monkeypatch, method,
+                                          invariant):
+    monkeypatch.setattr(NetKVCluster, method, forgets)
+    # seed 3 trips both bugs in its second campaign.
+    fuzzer = CampaignFuzzer(seed=3, rounds=4)
+    result = fuzzer.run(2)
+    assert not result.ok, f"planted {method} bug went undetected"
 
     failure = result.failures[0]
-    stale_kinds = {"stale_read", "acked_write_lost", "tombstone_resurrection"}
-    assert {v.invariant for v in failure.violations} & stale_kinds
+    assert invariant in {v.invariant for v in failure.violations}
     # The reproducer must be minimal: a handful of events, not a storm.
     assert len(failure.shrunk) <= 5
     assert len(failure.shrunk) <= len(failure.schedule)
@@ -86,9 +83,9 @@ def test_planted_bug_is_caught_and_shrunk(tmp_path, monkeypatch):
     save_replay(str(path), failure.shrunk, fuzzer._config())
     schedule, config = load_replay(str(path))
     replayed = ChaosCampaign(schedule, config).run()
-    assert not replayed.ok
+    assert invariant in {v.invariant for v in replayed.violations}
 
-    # And a healthy store passes the very same replay.
+    # And the unbroken cluster passes the very same replay.
     monkeypatch.undo()
     healthy = ChaosCampaign(*load_replay(str(path))).run()
     assert healthy.ok, [v.to_json() for v in healthy.violations]

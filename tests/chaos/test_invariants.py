@@ -2,26 +2,35 @@
 
 import types
 
+import pytest
+
 from repro.chaos import ChaosCampaign, ChaosConfig, FaultSchedule, InvariantSuite
 from repro.chaos.invariants import selector_equivalence
 from repro.sched.jobspec import JobSpec
 
 
-def tiny_campaign(rounds=2, schedule=None):
-    campaign = ChaosCampaign(schedule or FaultSchedule().heal(0.0),
-                             ChaosConfig(seed=1, rounds=rounds))
-    campaign.run()
-    return campaign
+@pytest.fixture
+def campaign():
+    """A fault-free campaign driven two rounds by hand, so its store is
+    still open (``run()`` closes it) for the checkers to inspect."""
+    campaign = ChaosCampaign(FaultSchedule(), ChaosConfig(seed=1, rounds=2))
+    for _ in range(2):
+        campaign.wm.round(campaign.config.advance_us)
+    campaign.adapter.flush()
+    yield campaign
+    campaign.store.close()
 
 
-def test_healthy_campaign_has_no_violations():
-    campaign = tiny_campaign()
+def first_live_key(store):
+    return sorted(k for k, v in store.acked.items() if v is not None)[0]
+
+
+def test_healthy_campaign_has_no_violations(campaign):
     suite = InvariantSuite()
     assert suite.check_final(campaign, 99) == []
 
 
-def test_counter_conservation_catches_tampering():
-    campaign = tiny_campaign()
+def test_counter_conservation_catches_tampering(campaign):
     suite = InvariantSuite()
     campaign.wm.counters["patches"] += 1
     out = suite.check_round(campaign, 0)
@@ -33,30 +42,34 @@ def test_counter_conservation_catches_tampering():
                if v.invariant == "counter_conservation")
 
 
-def test_acked_write_loss_maps_to_invariant_names():
-    campaign = tiny_campaign()
+def test_acked_write_loss_maps_to_invariant_names(campaign):
     suite = InvariantSuite()
-    store = campaign.store
-    key = sorted(k for k, v in store.acked.items() if v is not None)[0]
-    for shard in store._shards:
-        shard.pop(key, None)
+    key = first_live_key(campaign.store)
+    for shard in campaign.store.shards:
+        shard.mdelete([key])
     out = suite.check_round(campaign, 3)
     assert any(v.invariant == "acked_write_lost" and v.round == 3 for v in out)
 
 
-def test_stale_read_maps_to_invariant_name():
-    campaign = tiny_campaign()
+def test_stale_read_maps_to_invariant_name(campaign):
     suite = InvariantSuite()
-    store = campaign.store
-    key = sorted(k for k, v in store.acked.items() if v is not None)[0]
-    for i in store._replicas(key):
-        store._shards[i][key] = (0, b"stale-bytes")
+    key = first_live_key(campaign.store)
+    for shard in campaign.store.shards:
+        if shard.mget([key]) != [None]:
+            shard.set(key, b"stale-bytes")
     out = suite.check_round(campaign, 0)
     assert any(v.invariant == "stale_read" for v in out)
 
 
-def test_jobs_terminal_catches_stuck_jobs():
-    campaign = tiny_campaign()
+def test_durability_maps_to_invariant_name(campaign):
+    suite = InvariantSuite()
+    shard = campaign.store.shards[0]
+    shard.backend.set("never-logged", b"x")  # memory ahead of the WAL
+    out = suite.check_round(campaign, 2)
+    assert [v.invariant for v in out] == ["durability_after_crash"]
+
+
+def test_jobs_terminal_catches_stuck_jobs(campaign):
     suite = InvariantSuite()
     campaign.adapter.submit(JobSpec(name="wedged", tag="wedged#0"))
     out = suite.check_final(campaign, 5)
@@ -95,9 +108,9 @@ def test_trace_tree_catches_orphans_and_time_travel():
     assert any("dropped" in v.detail for v in out)
 
 
-def test_selector_equivalence_detects_divergence():
-    campaign = tiny_campaign(rounds=1)
-    other = ChaosCampaign(FaultSchedule().heal(0.0), ChaosConfig(seed=1, rounds=1))
-    # Same seed, never run: selectors differ from the 1-round campaign's.
+def test_selector_equivalence_detects_divergence(campaign):
+    other = ChaosCampaign(FaultSchedule(), ChaosConfig(seed=1, rounds=1))
+    # Same seed, never run: selectors differ from the 2-round campaign's.
     out = selector_equivalence(campaign.wm, other.wm, 0)
+    other.store.close()
     assert any(v.invariant == "selector_equivalence" for v in out)

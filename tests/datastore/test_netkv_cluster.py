@@ -126,6 +126,29 @@ class TestReplicaFailover:
                 cluster.get("pre/00")  # the delete survived the repair
             assert "pre/00" not in cluster.keys("pre/")
 
+    def test_returning_replica_refuses_reads_its_down_peer_could_refute(self):
+        """A shard that failed back while the only replica holding the
+        writes it missed is down must refuse, not answer NF or stale."""
+        with live_cluster(2, replication=2) as (servers, cluster):
+            key = key_on_shard(cluster, 0)
+            cluster.set(key, b"v1")
+            addrs = [s.address for s in servers]
+            servers[0].stop()
+            cluster.set(key, b"v2")  # acked by shard 1 alone
+            servers[1].stop()
+            servers[0] = NetKVServer(*addrs[0]).start()  # back, empty
+            cluster.repair()
+            with pytest.raises(StoreUnavailable):
+                cluster.get(key)
+            with pytest.raises(StoreUnavailable):
+                cluster.mget([key])
+            with pytest.raises(StoreUnavailable):
+                cluster.delete(key)
+            cluster.set(key, b"v3")  # writes still land
+            servers[1] = NetKVServer(*addrs[1]).start()  # back, empty too
+            cluster.repair()
+            assert cluster.get(key) == b"v3"
+
     def test_all_replicas_down_raises_store_unavailable(self):
         with live_cluster(2, replication=2) as (servers, cluster):
             cluster.set("k", b"v")

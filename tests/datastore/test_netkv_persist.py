@@ -378,3 +378,84 @@ def test_snapshot_info_is_json_clean(tmp_path):
         assert info["fsync"] is False
     finally:
         srv.stop()
+
+
+# --- stale read after fail-back ------------------------------------------
+#
+# A write that reaches only part of a replica window used to leave the
+# missed replica with its *old* value: fail-back repair pulled only keys
+# the recovered shard lacked, and read repair only fixes replicas that
+# answer NF. The primary then served the stale copy after it returned.
+
+
+def _keys_on_primary(primary, n, nshards=2, prefix="k"):
+    """``n`` keys whose hash slot makes shard ``primary`` their primary."""
+    out, i = [], 0
+    while len(out) < n:
+        key = f"{prefix}{i}"
+        if key_slot(key) % nshards == primary:
+            out.append(key)
+        i += 1
+    return out
+
+
+@contextlib.contextmanager
+def _two_durable_shards(tmp_path):
+    servers = [durable_server(tmp_path, f"shard{i}") for i in range(2)]
+    cluster = NetKVCluster([s.address for s in servers], config=FAST,
+                           replication=2, probe_cooldown=0.05)
+    try:
+        yield servers, cluster
+    finally:
+        cluster.close()
+        for s in servers:
+            s.stop()
+
+
+def _restart_from_wal(tmp_path, servers, idx):
+    """Restart shard ``idx`` on its old port, replaying its WAL."""
+    port = servers[idx].address[1]
+    servers[idx] = durable_server(tmp_path, f"shard{idx}", port=port)
+
+
+@pytest.mark.multi_server
+def test_set_missed_by_primary_is_repaired_on_fail_back(tmp_path):
+    with _two_durable_shards(tmp_path) as (servers, cluster):
+        (key,) = _keys_on_primary(0, 1)
+        cluster.set(key, b"v1")
+        servers[0].stop()
+        cluster.set(key, b"v2")  # acked by shard 1 alone
+        _restart_from_wal(tmp_path, servers, 0)
+        assert servers[0].wal.recovered[key] == b"v1"
+        cluster.repair()
+        assert cluster.get(key) == b"v2"
+
+
+@pytest.mark.multi_server
+def test_mset_missed_by_primary_is_repaired_on_fail_back(tmp_path):
+    with _two_durable_shards(tmp_path) as (servers, cluster):
+        keys = _keys_on_primary(0, 6)
+        cluster.mset([(k, b"old") for k in keys])
+        servers[0].stop()
+        cluster.mset([(k, b"new-" + k.encode()) for k in keys])
+        _restart_from_wal(tmp_path, servers, 0)
+        cluster.repair()
+        assert cluster.mget(keys) == [b"new-" + k.encode() for k in keys]
+        for k in keys:
+            assert cluster.get(k) == b"new-" + k.encode()
+
+
+@pytest.mark.multi_server
+def test_rename_missed_by_primary_is_repaired_on_fail_back(tmp_path):
+    with _two_durable_shards(tmp_path) as (servers, cluster):
+        src, dst = _keys_on_primary(0, 2)
+        cluster.set(src, b"moved")
+        cluster.set(dst, b"stale")
+        servers[0].stop()
+        cluster.rename(src, dst)  # same window: one RENAME, on shard 1
+        _restart_from_wal(tmp_path, servers, 0)
+        cluster.repair()
+        assert cluster.get(dst) == b"moved"
+        with pytest.raises(KeyNotFound):
+            cluster.get(src)
+        assert cluster.keys() == [dst]
