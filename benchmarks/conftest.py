@@ -3,7 +3,8 @@
 Every bench regenerates one of the paper's tables or figures and both
 prints the series and appends it to ``benchmarks/results/<name>.txt``
 so the numbers survive pytest's output capture. EXPERIMENTS.md records
-the paper-vs-measured comparison for each.
+the paper-vs-measured comparison for each. The ``REPRO_SKIP_*`` gates
+and their markers come from the repo-root ``conftest.py``.
 """
 
 from __future__ import annotations
@@ -18,52 +19,6 @@ from repro.core.campaign import CampaignConfig, CampaignSimulator
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "multi_server: bench spins up several live NetKV servers at once; "
-        "set REPRO_SKIP_MULTI_SERVER=1 to skip on constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
-        "service: bench runs a live control-plane daemon over HTTP; "
-        "set REPRO_SKIP_SERVICE=1 to skip on constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
-        "async_transport: bench targets the asyncio NetKV transport "
-        "(connection sweeps, coalescing throughput); set "
-        "REPRO_SKIP_ASYNC=1 to skip on constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
-        "persist: bench measures durable-shard overhead (WAL fsync, "
-        "snapshots, migration); set REPRO_SKIP_PERSIST=1 to skip on "
-        "constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
-        "matcher_scale: bench sweeps 4k-40k-node resource graphs "
-        "(partitioned vs flat matcher); set REPRO_SKIP_MATCHER_SCALE=1 "
-        "to skip on small CI runners",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    gates = [("REPRO_SKIP_MULTI_SERVER", "multi_server"),
-             ("REPRO_SKIP_SERVICE", "service"),
-             ("REPRO_SKIP_ASYNC", "async_transport"),
-             ("REPRO_SKIP_PERSIST", "persist"),
-             ("REPRO_SKIP_MATCHER_SCALE", "matcher_scale")]
-    for env, marker in gates:
-        if not os.environ.get(env):
-            continue
-        skip = pytest.mark.skip(reason=f"{env} is set")
-        for item in items:
-            if item.get_closest_marker(marker):
-                item.add_marker(skip)
 
 
 def report(name: str, lines: Iterable[str]) -> None:

@@ -84,6 +84,21 @@ class _Shard:
 
     # --- the channel API ----------------------------------------------------
 
+    def _post(self, op: str, args: tuple = (), wakes=None):
+        """Answer ``op(*args)`` now, in call order; :meth:`_wait` hands
+        the outcome over (the socket channel's post/wait pair)."""
+        try:
+            return getattr(self, op)(*args), None
+        except StoreError as exc:
+            return None, exc
+
+    @staticmethod
+    def _wait(handle):
+        value, exc = handle
+        if exc is not None:
+            raise exc
+        return value
+
     def ping(self) -> bool:
         return self._call("PING") == b"PONG"
 

@@ -96,8 +96,8 @@ class PatchCreator:
     patch_nm:
         Physical extent in nm (paper: 30 nm).
     store:
-        Optional DataStore; when given, each patch is persisted under
-        ``patches/<id>`` as it is created.
+        Optional DataStore; when given, each snapshot's patches are
+        persisted under ``patches/<id>`` with one ``write_many``.
     """
 
     def __init__(
@@ -162,9 +162,9 @@ class PatchCreator:
                     outer=outer_cut,
                 )
             )
-        if self.store is not None:
-            for patch in patches:
-                self.store.write(f"patches/{patch.patch_id}", patch.to_bytes())
+        if self.store is not None and patches:
+            self.store.write_many({f"patches/{p.patch_id}": p.to_bytes()
+                                   for p in patches})
         self.snapshots_processed += 1
         self.patches_created += len(patches)
         return patches

@@ -52,6 +52,16 @@ from repro.sims.mapping.systems import AASystem, CGSystem
 __all__ = ["WorkflowConfig", "WorkflowManager"]
 
 
+def _feedback_key(loop: str, sim_id: str, chunk: int) -> str:
+    """Live key of one analysis chunk, e.g. ``rdf/live/{cg00001-000}``.
+
+    The braces are a Redis hash tag: the key hashes on the tag alone,
+    so tagging moves it to ``<loop>/done/{...}`` within its slot, a
+    native rename on each replica instead of a get + set + delete.
+    """
+    return f"{loop}/live/{{{sim_id}-{chunk:03d}}}"
+
+
 @dataclass(frozen=True)
 class WorkflowConfig:
     """Tunable knobs of the functional workflow."""
@@ -313,7 +323,7 @@ class WorkflowManager:
                 sim.step(self.config.cg_steps_per_chunk)
                 out = analysis.analyze()
                 self.store.write(
-                    f"rdf/live/{sim_id}-{chunk:03d}", out["rdf"].to_bytes()
+                    _feedback_key("rdf", sim_id, chunk), out["rdf"].to_bytes()
                 )
                 candidate = out["candidate"]
                 with self._selector_guard.locked():
@@ -392,7 +402,7 @@ class WorkflowManager:
                 sim.step(self.config.aa_steps_per_chunk)
                 pattern = analysis.analyze_frame(sim.positions)
                 self.store.write(
-                    f"ss/live/{sim_id}-{chunk:03d}",
+                    _feedback_key("ss", sim_id, chunk),
                     pattern.encode("utf-8"),
                 )
         self._bump("aa_finished")
@@ -590,6 +600,9 @@ class WorkflowManager:
         self.rounds = int(payload["rounds"])
         with self._counters_lock:
             self.counters.update({k: int(v) for k, v in payload["counters"].items()})
+            # Patch ids number snapshots: resume the numbering, or the
+            # next snapshot re-mints ids of selected and queued patches.
+            self.patch_creator.snapshots_processed = self.counters["snapshots"]
         patch_prefix = f"{key}/patch-table/"
         patch_table = {
             k[len(patch_prefix):]: Patch.from_bytes(v)

@@ -970,6 +970,50 @@ class AsyncNetKVServer:
 # --- client side ----------------------------------------------------------
 
 
+def _join_keys(keys: List[str]) -> bytes:
+    return "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
+
+
+# Channel method -> (wire op, encoder of its arguments into the op's
+# ``arg``). Encoding runs on the calling thread, before the op is queued.
+_REQUESTS: Dict[str, Tuple[str, Callable]] = {
+    "ping": ("PING", lambda: None),
+    "set": ("SET", lambda key, value: (_check_wire_key(key), value)),
+    "get": ("GET", lambda key: key),
+    "delete": ("DEL", lambda key: key),
+    "keys": ("KEYS", lambda prefix="": prefix),
+    "rename": ("RENAME", lambda src, dst: (src, _check_wire_key(dst))),
+    "mget": ("MGET", lambda keys: (_join_keys(keys), len(keys))),
+    "mset": ("MSET", lambda items: (_pack_items(items), len(items))),
+    "mdelete": ("MDEL", lambda keys: (_join_keys(keys), len(keys))),
+    "msetnx": ("MSETNX", lambda items: (_pack_items(items), len(items))),
+    "snapshot": ("SNAPSHOT", lambda: None),
+    "len": ("LEN", lambda: None),
+}
+# Batch ops answer an empty batch without a round trip.
+_BATCH = frozenset({"MGET", "MSET", "MDEL", "MSETNX"})
+
+
+def wake(channels: List["AsyncClientChannel"]) -> None:
+    """Move the posted ops of ``channels`` onto their loop: one
+    ``call_soon_threadsafe`` per loop, however many channels share it."""
+    by_loop: Dict[LoopThread, List[AsyncClientChannel]] = {}
+    for channel in channels:
+        by_loop.setdefault(channel._lt, []).append(channel)
+    for lt, group in by_loop.items():
+        try:
+            lt.loop.call_soon_threadsafe(_pump_all, group)
+        except (RuntimeError, AttributeError):  # loop closed or gone
+            for channel in group:
+                channel._fail_pending(StoreUnavailable(
+                    f"transport loop for {channel.address} is gone"))
+
+
+def _pump_all(channels: List["AsyncClientChannel"]) -> None:
+    for channel in channels:
+        channel._pump()
+
+
 class _Op:
     """One queued client operation awaiting its round trip.
 
@@ -1002,6 +1046,9 @@ class AsyncClientChannel:
 
     Caller threads enqueue ops onto the channel's event loop and block
     on a future; a drainer task executes the queue over one connection.
+    A call is two steps, :meth:`_post` then :meth:`_wait`, so a caller
+    can post to many channels, wake their shared loop once
+    (:func:`wake`) and only then wait (``NetKVCluster._gather``).
     When several same-kind single-key GET/SET/DEL ops are queued (they
     piled up while the previous round trip was in flight), the drainer
     folds the longest same-kind prefix run into one MGET/MSET/MDEL
@@ -1073,30 +1120,47 @@ class AsyncClientChannel:
                 self._owns_loop = True
             return self._lt
 
-    def _submit(self, kind: str, arg=None):
+    def _submit(self, name: str, args: tuple = ()):
+        return self._wait(self._post(name, args))
+
+    def _post(self, name: str, args: tuple = (),
+              wakes: Optional[List["AsyncClientChannel"]] = None) -> _Op:
+        """First half of a call: queue ``name(*args)`` for the loop.
+
+        The loop is woken here, unless ``wakes`` is given: then a channel
+        that needs a wakeup is appended to it instead, so a caller that
+        queues requests on many channels wakes them all with one
+        :func:`wake` (``NetKVCluster._gather``).
+        """
+        kind, encode = _REQUESTS[name]
+        arg = encode(*args)
+        fut: concurrent.futures.Future = concurrent.futures.Future()
+        if kind in _BATCH and not arg[1]:
+            fut.set_result(0 if kind == "MSET" else [])  # nothing to send
+            return _Op(kind, arg, fut)
         if self._closed:
             raise StoreUnavailable(f"channel to {self.address} is closed")
-        lt = self._ensure_loop()
-        op = _Op(kind, arg, concurrent.futures.Future(),
-                 span=trace.current_span())
+        self._ensure_loop()
+        op = _Op(kind, arg, fut, span=trace.current_span())
         with self._pending_lock:
             self._pending.append(op)
-            wake = not self._wake_scheduled
-            if wake:
+            wake_needed = not self._wake_scheduled
+            if wake_needed:
                 self._wake_scheduled = True
-        if wake:
-            try:
-                lt.loop.call_soon_threadsafe(self._pump)
-            except RuntimeError as exc:  # loop already closed
-                self._fail_pending(StoreUnavailable(
-                    f"transport loop for {self.address} is gone"))
-                raise StoreUnavailable(
-                    f"transport loop for {self.address} is gone") from exc
+        if wake_needed:
+            if wakes is None:
+                wake([self])
+            else:
+                wakes.append(self)
+        return op
+
+    def _wait(self, op: _Op):
+        """Second half of a call: block for ``op``'s reply."""
         try:
             return op.fut.result(timeout=self._deadline)
         except concurrent.futures.TimeoutError:
             raise StoreUnavailable(
-                f"{kind} against {self.address[0]}:{self.address[1]} "
+                f"{op.kind} against {self.address[0]}:{self.address[1]} "
                 f"stalled past {self._deadline:.1f}s") from None
 
     def _pump(self) -> None:
@@ -1116,6 +1180,7 @@ class AsyncClientChannel:
                 op.fut.set_exception(exc)
 
     def _enqueue(self, op: _Op) -> None:
+        """Loop side of :meth:`_post`: queue ``op`` for the drainer."""
         if self._closed:
             op.fut.set_exception(
                 StoreUnavailable(f"channel to {self.address} is closed"))
@@ -1368,55 +1433,45 @@ class AsyncClientChannel:
     # --- public blocking surface ------------------------------------------
 
     def ping(self) -> bool:
-        return self._submit("PING")
+        return self._submit("ping")
 
     def set(self, key: str, value: bytes) -> None:
-        self._submit("SET", (_check_wire_key(key), value))
+        self._submit("set", (key, value))
 
     def get(self, key: str) -> bytes:
-        return self._submit("GET", key)
+        return self._submit("get", (key,))
 
     def delete(self, key: str) -> None:
-        self._submit("DEL", key)
+        self._submit("delete", (key,))
 
     def keys(self, prefix: str = "") -> List[str]:
-        return self._submit("KEYS", prefix)
+        return self._submit("keys", (prefix,))
 
     def rename(self, src: str, dst: str) -> None:
-        self._submit("RENAME", (src, _check_wire_key(dst)))
+        self._submit("rename", (src, dst))
 
     def mget(self, keys: List[str]) -> List[Optional[bytes]]:
         """Values for ``keys`` in order; None where the key is missing."""
-        if not keys:
-            return []
-        payload = "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
-        return self._submit("MGET", (payload, len(keys)))
+        return self._submit("mget", (keys,))
 
     def mset(self, items: List[Tuple[str, bytes]]) -> int:
-        if not items:
-            return 0
-        return self._submit("MSET", (_pack_items(items), len(items)))
+        return self._submit("mset", (items,))
 
     def mdelete(self, keys: List[str]) -> List[bool]:
         """Delete ``keys``; per-key flags say which existed."""
-        if not keys:
-            return []
-        payload = "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
-        return self._submit("MDEL", (payload, len(keys)))
+        return self._submit("mdelete", (keys,))
 
     def msetnx(self, items: List[Tuple[str, bytes]]) -> List[bool]:
         """Set each pair only where the key is absent; per-key flags say
         which were stored (the migration copier's no-overwrite write)."""
-        if not items:
-            return []
-        return self._submit("MSETNX", (_pack_items(items), len(items)))
+        return self._submit("msetnx", (items,))
 
     def snapshot(self) -> dict:
         """Ask the shard to write a snapshot and compact its WAL."""
-        return self._submit("SNAPSHOT")
+        return self._submit("snapshot")
 
     def __len__(self) -> int:
-        return self._submit("LEN")
+        return self._submit("len")
 
     def close(self) -> None:
         lt = self._lt

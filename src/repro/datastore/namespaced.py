@@ -5,10 +5,11 @@ single shared backend — one NetKV cluster, one filesystem tree — the
 way REANA multiplexes thousands of user workflows onto shared
 infrastructure. Isolation is by *key prefix*: every campaign sees the
 store through a :class:`NamespacedStore` view that transparently maps
-``rdf/live/cg00001-000`` to
-``tenants/<tenant>/<campaign>/rdf/live/cg00001-000`` on the shared
+``rdf/live/{cg00001-000}`` to
+``tenants/<tenant>/<campaign>/rdf/live/{cg00001-000}`` on the shared
 backend, so two tenants can run the identical workflow against the same
-cluster with provably disjoint keyspaces.
+cluster with provably disjoint keyspaces. The prefix leaves a key's
+``{hash tag}``, and so its slot, unchanged.
 
 The view is a real :class:`~repro.datastore.base.DataStore` (it passes
 the backend contract suite), so every component that takes a store —

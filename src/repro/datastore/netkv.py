@@ -31,14 +31,19 @@ trip::
 A :class:`NetKVCluster` client routes keys over several servers with
 the same hash-slot rule as the in-process cluster, and can replicate
 every hash slot across ``replication`` consecutive shards: writes go
-to every replica, reads fail over to the first healthy copy, and the
-slice of the keyspace a shard owns only becomes unavailable when *all*
-of its replicas are down. Per-shard health is tracked continuously
-(fail-over marks a shard down; a cooldown-gated probe fails it back),
-and a read-repair pass re-synchronizes replicas after a recovery.
-Cross-shard renames are two-phase: the destination copy is fully
-acknowledged before the source delete, so a shard death between the
-phases can orphan a duplicate but never lose the value.
+to every replica at once, reads fail over to the first healthy copy,
+and the slice of the keyspace a shard owns only becomes unavailable
+when *all* of its replicas are down. Every op sends all of its
+per-shard requests (replicas, batch windows and chunks, listing
+shards) in one hop of the shared event loop, then waits for the
+replies. Per-shard health is tracked continuously (fail-over marks a
+shard down; a cooldown-gated probe fails it back), and a read-repair
+pass re-synchronizes replicas after a recovery. A rename within one
+slot (keys sharing a ``{hash tag}``, as the WM's feedback keys do) is
+one native RENAME per replica; a cross-slot rename is two-phase: the
+destination copy is fully acknowledged before the source delete, so a
+shard death between the phases can orphan a duplicate but never lose
+the value.
 
 Transport resilience (§5.1 / §6 — the in-memory store is the campaign's
 availability bottleneck):
@@ -82,6 +87,7 @@ from repro.datastore.aio import (
     LoopThread,
     TransportConfig,
     WireProtocolError,
+    wake,
 )
 from repro.datastore.kvstore import _HASH_SLOTS, key_slot
 from repro.datastore.stats import TransportStats
@@ -136,6 +142,31 @@ def _internal(key: str) -> bool:
     return key.startswith((_TOMB, _MISSED)) or key == _ROUTE_KEY
 
 
+def _outcomes(got: List[Tuple[int, Any]]) -> Tuple[
+        List[Tuple[int, Any]], List[int], Optional[StoreUnavailable]]:
+    """Split one window's ``[(shard, outcome)]`` into (replies, shards
+    that answered NF, the last StoreUnavailable). Any other error is
+    raised, as the request itself would have raised it."""
+    replies: List[Tuple[int, Any]] = []
+    nf: List[int] = []
+    down: Optional[StoreUnavailable] = None
+    for idx, outcome in got:
+        if isinstance(outcome, KeyNotFound):
+            nf.append(idx)
+        elif isinstance(outcome, StoreUnavailable):
+            down = outcome
+        elif isinstance(outcome, StoreError):
+            raise outcome
+        else:
+            replies.append((idx, outcome))
+    return replies, nf, down
+
+
+def _answered(got: List[Tuple[int, Any]]) -> List[int]:
+    """Shards of ``[(shard, outcome)]`` that answered at all."""
+    return [idx for idx, o in got if not isinstance(o, StoreUnavailable)]
+
+
 class _ShardState:
     """Health record for one shard; mutated under the cluster's health lock."""
 
@@ -158,6 +189,13 @@ class NetKVCluster:
     slot's slice of the keyspace raises :class:`StoreUnavailable` only
     when no replica that can answer for it is up.
 
+    An op that touches several shards sends all of its per-shard
+    requests through :meth:`_gather`: they are posted to their channels
+    with one wakeup of the shared loop before any reply is awaited, so
+    the replicas of a write, the windows and chunks of a batch and the
+    shards of a listing cost one round trip together, not one each.
+    Only failover (the next replica after a miss) is sequential.
+
     Per-shard health is tracked continuously: an operation that
     exhausts its retry budget marks the shard down, after which it is
     skipped until ``probe_cooldown`` elapses; then a single half-open
@@ -178,9 +216,10 @@ class NetKVCluster:
     cluster.
 
     ``channels`` replaces the socket channels with given objects that
-    speak the same API (one per address; they also answer the health
-    probes) and ``clock`` replaces ``time.monotonic``: the chaos harness
-    runs this class over in-process shards on virtual time that way.
+    speak the same ``_post``/``_wait`` pair (one per address; they also
+    answer the health probes) and ``clock`` replaces
+    ``time.monotonic``: the chaos harness runs this class over
+    in-process shards on virtual time that way.
     """
 
     def __init__(self, addresses: List[Tuple[str, int]],
@@ -355,18 +394,12 @@ class NetKVCluster:
         migration that nobody else can observe must not proceed to
         prune source copies.
         """
-        doc = self._route_doc()
-        acked = 0
-        last_exc: Optional[StoreError] = None
-        for idx in range(len(self._channels)):
-            try:
-                self._shard_op(idx, lambda c, v=doc: c.set(_ROUTE_KEY, v))
-                acked += 1
-            except StoreError as exc:
-                last_exc = exc
-        if not acked and not best_effort:
+        outcomes = self._gather([(idx, "set", (_ROUTE_KEY, self._route_doc()))
+                                 for idx in range(len(self._channels))])
+        if not best_effort and all(isinstance(o, StoreError)
+                                   for o in outcomes):
             raise StoreUnavailable(
-                "no shard accepted the routing map") from last_exc
+                "no shard accepted the routing map") from outcomes[-1]
 
     def _maybe_refresh_route(self) -> None:
         """Time-gated poll of the shared map, called at the top of every
@@ -396,13 +429,12 @@ class NetKVCluster:
         best_epoch = -1
         seen: Dict[int, int] = {}
         up, probe, _rest = self._split_health(list(range(n)))
-        for idx in up + probe:
-            try:
-                raw = self._shard_op(idx, lambda c: c.get(_ROUTE_KEY))
-            except KeyNotFound:
+        for idx, raw in zip(up + probe, self._gather(
+                [(idx, "get", (_ROUTE_KEY,)) for idx in up + probe])):
+            if isinstance(raw, KeyNotFound):
                 seen[idx] = -1
                 continue
-            except StoreError:
+            if isinstance(raw, StoreError):
                 continue
             try:
                 doc = json.loads(raw.decode("utf-8"))
@@ -434,13 +466,8 @@ class NetKVCluster:
         if local_epoch <= 0:
             return  # pristine cluster: nothing worth republishing
         doc = self._route_doc()
-        for idx, epoch in seen.items():
-            if epoch < local_epoch:
-                try:
-                    self._shard_op(idx,
-                                   lambda c, v=doc: c.set(_ROUTE_KEY, v))
-                except StoreError:
-                    pass
+        self._gather([(idx, "set", (_ROUTE_KEY, doc))
+                      for idx, epoch in seen.items() if epoch < local_epoch])
 
     def _route_grace(self) -> None:
         """Sleep out one refresh interval (plus margin) so every live
@@ -515,44 +542,96 @@ class NetKVCluster:
         missing = self._behind.get(idx)
         return bool(missing) and not missing.isdisjoint(replicas)
 
-    def _probe(self, idx: int) -> None:
-        """Half-open check of a down shard: one cheap PING, no retries."""
-        try:
-            self._probers[idx].ping()
-        except StoreUnavailable:
-            self._mark_down(idx)
-        except StoreError:
-            self._mark_up(idx)  # it answered, even if with an error
-        else:
-            self._mark_up(idx)
+    def _probe(self, shards: List[int]) -> None:
+        """Half-open check of down shards: one cheap PING each (no
+        retries), all sent together."""
+        if shards:
+            self._gather([(idx, "ping", ()) for idx in shards], self._probers)
 
-    def _fan_out(self, attempt, up: List[int], probe: List[int],
-                 rest: List[int], done) -> None:
-        """Run ``attempt`` on every up replica. If none got through
-        (``done`` still empty), try the down ones as a last resort;
-        else just probe those whose cooldown is over."""
-        for idx in up:
-            attempt(idx)
-        if not done:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
+    def _gather(self, reqs: List[Tuple[int, str, tuple]],
+                channels: Optional[List[Any]] = None) -> List[Any]:
+        """Run the per-shard requests ``(shard, op, args)`` together.
 
-    def _shard_op(self, idx: int, fn):
-        """Run ``fn(channel)`` against shard ``idx``, folding the outcome
-        into the shard's health state."""
+        Every request is queued on its channel before any reply is
+        awaited, with one loop wakeup for them all; then each reply is
+        waited for. Each outcome, the reply or the :class:`StoreError`
+        it raised, is folded into its shard's health in request order
+        (StoreUnavailable marks the shard down; any answer, an error
+        included, marks it up) and returned in that order.
+        """
+        chans = self._channels if channels is None else channels
+        wakes: List[Any] = []
+        handles: List[Any] = []
         try:
-            result = fn(self._channels[idx])
-        except StoreUnavailable:
-            self._mark_down(idx)
-            raise
-        except StoreError:
-            self._mark_up(idx)  # the shard answered
-            raise
-        self._mark_up(idx)
-        return result
+            for idx, op, args in reqs:
+                try:
+                    handles.append(chans[idx]._post(op, args, wakes))
+                except StoreError as exc:
+                    handles.append(exc)
+        finally:
+            if wakes:
+                wake(wakes)
+        out: List[Any] = []
+        for (idx, _, _), handle in zip(reqs, handles):
+            if isinstance(handle, StoreError):
+                outcome = handle
+            else:
+                try:
+                    outcome = chans[idx]._wait(handle)
+                except StoreError as exc:
+                    outcome = exc
+            if isinstance(outcome, StoreUnavailable):
+                self._mark_down(idx)
+            else:
+                self._mark_up(idx)
+            out.append(outcome)
+        return out
+
+    def _shard_op(self, idx: int, op: str, *args):
+        """One request to shard ``idx``: its reply, or its error raised."""
+        outcome = self._gather([(idx, op, args)])[0]
+        if isinstance(outcome, StoreError):
+            raise outcome
+        return outcome
+
+    def _fan_out(self, calls: List[Tuple[List[int], str, tuple]],
+                 last_ditch: bool = True, skip_suspect: bool = False
+                 ) -> List[List[Tuple[int, Any]]]:
+        """Send each call ``(replicas, op, args)`` to the up replicas of
+        its window, every call in one :meth:`_gather`.
+
+        A window that no replica answered then tries its down replicas
+        as a last resort (one more gather for all such windows), or,
+        without ``last_ditch``, only probes them; the other windows
+        probe the down replicas whose cooldown is over. With
+        ``skip_suspect``, replicas that may have missed writes sit the
+        call out. Returns each call's ``[(shard, outcome)]``.
+        """
+        plans = []
+        for replicas, _, _ in calls:
+            up, probe, rest = self._split_health(replicas)
+            if skip_suspect:
+                up = [idx for idx in up if not self._suspect(idx, replicas)]
+            plans.append((up, probe, rest))
+        outcomes = iter(self._gather([
+            (idx, op, args)
+            for (_, op, args), (up, _, _) in zip(calls, plans) for idx in up]))
+        results = [[(idx, next(outcomes)) for idx in up] for up, _, _ in plans]
+        retry: List[Tuple[int, int, str, tuple]] = []
+        probes: List[int] = []
+        for n, ((_, op, args), (_, probe, rest)) in enumerate(zip(calls, plans)):
+            if any(not isinstance(o, StoreUnavailable) for _, o in results[n]):
+                probes += probe
+            elif last_ditch:
+                retry += [(n, idx, op, args) for idx in probe + rest]
+            else:
+                probes += probe + rest
+        if retry:
+            for (n, idx, _, _), o in zip(retry, self._gather(
+                    [(idx, op, args) for _, idx, op, args in retry])):
+                results[n].append((idx, o))
+        self._probe(probes)
+        return results
 
     # --- single-key operations -------------------------------------------
 
@@ -575,27 +654,23 @@ class NetKVCluster:
 
     def _set_window(self, key: str, value: bytes,
                     replicas: List[int]) -> None:
-        up, probe, rest = self._split_health(replicas)
-        acked: List[int] = []
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            try:
-                self._shard_op(idx, lambda c, k=key, v=value: c.set(k, v))
-                acked.append(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
-
-        self._fan_out(attempt, up, probe, rest, acked)
+        (got,) = self._fan_out([(replicas, "set", (key, value))])
+        acked, _, last_exc = _outcomes(got)
         if not acked:
             raise StoreUnavailable(
                 f"no replica of {len(replicas)} accepted the write of {key!r}"
             ) from last_exc
+        self._after_write([key], [idx for idx, _ in acked], replicas)
+
+    def _after_write(self, keys: List[str], acked: List[int],
+                     replicas: List[int]) -> None:
+        """Mark a write the window did not fully take; drop tombstones
+        it supersedes. Costs nothing when every replica acked and no
+        tombstone exists."""
         if len(acked) < len(replicas):
-            self._mark_missed([key], acked)
+            self._mark_missed(keys, acked)
         if self._tombstones:
-            self._clear_tombstones([key], acked)
+            self._clear_tombstones(keys, acked)
 
     def get(self, key: str) -> bytes:
         self._maybe_repair()
@@ -632,7 +707,7 @@ class NetKVCluster:
             for idx in tier:
                 attempted.append(idx)
                 try:
-                    value = self._shard_op(idx, lambda c, k=key: c.get(k))
+                    value = self._shard_op(idx, "get", key)
                 except KeyNotFound:
                     if not self._suspect(idx, replicas):
                         nf.append(idx)
@@ -646,9 +721,7 @@ class NetKVCluster:
                 break
             if value is not None or nf:
                 break
-        for idx in probe:
-            if idx not in attempted:
-                self._probe(idx)
+        self._probe([idx for idx in probe if idx not in attempted])
         if value is None:
             if nf:
                 raise KeyNotFound(key)
@@ -659,13 +732,8 @@ class NetKVCluster:
             self.stats.note_failover()
             trace.event("netkv.failover", key=key, served_by=attempted[-1])
         if nf:
-            repaired = 0
-            for idx in nf:
-                try:
-                    self._shard_op(idx, lambda c, k=key, v=value: c.set(k, v))
-                    repaired += 1
-                except StoreError:
-                    pass
+            repaired = sum(not isinstance(o, StoreError) for o in self._gather(
+                [(idx, "set", (key, value)) for idx in nf]))
             if repaired:
                 self.stats.note_read_repair(repaired)
         return value
@@ -687,30 +755,16 @@ class NetKVCluster:
 
     def _delete_window(self, key: str, replicas: List[int],
                        force_tombstone: bool = False) -> None:
-        up, probe, rest = self._split_health(replicas)
-        reached: List[int] = []
-        found = False
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal found, last_exc
-            try:
-                self._shard_op(idx, lambda c, k=key: c.delete(k))
-                reached.append(idx)
-                found = True
-            except KeyNotFound:
-                reached.append(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
-
-        self._fan_out(attempt, up, probe, rest, reached)
+        (got,) = self._fan_out([(replicas, "delete", (key,))])
+        deleted, _, last_exc = _outcomes(got)
+        reached = _answered(got)
         if all(self._suspect(idx, replicas) for idx in reached):
             raise StoreUnavailable(
                 f"no replica for {key!r} that can vouch for it is available"
             ) from last_exc
         if force_tombstone or len(reached) < len(replicas):
             self._write_tombstones([key], reached)
-        if not found:
+        if not deleted:
             raise KeyNotFound(key)
 
     def keys(self, prefix: str = "") -> List[str]:
@@ -722,20 +776,23 @@ class NetKVCluster:
         last_exc: Optional[BaseException] = None
         up, probe, rest = self._split_health(list(range(n)))
 
-        def scan(idx: int) -> None:
+        def scan(shards: List[int]) -> None:
             nonlocal last_exc
-            try:
-                out.update(self._shard_op(idx, lambda c, p=prefix: c.keys(p)))
-                reached.add(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
+            for idx, o in zip(shards, self._gather(
+                    [(idx, "keys", (prefix,)) for idx in shards])):
+                if isinstance(o, StoreUnavailable):
+                    last_exc = o
+                elif isinstance(o, StoreError):
+                    raise o
+                else:
+                    out.update(o)
+                    reached.add(idx)
 
         def witnessed(window: List[int]) -> bool:
             return any(w in reached and not self._suspect(w, window)
                        for w in window)
 
-        for idx in up + probe:
-            scan(idx)
+        scan(up + probe)
         attempted = set(up) | set(probe)
         # Coverage check: a dead shard must not silently erase its slice
         # of the keyspace — every replica window needs a live witness
@@ -748,7 +805,7 @@ class NetKVCluster:
                 if idx in attempted:
                     continue
                 attempted.add(idx)
-                scan(idx)
+                scan([idx])
                 if witnessed(window):
                     break
             if not witnessed(window):
@@ -776,7 +833,7 @@ class NetKVCluster:
         # Two-phase cross-shard move: the destination copy is fully
         # acknowledged before the source delete, so a shard death
         # between the phases leaves a duplicate (counted below), never
-        # a lost value.
+        # a lost value. Keys that share a hash tag never take this path.
         value = self.get(src)
         self.set(dst, value)
         try:
@@ -788,33 +845,18 @@ class NetKVCluster:
             trace.event("netkv.rename_orphan", src=src, dst=dst)
 
     def _rename_native(self, src: str, dst: str, replicas: List[int]) -> None:
-        """Same-window rename: one RENAME round trip per replica.
+        """Same-window rename: one RENAME per replica, all sent together.
 
         Replicas that may have missed writes sit it out (they could move
         a stale ``src``); the tombstone and marker below catch them up
-        at repair.
+        at repair. A down replica with peers is only probed, since it
+        would fail back unrepaired.
         """
-        up, probe, rest = self._split_health(replicas)
-        up = [idx for idx in up if not self._suspect(idx, replicas)]
-        reached: List[int] = []
-        renamed: List[int] = []
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            if self.replication > 1 and not self._states[idx].up:
-                self._probe(idx)  # it would fail back unrepaired
-                return
-            try:
-                self._shard_op(idx, lambda c, s=src, d=dst: c.rename(s, d))
-                reached.append(idx)
-                renamed.append(idx)
-            except KeyNotFound:
-                reached.append(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
-
-        self._fan_out(attempt, up, probe, rest, reached)
+        (got,) = self._fan_out([(replicas, "rename", (src, dst))],
+                               last_ditch=self.replication == 1,
+                               skip_suspect=True)
+        renamed, _, last_exc = _outcomes(got)
+        reached = _answered(got)
         if not reached:
             raise StoreUnavailable(
                 f"all {len(replicas)} replica(s) for {src!r} are unavailable"
@@ -824,7 +866,7 @@ class NetKVCluster:
         if len(reached) < len(replicas):
             self._write_tombstones([src], reached)
         if len(renamed) < len(replicas):
-            self._mark_missed([dst], renamed)
+            self._mark_missed([dst], [idx for idx, _ in renamed])
 
     # --- pipelined batch operations --------------------------------------
 
@@ -849,20 +891,32 @@ class NetKVCluster:
             groups.setdefault(primary, []).append(i)
         return groups
 
+    def _batches(self, keys: List[str], migrating: Optional[Dict[int, int]]
+                 ) -> List[Tuple[List[int], List[int]]]:
+        """``(replica window, key positions)`` per batch round trip."""
+        return [(self._window(primary), chunk)
+                for primary, positions in sorted(
+                    self._group_positions(keys, migrating).items())
+                for chunk in _chunks(positions, self.config.batch_keys)]
+
     def mget(self, keys: List[str]) -> List[Optional[bytes]]:
         """Values for ``keys`` in order (None where missing), batching
         up to ``config.batch_keys`` keys per round trip with per-key
-        replica failover and read repair."""
+        replica failover and read repair. Each batch's first-choice
+        replica is asked in one gather for all batches."""
         self._maybe_repair()
         self._maybe_refresh_route()
         keys = list(keys)
         out: List[Optional[bytes]] = [None] * len(keys)
         migrating = self._migrating_slots()
-        for primary, positions in sorted(
-                self._group_positions(keys, migrating).items()):
-            replicas = self._window(primary)
-            for chunk in _chunks(positions, self.config.batch_keys):
-                self._mget_chunk(keys, chunk, replicas, out)
+        batches = self._batches(keys, migrating)
+        plans = [self._split_health(replicas) for replicas, _ in batches]
+        firsts = iter(self._gather([
+            (up[0], "mget", ([keys[p] for p in chunk],))
+            for (_, chunk), (up, _, _) in zip(batches, plans) if up]))
+        for (replicas, chunk), plan in zip(batches, plans):
+            self._mget_chunk(keys, chunk, replicas, out, plan,
+                             next(firsts) if plan[0] else None)
         if migrating:
             # Keys mid-migration take the double-reading single-key path.
             for i, k in enumerate(keys):
@@ -874,8 +928,14 @@ class NetKVCluster:
         return out
 
     def _mget_chunk(self, keys: List[str], positions: List[int],
-                    replicas: List[int], out: List[Optional[bytes]]) -> None:
-        up, probe, rest = self._split_health(replicas)
+                    replicas: List[int], out: List[Optional[bytes]],
+                    plan: Tuple[List[int], List[int], List[int]],
+                    first: Any) -> None:
+        """Finish one batch read given its first-choice replica's
+        outcome ``first``: fail over, one replica at a time, for the
+        keys still missing, then read-repair the replicas that lacked
+        them."""
+        up, probe, rest = plan
         remaining = list(positions)
         reached: List[Tuple[int, List[int]]] = []  # (shard, positions it lacked)
         last_exc: Optional[BaseException] = None
@@ -884,12 +944,16 @@ class NetKVCluster:
         def attempt(idx: int) -> None:
             nonlocal remaining, last_exc, nattempt
             nattempt += 1
-            try:
-                values = self._shard_op(
-                    idx, lambda c, ks=[keys[p] for p in remaining]: c.mget(ks))
-            except StoreUnavailable as exc:
-                last_exc = exc
+            if nattempt == 1 and up:
+                values = first  # asked together with the other batches
+            else:
+                values = self._gather(
+                    [(idx, "mget", ([keys[p] for p in remaining],))])[0]
+            if isinstance(values, StoreUnavailable):
+                last_exc = values
                 return
+            if isinstance(values, StoreError):
+                raise values
             if self._suspect(idx, replicas):
                 return  # possibly stale: its answers do not count
             still: List[int] = []
@@ -913,93 +977,85 @@ class NetKVCluster:
                 if not remaining:
                     break
         else:
-            for idx in probe:
-                self._probe(idx)
+            self._probe(probe)
         if not reached:
             raise StoreUnavailable(
                 f"all {len(replicas)} replica(s) for a {len(positions)}-key "
                 f"batch read are unavailable"
             ) from last_exc
         # Read repair: replicas that answered but lacked keys a peer had.
-        repaired = 0
-        for idx, missed in reached:
-            items = [(keys[p], out[p]) for p in missed if out[p] is not None]
-            if not items:
-                continue
-            try:
-                self._shard_op(idx, lambda c, it=items: c.mset(it))
-                repaired += len(items)
-            except StoreError:
-                pass
+        repairs = [(idx, [(keys[p], out[p]) for p in missed
+                          if out[p] is not None])
+                   for idx, missed in reached]
+        repairs = [(idx, items) for idx, items in repairs if items]
+        repaired = sum(len(items) for (_, items), o in zip(
+            repairs, self._gather([(idx, "mset", (items,))
+                                   for idx, items in repairs]))
+                       if not isinstance(o, StoreError))
         if repaired:
             self.stats.note_read_repair(repaired)
 
     def mset(self, items: List[Tuple[str, bytes]]) -> None:
         """Write many key/value pairs, batching per primary shard and
-        replicating each batch; raises :class:`StoreUnavailable` if any
-        batch gets zero acknowledgements (earlier batches may have
-        landed — writes are at-least-once, as with single-key retries)."""
+        replicating each batch, every batch and replica sent together;
+        raises :class:`StoreUnavailable` if any batch gets zero
+        acknowledgements (the other batches may have landed — writes
+        are at-least-once, as with single-key retries)."""
         self._maybe_repair()
         self._maybe_refresh_route()
         items = list(items)
-        n = len(self._channels)
         migrating = self._migrating_slots()
-        with self._route_lock:
-            owner = dict(self._slot_owner) if self._slot_owner else None
-        groups: Dict[int, List[Tuple[str, bytes]]] = {}
-        detour: List[Tuple[str, bytes]] = []
-        for k, v in items:
-            slot = key_slot(k)
-            if migrating is not None and slot in migrating:
-                detour.append((k, v))
+        keys = [k for k, _ in items]
+        batches = [(replicas, [items[p] for p in chunk])
+                   for replicas, chunk in self._batches(keys, migrating)]
+        results = self._fan_out([(replicas, "mset", (chunk,))
+                                 for replicas, chunk in batches])
+        failed = None
+        for (replicas, chunk), got in zip(batches, results):
+            acked, _, last_exc = _outcomes(got)
+            if not acked:
+                failed = failed or (
+                    f"no replica of {len(replicas)} accepted a "
+                    f"{len(chunk)}-key batch write", last_exc)
                 continue
-            primary = owner.get(slot, slot % n) if owner else slot % n
-            groups.setdefault(primary, []).append((k, v))
-        for primary, group in sorted(groups.items()):
-            replicas = self._window(primary)
-            for chunk in _chunks(group, self.config.batch_keys):
-                self._mset_chunk(chunk, replicas)
-        for k, v in detour:
-            self.set(k, v)  # dual-writes while the slot migrates
-
-    def _mset_chunk(self, chunk: List[Tuple[str, bytes]],
-                    replicas: List[int]) -> None:
-        up, probe, rest = self._split_health(replicas)
-        acked: List[int] = []
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            try:
-                self._shard_op(idx, lambda c, it=chunk: c.mset(it))
-                acked.append(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
-
-        self._fan_out(attempt, up, probe, rest, acked)
-        if not acked:
-            raise StoreUnavailable(
-                f"no replica of {len(replicas)} accepted a "
-                f"{len(chunk)}-key batch write"
-            ) from last_exc
-        if len(acked) < len(replicas):
-            self._mark_missed([k for k, _ in chunk], acked)
-        if self._tombstones:
-            self._clear_tombstones([k for k, _ in chunk], acked)
+            self._after_write([k for k, _ in chunk],
+                              [idx for idx, _ in acked], replicas)
+        if failed:
+            raise StoreUnavailable(failed[0]) from failed[1]
+        if migrating:
+            for k, v in items:
+                if key_slot(k) in migrating:
+                    self.set(k, v)  # dual-writes while the slot migrates
 
     def mdelete(self, keys: List[str]) -> List[bool]:
         """Delete many keys; per-key flags say which existed on any
-        replica. Batched per primary shard like :meth:`mget`."""
+        replica. Batched per primary shard like :meth:`mset`."""
         self._maybe_repair()
         self._maybe_refresh_route()
         keys = list(keys)
         flags = [False] * len(keys)
         migrating = self._migrating_slots()
-        for primary, positions in sorted(
-                self._group_positions(keys, migrating).items()):
-            replicas = self._window(primary)
-            for chunk in _chunks(positions, self.config.batch_keys):
-                self._mdel_chunk(keys, chunk, replicas, flags)
+        batches = self._batches(keys, migrating)
+        results = self._fan_out([
+            (replicas, "mdelete", ([keys[p] for p in chunk],))
+            for replicas, chunk in batches])
+        failed = None
+        for (replicas, chunk), got in zip(batches, results):
+            answered, _, last_exc = _outcomes(got)
+            for _, fl in answered:
+                for p, f in zip(chunk, fl):
+                    if f:
+                        flags[p] = True
+            reached = [idx for idx, _ in answered]
+            if all(self._suspect(idx, replicas) for idx in reached):
+                failed = failed or (
+                    f"no replica for a {len(chunk)}-key batch delete that "
+                    f"can vouch for it is available", last_exc)
+                continue
+            if len(reached) < len(replicas):
+                self._write_tombstones([keys[p] for p in chunk], reached)
+        if failed:
+            raise StoreUnavailable(failed[0]) from failed[1]
         if migrating:
             for i, k in enumerate(keys):
                 if key_slot(k) in migrating:
@@ -1010,44 +1066,13 @@ class NetKVCluster:
                         flags[i] = False
         return flags
 
-    def _mdel_chunk(self, keys: List[str], positions: List[int],
-                    replicas: List[int], flags: List[bool]) -> None:
-        up, probe, rest = self._split_health(replicas)
-        chunk_keys = [keys[p] for p in positions]
-        reached: List[int] = []
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            try:
-                fl = self._shard_op(idx, lambda c, ks=chunk_keys: c.mdelete(ks))
-            except StoreUnavailable as exc:
-                last_exc = exc
-                return
-            reached.append(idx)
-            for p, f in zip(positions, fl):
-                if f:
-                    flags[p] = True
-
-        self._fan_out(attempt, up, probe, rest, reached)
-        if all(self._suspect(idx, replicas) for idx in reached):
-            raise StoreUnavailable(
-                f"no replica for a {len(positions)}-key batch delete that "
-                f"can vouch for it is available"
-            ) from last_exc
-        if len(reached) < len(replicas):
-            self._write_tombstones(chunk_keys, reached)
-
     # --- tombstones -------------------------------------------------------
 
-    def _write_markers(self, prefix: str, keys: List[str],
-                       reached: List[int], value: bytes) -> None:
-        items = [(prefix + k, value) for k in keys]
-        for idx in reached:
-            try:
-                self._shard_op(idx, lambda c, it=items: c.mset(it))
-            except StoreError:
-                pass
+    def _write_markers(self, prefix: str, marks: Dict[int, List[str]],
+                       value: bytes) -> None:
+        """Write marker ``prefix + key`` = ``value`` for each shard's keys."""
+        self._gather([(idx, "mset", ([(prefix + k, value) for k in keys],))
+                      for idx, keys in marks.items() if keys])
         self._markers = True
 
     def _next_stamp(self) -> bytes:
@@ -1058,23 +1083,21 @@ class NetKVCluster:
 
     def _write_tombstones(self, keys: List[str], reached: List[int]) -> None:
         """Mark deletions a down replica missed, on the replicas reached."""
-        self._write_markers(_TOMB, keys, reached, self._next_stamp())
+        self._write_markers(_TOMB, dict.fromkeys(reached, keys),
+                            self._next_stamp())
         self._tombstones = True
         trace.event("netkv.tombstone", keys=len(keys))
 
     def _mark_missed(self, keys: List[str], reached: List[int]) -> None:
         """Mark writes a replica missed, on the replicas that took them."""
-        self._write_markers(_MISSED, keys, reached, self._next_stamp())
+        self._write_markers(_MISSED, dict.fromkeys(reached, keys),
+                            self._next_stamp())
         trace.event("netkv.missed_write", keys=len(keys))
 
     def _clear_tombstones(self, keys: List[str], reached: List[int]) -> None:
         """A re-write supersedes any pending deletion marker."""
         tomb_keys = [_TOMB + k for k in keys]
-        for idx in reached:
-            try:
-                self._shard_op(idx, lambda c, ks=tomb_keys: c.mdelete(ks))
-            except StoreError:
-                pass
+        self._gather([(idx, "mdelete", (tomb_keys,)) for idx in reached])
 
     # --- fail-back repair -------------------------------------------------
 
@@ -1088,8 +1111,7 @@ class NetKVCluster:
         """
         with self._health_lock:
             down = [i for i, st in enumerate(self._states) if not st.up]
-        for idx in down:
-            self._probe(idx)
+        self._probe(down)
         self._maybe_repair()
 
     def _maybe_repair(self) -> None:
@@ -1123,37 +1145,36 @@ class NetKVCluster:
         if self.replication < 2:
             return
         with trace.span("netkv.repair") as sp:
-            try:
-                skeys = set(self._shard_op(s, lambda c: c.keys()))
-            except StoreError:
-                return  # went down again; re-queued at the next fail-back
-            skeys.discard(_ROUTE_KEY)  # lives on every shard by design
             peers = sorted(self._peers(s))
-            held: Dict[int, set] = {s: skeys}
-            for d in peers:
-                if not self._states[d].up:
-                    continue
-                try:
-                    dk = set(self._shard_op(d, lambda c: c.keys()))
-                except StoreError:
-                    continue
-                dk.discard(_ROUTE_KEY)
-                held[d] = dk
+            listed = [s] + [d for d in peers if self._states[d].up]
+            held: Dict[int, set] = {
+                x: set(got) - {_ROUTE_KEY}  # the map lives on every shard
+                for x, got in zip(listed, self._gather(
+                    [(x, "keys", ()) for x in listed]))
+                if not isinstance(got, StoreError)}
+            if s not in held:
+                return  # went down again; re-queued at the next fail-back
+            skeys = held[s]
             # 1) settle: the newest tombstone or missed-write marker of
             # a key decides it on every replica reached
             copied, pruned, settled = self._settle_marked(s, held)
-            # 2) pull: live keys peers hold for windows that include s
+            # 2) pull: live keys peers hold for windows that include s,
+            # each from the first peer holding it
+            claimed = skeys | settled
+            pulls = []
             for d, dk in held.items():
-                got = self._copy_keys(d, s, [
-                    k for k in dk if not _internal(k) and k not in skeys
-                    and k not in settled and s in self._replicas_for(k)])
-                copied += len(got)
-                skeys.update(got)
+                ks = [k for k in dk if not _internal(k) and k not in claimed
+                      and s in self._replicas_for(k)]
+                claimed.update(ks)
+                pulls.append((d, s, ks))
+            got = self._copy_keys(pulls)
+            copied += len(got)
+            skeys.update(got)
             # 3) push: acked writes only s holds (its peers were down too)
-            for d, dk in held.items():
-                copied += len(self._copy_keys(s, d, [
-                    k for k in skeys if not _internal(k) and k not in dk
-                    and k not in settled and d in self._replicas_for(k)]))
+            copied += len(self._copy_keys([
+                (s, d, [k for k in skeys if not _internal(k) and k not in dk
+                        and k not in settled and d in self._replicas_for(k)])
+                for d, dk in held.items()]))
             # s stays behind the peers this pass could not reach
             unreached = {d for d in peers
                          if d not in held or not self._states[d].up}
@@ -1176,31 +1197,30 @@ class NetKVCluster:
                            if not _internal(k)
                            and key_slot(k) not in migrating
                            and s not in self._replicas_for(k)]
-                for chunk in _chunks(foreign, self.config.batch_keys):
-                    try:
-                        self._shard_op(s, lambda c, ks=chunk: c.mdelete(ks))
-                    except StoreError:
-                        break
+                self._gather([(s, "mdelete", (chunk,)) for chunk in
+                              _chunks(foreign, self.config.batch_keys)])
             if copied:
                 self.stats.note_read_repair(copied)
             if sp:
                 sp.set(shard=s, copied=copied, pruned=pruned + len(foreign))
 
-    def _copy_keys(self, src: int, dst: int, keys: List[str]) -> List[str]:
-        """Copy ``keys`` from shard ``src`` to ``dst`` in batches, until
-        either fails; returns the keys copied."""
-        done: List[str] = []
-        for chunk in _chunks(keys, self.config.batch_keys):
-            try:
-                values = self._shard_op(src, lambda c, ks=chunk: c.mget(ks))
+    def _copy_keys(self, jobs: List[Tuple[int, int, List[str]]]
+                   ) -> List[str]:
+        """Copy each job's keys from shard ``src`` to shard ``dst``: every
+        batch read in one gather, then every write in another. Returns
+        the keys copied."""
+        batches = [(src, dst, chunk) for src, dst, keys in jobs
+                   for chunk in _chunks(keys, self.config.batch_keys)]
+        writes = []
+        for (_, dst, chunk), values in zip(batches, self._gather(
+                [(src, "mget", (chunk,)) for src, _, chunk in batches])):
+            if not isinstance(values, StoreError):
                 items = [(k, v) for k, v in zip(chunk, values)
                          if v is not None]
                 if items:
-                    self._shard_op(dst, lambda c, it=items: c.mset(it))
-                    done += [k for k, _ in items]
-            except StoreError:
-                break
-        return done
+                    writes.append((dst, "mset", (items,)))
+        return [k for (_, _, (items,)), o in zip(writes, self._gather(writes))
+                if not isinstance(o, StoreError) for k, _ in items]
 
     def _settle_marked(self, s: int, held: Dict[int, set]
                        ) -> Tuple[int, int, set]:
@@ -1222,24 +1242,24 @@ class NetKVCluster:
         windows = {k: w for k in sorted(marked)
                    for w in (self._replicas_for(k),) if s in w}
         # shard -> key -> (value, marker stamp, tombstone stamp), -1 = none
-        views: Dict[int, Dict[str, Tuple[Optional[bytes], int, int]]] = {}
-        for x in held:
-            mine = [k for k, w in windows.items() if x in w]
-            view: Optional[Dict[str, Tuple[Optional[bytes], int, int]]] = {}
-            for chunk in _chunks(mine, max(1, self.config.batch_keys // 3)):
-                n = len(chunk)
-                probe = (chunk + [_MISSED + k for k in chunk]
-                         + [_TOMB + k for k in chunk])
-                try:
-                    got = self._shard_op(x, lambda c, ks=probe: c.mget(ks))
-                except StoreError:
-                    view = None
-                    break
-                for i, k in enumerate(chunk):
-                    view[k] = (got[i], _stamp(got[n + i]),
+        views: Dict[int, Dict[str, Tuple[Optional[bytes], int, int]]] = {
+            x: {} for x in held}
+        asks = [(x, chunk) for x in held for chunk in _chunks(
+            [k for k, w in windows.items() if x in w],
+            max(1, self.config.batch_keys // 3))]
+        for (x, chunk), got in zip(asks, self._gather([
+                (x, "mget", (chunk + [_MISSED + k for k in chunk]
+                             + [_TOMB + k for k in chunk],))
+                for x, chunk in asks])):
+            if x not in views:
+                continue
+            if isinstance(got, StoreError):
+                del views[x]  # a partial view could not be trusted
+                continue
+            n = len(chunk)
+            for i, k in enumerate(chunk):
+                views[x][k] = (got[i], _stamp(got[n + i]),
                                _stamp(got[2 * n + i]))
-            if view is not None:
-                views[x] = view
         # newest event per key: (stamp, 1, value) for a marked copy,
         # (stamp, 0, None) for a tombstone
         best: Dict[str, Tuple[int, int, Optional[bytes]]] = {}
@@ -1251,7 +1271,7 @@ class NetKVCluster:
                 for ev in events:
                     if k not in best or ev > best[k]:
                         best[k] = ev
-        copied = pruned = 0
+        writes: List[Tuple[int, str, tuple]] = []
         for x, view in views.items():
             doomed: List[str] = []
             items: List[Tuple[str, bytes]] = []
@@ -1267,28 +1287,33 @@ class NetKVCluster:
                     items += [(k, newest), (_MISSED + k, b"%d" % stamp)]
                 if tomb >= 0:
                     doomed.append(_TOMB + k)  # older than the write
-            try:
-                for chunk in _chunks(items, self.config.batch_keys):
-                    self._shard_op(x, lambda c, it=chunk: c.mset(it))
-                    copied += sum(not k.startswith(_MISSED) for k, _ in chunk)
-                for chunk in _chunks(doomed, self.config.batch_keys):
-                    self._shard_op(x, lambda c, ks=chunk: c.mdelete(ks))
-                    pruned += sum(not k.startswith(_TOMB) for k in chunk)
-            except StoreError:
+            writes += [(x, "mset", (chunk,)) for chunk in
+                       _chunks(items, self.config.batch_keys)]
+            writes += [(x, "mdelete", (chunk,)) for chunk in
+                       _chunks(doomed, self.config.batch_keys)]
+        copied = pruned = 0
+        for (_, op, (chunk,)), got in zip(writes, self._gather(writes)):
+            if isinstance(got, StoreError):
                 continue
+            if op == "mset":
+                copied += sum(not k.startswith(_MISSED) for k, _ in chunk)
+            else:
+                pruned += sum(not k.startswith(_TOMB) for k in chunk)
         return copied, pruned, set(windows)
 
     def _gc_markers(self) -> None:
         """Drop tombstones and missed-write markers once every shard is
         healthy and repaired again."""
-        for idx in range(len(self._channels)):
-            try:
-                marks = (self._shard_op(idx, lambda c: c.keys(_TOMB))
-                         + self._shard_op(idx, lambda c: c.keys(_MISSED)))
-                for chunk in _chunks(marks, self.config.batch_keys):
-                    self._shard_op(idx, lambda c, ks=chunk: c.mdelete(ks))
-            except StoreError:
-                return  # a shard vanished again; keep markers, retry later
+        n = len(self._channels)
+        listed = self._gather([(idx, "keys", (prefix,)) for idx in range(n)
+                               for prefix in (_TOMB, _MISSED)])
+        if any(isinstance(o, StoreError) for o in listed):
+            return  # a shard vanished again; keep markers, retry later
+        deletes = [(idx, "mdelete", (chunk,)) for idx in range(n)
+                   for chunk in _chunks(listed[2 * idx] + listed[2 * idx + 1],
+                                        self.config.batch_keys)]
+        if any(isinstance(o, StoreError) for o in self._gather(deletes)):
+            return
         self._tombstones = False
         self._markers = False
 
@@ -1475,7 +1500,7 @@ class NetKVCluster:
             # tombstone there means it was deleted mid-migration.
             probe = chunk + [_TOMB + k for k in chunk]
             try:
-                have = self._shard_op(dst, lambda c, ks=probe: c.mget(ks))
+                have = self._shard_op(dst, "mget", probe)
             except StoreError:
                 have = [None] * len(probe)  # dst down: MSETNX is idempotent
             need = [k for k, v, t in zip(chunk, have[:len(chunk)],
@@ -1501,21 +1526,12 @@ class NetKVCluster:
     def _msetnx_window(self, items: List[Tuple[str, bytes]],
                        replicas: List[int]) -> int:
         """Replicated set-if-absent across a window; ack-on->=1 like
-        :meth:`_mset_chunk`. Returns how many keys were actually new."""
-        up, probe, rest = self._split_health(replicas)
-        stored: Dict[int, List[str]] = {}  # replica -> keys it took
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            try:
-                flags = self._shard_op(idx, lambda c, it=items: c.msetnx(it))
-            except StoreUnavailable as exc:
-                last_exc = exc
-                return
-            stored[idx] = [k for (k, _), f in zip(items, flags) if f]
-
-        self._fan_out(attempt, up, probe, rest, stored)
+        :meth:`mset`. Returns how many keys were actually new."""
+        (got,) = self._fan_out([(replicas, "msetnx", (items,))])
+        replies, _, last_exc = _outcomes(got)
+        # replica -> keys it took
+        stored = {idx: [k for (k, _), f in zip(items, flags) if f]
+                  for idx, flags in replies}
         if not stored:
             raise StoreUnavailable(
                 f"no replica of {len(replicas)} accepted a "
@@ -1527,9 +1543,7 @@ class NetKVCluster:
             # stale value. A copy only fills gaps, so it is older than
             # any write: its markers carry stamp 0, which beats an
             # unmarked copy at repair but never a marked write.
-            for idx, ks in stored.items():
-                if ks:
-                    self._write_markers(_MISSED, ks, [idx], b"0")
+            self._write_markers(_MISSED, stored, b"0")
         return max(len(ks) for ks in stored.values())
 
     def _cleanup_moved(self, moving: set, sources: set,
@@ -1540,24 +1554,27 @@ class NetKVCluster:
         old: set = set()
         for src in sources:
             old.update(self._window(src))
-        for idx in sorted(old - set(dst_window)):
-            try:
-                held = self._shard_op(idx, lambda c: c.keys())
-            except StoreError:
-                continue  # down: fail-back repair prunes foreign copies
-            doomed = [k for k in held
-                      if not _internal(k) and key_slot(k) in moving]
-            for chunk in _chunks(doomed, self.config.batch_keys):
-                try:
-                    self._shard_op(idx, lambda c, ks=chunk: c.mdelete(ks))
-                except StoreError:
-                    break
+        stale = sorted(old - set(dst_window))
+        deletes = [
+            (idx, "mdelete", (chunk,))
+            for idx, held in zip(stale, self._gather(
+                [(idx, "keys", ()) for idx in stale]))
+            # a down shard's copies are pruned by its fail-back repair
+            if not isinstance(held, StoreError)
+            for chunk in _chunks([k for k in held if not _internal(k)
+                                  and key_slot(k) in moving],
+                                 self.config.batch_keys)]
+        self._gather(deletes)
 
     def snapshot_all(self) -> List[Dict[str, Any]]:
         """Ask every shard to write a snapshot and compact its WAL;
         returns one persistence-counter dict per shard."""
-        return [self._shard_op(idx, lambda c: c.snapshot())
-                for idx in range(len(self._channels))]
+        out = self._gather([(idx, "snapshot", ())
+                            for idx in range(len(self._channels))])
+        for outcome in out:
+            if isinstance(outcome, StoreError):
+                raise outcome
+        return out
 
     # --- introspection ----------------------------------------------------
 

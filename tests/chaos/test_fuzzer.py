@@ -89,3 +89,15 @@ def test_planted_bug_is_caught_and_shrunk(tmp_path, monkeypatch, method,
     monkeypatch.undo()
     healthy = ChaosCampaign(*load_replay(str(path))).run()
     assert healthy.ok, [v.to_json() for v in healthy.violations]
+
+
+@pytest.mark.chaos
+def test_back_to_back_restores_keep_every_patch_candidate():
+    """The shrunk reproducer of seed 29's ``selector_equivalence``
+    failure: the first restore restarted patch numbering, so the next
+    snapshot re-minted live candidates' ids, and the second restore
+    pruned the candidate whose side-table entry had been overwritten."""
+    fuzzer = CampaignFuzzer(seed=29, rounds=6)
+    report = fuzzer.run_one(
+        FaultSchedule().checkpoint_restore(7.19).checkpoint_restore(140.81))
+    assert report.ok, [v.to_json() for v in report.violations]

@@ -8,12 +8,13 @@ this is the equivalent: a SIGALRM-based alarm around each test's call
 phase (fixtures — including the slow session-scoped ones — are not
 under the alarm).
 
-Override per test with ``@pytest.mark.timeout(seconds)``.
+Override per test with ``@pytest.mark.timeout(seconds)``. The markers
+that gate heavy suites (``REPRO_SKIP_*``) live in the repo-root
+``conftest.py``, shared with ``benchmarks/``.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 
@@ -35,52 +36,9 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "multi_server: test spins up several live NetKV servers at once; "
-        "set REPRO_SKIP_MULTI_SERVER=1 to skip on constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
         "chaos: randomized chaos campaign; campaign count scales with "
         "REPRO_CHAOS_CAMPAIGNS (default 5; see CHAOS.md for nightly settings)",
     )
-    config.addinivalue_line(
-        "markers",
-        "service: test runs a live control-plane daemon and drives it over "
-        "HTTP; set REPRO_SKIP_SERVICE=1 to skip on constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
-        "async_transport: test targets the asyncio NetKV transport "
-        "specifically (event-loop server, coalescing channel); set "
-        "REPRO_SKIP_ASYNC=1 to skip on constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
-        "persist: test exercises durable shards (WAL fsync, crash "
-        "recovery, writer-kill subprocesses); set REPRO_SKIP_PERSIST=1 "
-        "to skip on constrained runners",
-    )
-    config.addinivalue_line(
-        "markers",
-        "matcher_scale: test builds 10k-40k-node resource graphs for "
-        "the partitioned-matcher sweeps; set REPRO_SKIP_MATCHER_SCALE=1 "
-        "to skip on small CI runners",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    gates = [("REPRO_SKIP_MULTI_SERVER", "multi_server"),
-             ("REPRO_SKIP_SERVICE", "service"),
-             ("REPRO_SKIP_ASYNC", "async_transport"),
-             ("REPRO_SKIP_PERSIST", "persist"),
-             ("REPRO_SKIP_MATCHER_SCALE", "matcher_scale")]
-    for env, marker in gates:
-        if not os.environ.get(env):
-            continue
-        skip = pytest.mark.skip(reason=f"{env} is set")
-        for item in items:
-            if item.get_closest_marker(marker):
-                item.add_marker(skip)
 
 
 @pytest.hookimpl(wrapper=True)

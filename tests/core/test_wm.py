@@ -6,6 +6,7 @@ import pytest
 from repro.core.patches import PatchCreator
 from repro.core.wm import WorkflowConfig, WorkflowManager
 from repro.datastore import KVStore
+from repro.datastore.kvstore import key_slot
 from repro.ml.encoder import PatchEncoder
 from repro.sched.adapter import ThreadAdapter
 from repro.sims.cg.forcefield import martini_like
@@ -54,6 +55,21 @@ class TestTask1:
         wm, store = make_wm()
         wm.task1_process_macro()
         assert len(store.keys("patches/")) == 3
+
+
+class TestFeedbackKeys:
+    def test_live_keys_share_a_slot_with_their_done_names(self):
+        # Live feedback keys carry a hash tag, so tagging one (moving it
+        # to its done name) stays within one slot: a native rename.
+        wm, store = make_wm()
+        wm.run(nrounds=3)
+        keys = store.keys("rdf/") + store.keys("ss/")
+        assert {k.split("/")[0] for k in keys} == {"rdf", "ss"}
+        for key in keys:
+            live = key.replace("/done/", "/live/", 1)
+            done = live.replace("/live/", "/done/", 1)
+            assert live.endswith("}") and "/{" in live
+            assert key_slot(live) == key_slot(done)
 
 
 class TestFullRounds:

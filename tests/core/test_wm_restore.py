@@ -132,6 +132,34 @@ class TestRestoreSideTables:
         assert wm2.counters_snapshot() == wm.counters_snapshot()
 
 
+class TestRestoreResumesPatchIds:
+    def test_patch_ids_minted_after_restore_never_repeat(self):
+        # Patch ids number snapshots. A restored WM used to restart the
+        # numbering at 0 and re-mint ids that selected and queued
+        # patches already carry; a later restore then pruned the live
+        # candidate whose side-table entry the duplicate replaced.
+        wm, store = make_wm()
+        wm.run(nrounds=2)
+        wm.checkpoint()
+        before = {k[len("patches/"):] for k in store.keys("patches/")}
+        assert before
+
+        wm2, _ = make_wm(store=store)
+        wm2.restore()
+        minted = []
+        create = wm2.patch_creator.create
+
+        def recording(snapshot):
+            patches = create(snapshot)
+            minted.extend(p.patch_id for p in patches)
+            return patches
+
+        wm2.patch_creator.create = recording
+        wm2.run(nrounds=2)
+        assert minted
+        assert not set(minted) & before
+
+
 class TestCounterThreadSafety:
     def test_every_pipeline_mutation_holds_the_counters_lock(self):
         wm, _ = make_wm(max_workers=4)
