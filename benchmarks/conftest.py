@@ -9,6 +9,7 @@ and their markers come from the repo-root ``conftest.py``.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 from typing import Any, Dict, Iterable
@@ -19,6 +20,16 @@ from repro.core.campaign import CampaignConfig, CampaignSimulator
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+def provenance(key: str) -> Dict[str, Any]:
+    """Commit, src digest, python and nproc, from perfbench's ``stamp()``
+    (``perfbench/`` is a script directory, so ``common`` loads by path)."""
+    path = os.path.join(REPO_ROOT, "perfbench", "common.py")
+    spec = importlib.util.spec_from_file_location("perfbench_common", path)
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    full = common.stamp(key, seed=0, trace=False)
+    return {field: full[field] for field in ("commit", "src_digest", "python", "nproc")}
 
 
 def report(name: str, lines: Iterable[str]) -> None:
@@ -35,7 +46,8 @@ def record_json(filename: str, key: str, payload: Dict[str, Any]) -> None:
     JSON ledger (e.g. ``BENCH_sampler.json``) under ``key``.
 
     Merge-on-write so independent benchmarks (run in any order, or one
-    at a time) never clobber each other's sections.
+    at a time) never clobber each other's sections. Each entry is
+    stamped with its :func:`provenance` under ``"provenance"``.
     """
     path = os.path.join(REPO_ROOT, filename)
     data: Dict[str, Any] = {}
@@ -45,7 +57,7 @@ def record_json(filename: str, key: str, payload: Dict[str, Any]) -> None:
                 data = json.load(fh)
         except (ValueError, OSError):
             data = {}
-    data[key] = payload
+    data[key] = {**payload, "provenance": provenance(key)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -9,6 +9,7 @@ expensive and is counted in :class:`~repro.sched.matcher.MatchStats`).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -182,9 +183,13 @@ class ResourceGraph:
     the partitioned scan paths (:meth:`first_feasible_partitioned`,
     :meth:`feasible_ids_partitioned`) skip the whole partition at the
     cost of one summary check — what keeps first-match sublinear at
-    40k-node scale. Summaries are refreshed incrementally: claim/release
-    touch only the partitions of the nodes involved (O(partition_size)
-    per touched partition, vectorized).
+    40k-node scale. The watermarks are read off per-partition
+    histograms of undrained nodes by free-core and free-GPU count:
+    claim/release move each touched node between buckets, so their
+    upkeep costs O(nodes touched), not O(partition_size). A watermark
+    rises at once and falls only when its top bucket empties, walking
+    down to the next occupied one. Only drain/undrain recompute a
+    partition from the flat arrays.
     """
 
     def __init__(self, nnodes: int, cores_per_node: int, gpus_per_node: int,
@@ -203,13 +208,17 @@ class ResourceGraph:
         # --- partition index -------------------------------------------
         self.partition_size = partition_size
         self.npartitions = (nnodes + partition_size - 1) // partition_size
-        self._part_max_fc = np.full(self.npartitions, cores_per_node, dtype=np.int32)
-        self._part_max_fg = np.full(self.npartitions, gpus_per_node, dtype=np.int32)
+        sizes = [min(partition_size, nnodes - lo) for lo in range(0, nnodes, partition_size)]
+        # C-int arrays: the upkeep touches one entry at a time, cheaply,
+        # and the low-id pass views them as NumPy arrays without a copy.
+        self._part_max_fc = array("i", [cores_per_node]) * self.npartitions
+        self._part_max_fg = array("i", [gpus_per_node]) * self.npartitions
         # Vacant (fully free, undrained) nodes per partition: exclusive
         # requests can only land on these.
-        self._part_nvacant = np.array(
-            [self._partition_bounds(p)[1] - self._partition_bounds(p)[0]
-             for p in range(self.npartitions)], dtype=np.int32)
+        self._part_nvacant = array("i", sizes)
+        # Undrained nodes per partition by free-core / free-GPU count.
+        self._part_hist_fc = [[0] * cores_per_node + [size] for size in sizes]
+        self._part_hist_fg = [[0] * gpus_per_node + [size] for size in sizes]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -261,24 +270,65 @@ class ResourceGraph:
         return lo, min(lo + self.partition_size, len(self.nodes))
 
     def _refresh_partition(self, p: int) -> None:
-        """Recompute one partition's summaries from the flat arrays.
+        """Rebuild one partition's histograms and summaries from the flat
+        arrays (only drain/undrain need this; claim/release move nodes
+        between buckets in :meth:`_reindex`).
 
-        Drained nodes count as having -1 free of everything so they can
-        never satisfy a watermark (or look vacant).
+        Drained nodes are left out of the histograms, so they can never
+        satisfy a watermark (or look vacant); a fully drained partition
+        has watermarks of -1.
         """
         lo, hi = self._partition_bounds(p)
-        drained = self._drained_mask[lo:hi]
-        fc = np.where(drained, -1, self._fc[lo:hi])
-        fg = np.where(drained, -1, self._fg[lo:hi])
-        self._part_max_fc[p] = fc.max()
-        self._part_max_fg[p] = fg.max()
-        self._part_nvacant[p] = np.count_nonzero(
+        up = ~self._drained_mask[lo:hi]
+        fc = self._fc[lo:hi][up]
+        fg = self._fg[lo:hi][up]
+        hist_fc = np.bincount(fc, minlength=self.cores_per_node + 1)
+        hist_fg = np.bincount(fg, minlength=self.gpus_per_node + 1)
+        self._part_hist_fc[p] = hist_fc.tolist()
+        self._part_hist_fg[p] = hist_fg.tolist()
+        self._part_max_fc[p] = int(fc.max()) if fc.size else -1
+        self._part_max_fg[p] = int(fg.max()) if fg.size else -1
+        self._part_nvacant[p] = int(np.count_nonzero(
             (fc == self.cores_per_node) & (fg == self.gpus_per_node)
-        )
+        ))
 
-    def _refresh_partitions_of(self, node_ids) -> None:
-        for p in {nid // self.partition_size for nid in node_ids}:
-            self._refresh_partition(p)
+    @staticmethod
+    def _move(hist: List[int], tops: array, p: int, old: int, new: int) -> None:
+        """Move one node from bucket ``old`` to ``new`` of partition
+        ``p``'s histogram and keep its watermark ``tops[p]`` exact."""
+        hist[old] -= 1
+        hist[new] += 1
+        top = tops[p]
+        if new > top:
+            tops[p] = new
+        elif old == top and not hist[old]:
+            # The node itself sits in ``new`` < ``old``, so the walk
+            # stops there at the latest.
+            top = old - 1
+            while not hist[top]:
+                top -= 1
+            tops[p] = top
+
+    def _reindex(self, node_id: int, dcores: int, dgpus: int) -> None:
+        """Record that node ``node_id``'s free counts just changed by
+        ``(dcores, dgpus)``: update its flat-array entries and move it
+        between its partition's buckets."""
+        node = self.nodes[node_id]
+        new_c, new_g = node.free_cores, node.free_gpus
+        old_c, old_g = new_c - dcores, new_g - dgpus
+        self._fc[node_id] = new_c
+        self._fg[node_id] = new_g
+        if node.drained:
+            return  # not in the histograms; undrain rebuilds them
+        p = node_id // self.partition_size
+        if new_c != old_c:
+            self._move(self._part_hist_fc[p], self._part_max_fc, p, old_c, new_c)
+        if new_g != old_g:
+            self._move(self._part_hist_fg[p], self._part_max_fg, p, old_g, new_g)
+        cpn, gpn = self.cores_per_node, self.gpus_per_node
+        was_vacant = old_c == cpn and old_g == gpn
+        if was_vacant != (new_c == cpn and new_g == gpn):
+            self._part_nvacant[p] += -1 if was_vacant else 1
 
     def partition_feasible(self, p: int, ncores: int, ngpus: int,
                            exclusive: bool = False) -> bool:
@@ -299,15 +349,11 @@ class ResourceGraph:
         try:
             for node_id, cores, gpus in placement:
                 self.nodes[node_id].claim(cores, gpus)
+                self._reindex(node_id, -len(cores), -len(gpus))
                 claimed.append((node_id, cores, gpus))
         except ResourceError:
-            for node_id, cores, gpus in claimed:
-                self.nodes[node_id].release(cores, gpus)
+            self.release(Allocation(items=tuple(claimed)))
             raise
-        for node_id, cores, gpus in placement:
-            self._fc[node_id] -= len(cores)
-            self._fg[node_id] -= len(gpus)
-        self._refresh_partitions_of(nid for nid, _, _ in placement)
         return Allocation(
             items=tuple((nid, tuple(c), tuple(g)) for nid, c, g in placement)
         )
@@ -315,9 +361,7 @@ class ResourceGraph:
     def release(self, alloc: Allocation) -> None:
         for node_id, cores, gpus in alloc.items:
             self.nodes[node_id].release(cores, gpus)
-            self._fc[node_id] += len(cores)
-            self._fg[node_id] += len(gpus)
-        self._refresh_partitions_of(nid for nid, _, _ in alloc.items)
+            self._reindex(node_id, len(cores), len(gpus))
 
     # --- vectorized feasibility (the matcher's fast path) ------------------
 
@@ -408,6 +452,12 @@ class ResourceGraph:
         if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
             return [], 0, 0
         psize = self.partition_size
+        nodes = self.nodes
+        # No node has more free than it owns, so "vacant" is ">= whole node".
+        if exclusive:
+            want_c, want_g = self.cores_per_node, self.gpus_per_node
+        else:
+            want_c, want_g = ncores, ngpus
         start %= n
         found: List[int] = []
         scanned = 0
@@ -423,17 +473,12 @@ class ResourceGraph:
             if not self.partition_feasible(p, ncores, ngpus, exclusive):
                 skipped += 1
                 continue
-            if exclusive:
-                ok = (self._fc[lo:hi] == self.cores_per_node) & (
-                    self._fg[lo:hi] == self.gpus_per_node
-                )
-            else:
-                ok = (self._fc[lo:hi] >= ncores) & (self._fg[lo:hi] >= ngpus)
-            ok &= ~self._drained_mask[lo:hi]
-            for h in np.nonzero(ok)[0]:
-                found.append(lo + int(h))
-                if len(found) >= need:
-                    return found, scanned + int(h) + 1, skipped
+            for i, node in enumerate(nodes[lo:hi], lo):
+                if (node.free_cores >= want_c and node.free_gpus >= want_g
+                        and not node.drained):
+                    found.append(i)
+                    if len(found) >= need:
+                        return found, scanned + i - lo + 1, skipped
             scanned += hi - lo
         return found, scanned, skipped
 
@@ -448,24 +493,15 @@ class ResourceGraph:
         """
         if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
             return np.empty(0, dtype=np.int64), 0, 0
-        chunks: List[np.ndarray] = []
-        examined = 0
-        skipped = 0
-        for p in range(self.npartitions):
-            if not self.partition_feasible(p, ncores, ngpus, exclusive):
-                skipped += 1
-                continue
-            lo, hi = self._partition_bounds(p)
-            if exclusive:
-                ok = (self._fc[lo:hi] == self.cores_per_node) & (
-                    self._fg[lo:hi] == self.gpus_per_node
-                )
-            else:
-                ok = (self._fc[lo:hi] >= ncores) & (self._fg[lo:hi] >= ngpus)
-            ok &= ~self._drained_mask[lo:hi]
-            chunks.append(np.nonzero(ok)[0] + lo)
-            examined += hi - lo
-        ids = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        if exclusive:
+            admit = np.frombuffer(self._part_nvacant, dtype=np.intc) > 0
+        else:
+            admit = ((np.frombuffer(self._part_max_fc, dtype=np.intc) >= ncores)
+                     & (np.frombuffer(self._part_max_fg, dtype=np.intc) >= ngpus))
+        node_admit = np.repeat(admit, self.partition_size)[:len(self.nodes)]
+        ids = np.nonzero(node_admit & self.feasible_mask(ncores, ngpus, exclusive))[0]
+        examined = int(np.count_nonzero(node_admit))
+        skipped = self.npartitions - int(np.count_nonzero(admit))
         return ids, examined, skipped
 
     # --- resilience -------------------------------------------------------------

@@ -27,6 +27,10 @@ Properties:
 - *gang/preemption*: ensembles place all-or-nothing and preemption is
   all-or-nothing too; neither can leak or double-claim resources, and
   a failed attempt leaves graph and cursor untouched.
+- *incremental index*: the partition watermarks and vacancy counts that
+  claim/release keep by moving nodes between histogram buckets equal a
+  recompute from scratch after every single operation, and claim and
+  release never recompute a partition.
 """
 
 import numpy as np
@@ -34,7 +38,7 @@ import pytest
 
 from repro.sched.jobspec import JobSpec
 from repro.sched.matcher import Matcher, MatchPolicy
-from repro.sched.resources import ResourceGraph
+from repro.sched.resources import ResourceError, ResourceGraph, summit_like
 
 SEEDS = range(12)
 
@@ -279,6 +283,128 @@ def test_capacity_conserved_under_churn_10k(seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_capacity_conserved_under_churn_40k(seed):
     _churn_and_check(40_000, 700 + seed, ops=120)
+
+
+# --- incremental partition index ------------------------------------------
+
+
+def _index_stream_op(rng, graph, matcher, live):
+    """Apply one random graph operation; ``live`` holds (priority, alloc)."""
+    op = rng.choice(["match", "match", "release", "release", "drain",
+                     "undrain", "preempt", "gang"])
+    if op == "match":
+        alloc = matcher.match(random_spec(rng, graph, tight=True))
+        if alloc is not None:
+            live.append((int(rng.integers(0, 3)), alloc))
+    elif op == "release" and live:
+        matcher.release(live.pop(int(rng.integers(len(live))))[1])
+    elif op == "drain":
+        graph.drain(int(rng.integers(len(graph.nodes))))
+    elif op == "undrain" and graph.drained_nodes():
+        drained = graph.drained_nodes()
+        graph.undrain(drained[int(rng.integers(len(drained)))])
+    elif op == "preempt":
+        spec = random_spec(rng, graph)
+        spec = JobSpec(name=spec.name, ncores=spec.ncores, ngpus=spec.ngpus,
+                       nnodes=spec.nnodes, priority=int(rng.integers(0, 4)))
+        victims = [(prio, i, alloc) for i, (prio, alloc) in enumerate(live)]
+        result = matcher.preempt(spec, victims)
+        if result is not None:
+            placement, evicted = result
+            gone = set(evicted)
+            live[:] = [v for i, v in enumerate(live) if i not in gone]
+            live.append((spec.priority, placement))
+    elif op == "gang":
+        gang = [JobSpec(name=f"g{j}", ncores=int(rng.integers(1, graph.cores_per_node + 1)),
+                        ngpus=int(rng.integers(0, graph.gpus_per_node + 1)), gang_id="ens")
+                for j in range(int(rng.integers(1, 4)))]
+        for alloc in matcher.match_gang(gang) or ():
+            live.append((0, alloc))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_partition_index_exact_after_every_op(seed):
+    """Random streams of match, release, drain, undrain, preempt and
+    gang placement on 1-7-node partitions: the incrementally kept
+    summaries equal a recompute after *every* op, including releases of
+    allocations on drained nodes that are undrained later."""
+    rng = np.random.default_rng(1100 + seed)
+    graph = random_graph(rng)
+    policy = [MatchPolicy.FIRST_MATCH, MatchPolicy.LOW_ID_FIRST, MatchPolicy.GANG][seed % 3]
+    matcher = Matcher(graph, policy=policy, partitioned=True)
+    live = []
+    for _ in range(150):
+        _index_stream_op(rng, graph, matcher, live)
+        assert_partition_summaries_consistent(graph)
+    for _, alloc in live:
+        matcher.release(alloc)
+        assert_partition_summaries_consistent(graph)
+    for node_id in graph.drained_nodes():
+        graph.undrain(node_id)
+    assert graph.free_cores == graph.total_cores
+    assert all(n == graph.cores_per_node for n in graph._part_max_fc)
+    assert_partition_summaries_consistent(graph)
+
+
+def test_release_on_drained_node_then_undrain():
+    graph = ResourceGraph(6, cores_per_node=4, gpus_per_node=2, partition_size=3)
+    alloc = graph.claim([(1, [0, 1, 2, 3], [0, 1])])
+    others = graph.claim([(0, [0, 1, 2, 3], [0, 1]), (2, [0, 1, 2, 3], [0, 1])])
+    graph.drain(1)
+    assert graph._part_max_fc[0] == 0
+    graph.release(alloc)  # frees a drained node: the watermark must not rise
+    assert_partition_summaries_consistent(graph)
+    assert graph._part_max_fc[0] == 0 and graph._part_nvacant[0] == 0
+    graph.undrain(1)
+    assert_partition_summaries_consistent(graph)
+    assert graph._part_max_fc[0] == 4 and graph._part_nvacant[0] == 1
+    graph.release(others)
+    assert_partition_summaries_consistent(graph)
+    assert graph._part_nvacant[0] == 3
+
+
+def test_claim_naming_one_node_twice():
+    """Disjoint cores of one node in two placement items move the node
+    through two buckets; a conflicting repeat rolls back cleanly."""
+    graph = ResourceGraph(4, cores_per_node=4, gpus_per_node=2, partition_size=2)
+    alloc = graph.claim([(1, [0], [0]), (1, [1, 2], [])])
+    assert graph.nodes[1].free_cores == 1
+    assert_partition_summaries_consistent(graph)
+    assert graph._part_nvacant[0] == 1
+    with pytest.raises(ResourceError):
+        graph.claim([(0, [3], []), (0, [3], [])])
+    assert graph.nodes[0].free_cores == 4
+    assert_partition_summaries_consistent(graph)
+    graph.release(alloc)
+    assert_partition_summaries_consistent(graph)
+    assert list(graph._part_nvacant) == [2, 2]
+
+
+@pytest.mark.matcher_scale
+def test_claim_release_never_recompute_a_partition(monkeypatch):
+    """Structural guard: the claim/release upkeep moves touched nodes
+    between buckets and never falls back to a whole-partition pass."""
+    graph = summit_like(40_000)
+    rng = np.random.default_rng(1200)
+
+    def no_refresh(self, p):
+        raise AssertionError(f"partition {p} recomputed outside drain/undrain")
+
+    monkeypatch.setattr(ResourceGraph, "_refresh_partition", no_refresh)
+    matcher = Matcher(graph, policy=MatchPolicy.FIRST_MATCH, partitioned=True)
+    held = []
+    for _ in range(500):
+        alloc = matcher.match(JobSpec(name="probe", ncores=int(rng.integers(1, 45)),
+                                      ngpus=int(rng.integers(0, 7)),
+                                      nnodes=int(rng.integers(1, 3))))
+        if rng.random() < 0.5:
+            held.append(alloc)  # keep some occupancy so watermarks move
+        else:
+            matcher.release(alloc)
+    for alloc in held:
+        matcher.release(alloc)
+    monkeypatch.undo()
+    assert_partition_summaries_consistent(graph)
 
 
 # --- first-match visit-count upper bound with skips -------------------------
