@@ -40,6 +40,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = f"repro-control/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Keep-alive replies go out as two writes (headers, body); with Nagle
+    # on, the body waits for the client's delayed ACK on every request.
+    disable_nagle_algorithm = True
 
     # The registry is attached to the TCP server by ControlPlaneServer.
     def _registry(self) -> CampaignRegistry:

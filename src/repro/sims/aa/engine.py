@@ -15,6 +15,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.sims.pairwise import bond_table, scatter, separations
+
 __all__ = ["AAConfig", "AASim"]
 
 
@@ -79,6 +81,7 @@ class AASim:
         )
         self.restraint_k = float(restraint_k)
         self._restraint_anchor = self.positions.copy()
+        self._bond_ends, self._bond_r0 = bond_table(self.bonds)
         self.rng = np.random.default_rng(self.config.seed)
         self.time = 0.0
         self.step_count = 0
@@ -92,57 +95,53 @@ class AASim:
         return d - box * np.round(d / box)
 
     def forces(self) -> Tuple[np.ndarray, float]:
+        return self._forces(with_energy=True)
+
+    def _forces(self, with_energy: bool) -> Tuple[np.ndarray, Optional[float]]:
         c = self.config
-        F = np.zeros_like(self.positions)
-        energy = 0.0
+        ends = self._bond_ends
         # Excluded volume: soft quadratic repulsion below cutoff.
         tree = cKDTree(self.positions, boxsize=c.box)
         pairs = tree.query_pairs(c.cutoff, output_type="ndarray")
-        if pairs.size:
-            ii, jj = pairs[:, 0], pairs[:, 1]
-            d = self._min_image(self.positions[ii] - self.positions[jj])
-            r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
-            x = 1.0 - r / c.cutoff
-            energy += float(np.sum(c.repulsion * x**2))
-            fmag = 2.0 * c.repulsion * x / c.cutoff
-            fvec = (fmag / r)[:, None] * d
-            np.add.at(F, ii, fvec)
-            np.add.at(F, jj, -fvec)
-        # Bonds.
-        if self.bonds.shape[0]:
-            bi = self.bonds[:, 0].astype(int)
-            bj = self.bonds[:, 1].astype(int)
-            r0 = self.bonds[:, 2]
-            d = self._min_image(self.positions[bi] - self.positions[bj])
-            r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
-            energy += float(np.sum(0.5 * self.bond_k * (r - r0) ** 2))
-            fmag = -self.bond_k * (r - r0)
-            fvec = (fmag / r)[:, None] * d
-            np.add.at(F, bi, fvec)
-            np.add.at(F, bj, -fvec)
+        ii, jj = pairs[:, 0], pairs[:, 1]
+        npair = ii.size
+        d, r = separations(self.positions, ii, jj, ends, c.box)
+        x = 1.0 - r[:npair] / c.cutoff
+        stretch = r[npair:] - self._bond_r0
+        fmag = np.concatenate([2.0 * c.repulsion * x / c.cutoff, -self.bond_k * stretch])
+        F = scatter(self.natoms, ii, jj, ends, (fmag / r)[:, None] * d)
         # Position restraints.
-        if self.restrained.any():
-            d = self._min_image(self.positions - self._restraint_anchor)
-            mask = self.restrained[:, None]
-            F -= self.restraint_k * d * mask
+        any_restrained = self.restrained.any()
+        if any_restrained:
+            dr = self._min_image(self.positions - self._restraint_anchor)
+            F -= self.restraint_k * dr * self.restrained[:, None]
+        if not with_energy:
+            return F, None
+        energy = 0.0
+        if npair:
+            energy += float(np.sum(c.repulsion * x**2))
+        if stretch.size:
+            energy += float(np.sum(0.5 * self.bond_k * stretch**2))
+        if any_restrained:
             energy += float(
-                np.sum(0.5 * self.restraint_k * np.einsum("ij,ij->i", d, d)[self.restrained])
+                np.sum(0.5 * self.restraint_k * np.einsum("ij,ij->i", dr, dr)[self.restrained])
             )
         return F, energy
 
     def minimize(self, nsteps: int = 50, step_size: float = 1e-4) -> float:
-        """Steepest-descent energy minimization; returns final energy."""
-        energy = np.inf
-        for _ in range(nsteps):
-            F, energy = self.forces()
+        """Steepest-descent energy minimization; returns the energy at the
+        start of the last step."""
+        energy = None
+        for k in range(nsteps):
+            F, energy = self._forces(with_energy=k == nsteps - 1)
             self.positions = (self.positions + step_size * F) % self.config.box
-        return energy
+        return np.inf if energy is None else energy
 
     def step(self, nsteps: int = 1) -> None:
         c = self.config
         sigma = np.sqrt(2.0 * c.mobility * c.temperature * c.dt)
         for _ in range(nsteps):
-            F, _ = self.forces()
+            F, _ = self._forces(with_energy=False)
             noise = self.rng.standard_normal(self.positions.shape) * sigma
             self.positions = (self.positions + c.mobility * F * c.dt + noise) % c.box
             self.time += c.dt

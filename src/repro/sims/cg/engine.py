@@ -7,10 +7,13 @@ periodic 2-D membrane plane::
 
 Non-bonded forces come from the force field's soft-core pair potential
 over a periodic neighbour list (``scipy.spatial.cKDTree`` with
-``boxsize``, cross-checked against a brute-force path in the tests);
+``boxsize``, whose traversal order fixes the summation order);
 protein beads are chained by harmonic bonds whose stiffness tracks the
 secondary-structure pattern — the parameter AA→CG feedback refines
-mid-campaign via :meth:`CGSim.apply_feedback`.
+mid-campaign via :meth:`CGSim.apply_feedback`. Pairs and bonds share
+one fused force pass (:mod:`repro.sims.pairwise`); the tests keep the
+separate passes and the brute-force and linked-cell pair searches as
+oracles (``tests/sims/oracles.py``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from scipy.spatial import cKDTree
 
 from repro.sims.cg.forcefield import CGForceField
 from repro.sims.cg.forcefield import martini_like
+from repro.sims.pairwise import bond_table, scatter, separations
 
 __all__ = ["CGConfig", "CGSim"]
 
@@ -44,15 +48,10 @@ class CGConfig:
     temperature: float = 1.0
     mobility: float = 1.0
     seed: int = 0
-    neighbor_method: str = "tree"
-    """'tree' (cKDTree, default), 'cells' (linked-cell lists, the
-    classic MD structure), or 'brute' (O(n²) reference path)."""
 
     def __post_init__(self) -> None:
         if self.box <= 0 or self.dt <= 0 or self.n_lipids < 1:
             raise ValueError("box, dt positive and n_lipids >= 1 required")
-        if self.neighbor_method not in ("tree", "cells", "brute"):
-            raise ValueError("neighbor_method must be 'tree', 'cells' or 'brute'")
 
 
 class CGSim:
@@ -88,27 +87,22 @@ class CGSim:
         self.time = 0.0
         self.step_count = 0
         self._refresh_bond_stiffness()
-        self._refresh_exclusions()
+        self._refresh_bond_tables()
 
-    def _refresh_exclusions(self) -> None:
-        """Bonded pairs are excluded from non-bonded interactions
-        (standard MD exclusions; bonds alone set their geometry)."""
-        n = self.positions.shape[0]
-        if self.bonds.shape[0]:
-            bi = self.bonds[:, 0].astype(np.int64)
-            bj = self.bonds[:, 1].astype(np.int64)
-            lo = np.minimum(bi, bj)
-            hi = np.maximum(bi, bj)
-            self._excluded_keys = np.unique(lo * n + hi)
-        else:
-            self._excluded_keys = np.empty(0, dtype=np.int64)
+    def _refresh_bond_tables(self) -> None:
+        """Cache the bond ends and the sorted keys of bonded pairs, which
+        are excluded from non-bonded interactions (standard MD
+        exclusions; bonds alone set their geometry)."""
+        self._bond_ends, self._bond_r0 = bond_table(self.bonds)
+        lo, hi = np.sort(self._bond_ends, axis=0)
+        self._excluded_keys = np.unique(lo * self.positions.shape[0] + hi)
 
     def _filter_excluded(self, ii: np.ndarray, jj: np.ndarray):
-        if self._excluded_keys.size == 0 or ii.size == 0:
+        excluded = self._excluded_keys
+        if excluded.size == 0 or ii.size == 0:
             return ii, jj
-        n = self.positions.shape[0]
-        keys = np.minimum(ii, jj) * n + np.maximum(ii, jj)
-        keep = ~np.isin(keys, self._excluded_keys)
+        keys = ii * self.positions.shape[0] + jj  # tree pairs have ii < jj
+        keep = excluded.take(np.searchsorted(excluded, keys), mode="clip") != keys
         return ii[keep], jj[keep]
 
     # --- construction helpers ------------------------------------------------
@@ -170,103 +164,33 @@ class CGSim:
         return d - box * np.round(d / box)
 
     def _pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        rc = self.ff.cutoff
-        if self.config.neighbor_method == "tree":
-            tree = cKDTree(self.positions, boxsize=self.config.box)
-            pairs = tree.query_pairs(rc, output_type="ndarray")
-            return (pairs[:, 0], pairs[:, 1]) if pairs.size else (np.empty(0, int), np.empty(0, int))
-        if self.config.neighbor_method == "cells":
-            return self._pairs_cells(rc)
-        return self._pairs_brute(rc)
-
-    def _pairs_brute(self, rc: float) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.positions.shape[0]
-        ii, jj = np.triu_indices(n, k=1)
-        d = self._min_image(self.positions[ii] - self.positions[jj])
-        r2 = np.einsum("ij,ij->i", d, d)
-        keep = r2 < rc * rc
-        return ii[keep], jj[keep]
-
-    def _pairs_cells(self, rc: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Linked-cell pair search: O(n) candidates at fixed density.
-
-        The box splits into cells no smaller than the cutoff; each cell
-        interacts only with itself and a half stencil of neighbours (so
-        every pair is generated exactly once). Falls back to brute force
-        when the box holds fewer than 3x3 cells, where the periodic
-        stencil would alias.
-        """
-        box = self.config.box
-        ncell = int(box // rc)
-        if ncell < 3:
-            return self._pairs_brute(rc)
-        cell_size = box / ncell
-        cxy = np.floor(self.positions / cell_size).astype(np.int64) % ncell
-        cell_id = cxy[:, 0] * ncell + cxy[:, 1]
-        order = np.argsort(cell_id, kind="stable")
-        sorted_ids = cell_id[order]
-        bins = np.arange(ncell * ncell + 1)
-        starts = np.searchsorted(sorted_ids, bins[:-1])
-        ends = np.searchsorted(sorted_ids, bins[1:])
-        # Half stencil: self + E, N, NE, NW — each unordered cell pair once.
-        stencil = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
-        out_i, out_j = [], []
-        for cx in range(ncell):
-            base = cx * ncell
-            for cy in range(ncell):
-                c = base + cy
-                a = order[starts[c]: ends[c]]
-                if a.size == 0:
-                    continue
-                for ox, oy in stencil:
-                    if ox == 0 and oy == 0:
-                        if a.size < 2:
-                            continue
-                        ti, tj = np.triu_indices(a.size, k=1)
-                        pi, pj = a[ti], a[tj]
-                    else:
-                        nc = ((cx + ox) % ncell) * ncell + (cy + oy) % ncell
-                        b = order[starts[nc]: ends[nc]]
-                        if b.size == 0:
-                            continue
-                        pi = np.repeat(a, b.size)
-                        pj = np.tile(b, a.size)
-                    d = self._min_image(self.positions[pi] - self.positions[pj])
-                    keep = np.einsum("ij,ij->i", d, d) < rc * rc
-                    if keep.any():
-                        out_i.append(pi[keep])
-                        out_j.append(pj[keep])
-        if not out_i:
-            return np.empty(0, int), np.empty(0, int)
-        return np.concatenate(out_i), np.concatenate(out_j)
+        """Every pair within the cutoff, i < j, in tree traversal order
+        (which fixes the force summation order)."""
+        tree = cKDTree(self.positions, boxsize=self.config.box)
+        pairs = tree.query_pairs(self.ff.cutoff, output_type="ndarray")
+        return pairs[:, 0], pairs[:, 1]
 
     def forces(self) -> Tuple[np.ndarray, float]:
         """Total forces (n, 2) and potential energy."""
-        n = self.positions.shape[0]
-        F = np.zeros((n, 2))
-        energy = 0.0
+        return self._forces(with_energy=True)
+
+    def _forces(self, with_energy: bool) -> Tuple[np.ndarray, Optional[float]]:
+        ends = self._bond_ends
         ii, jj = self._filter_excluded(*self._pairs())
-        if ii.size:
-            d = self._min_image(self.positions[ii] - self.positions[jj])
-            r = np.sqrt(np.einsum("ij,ij->i", d, d))
-            r = np.maximum(r, 1e-9)  # overlapping beads: huge but finite force
-            U, Fmag = self.ff.pair_energy_force(r, self.type_ids[ii], self.type_ids[jj])
-            fvec = (Fmag / r)[:, None] * d
-            np.add.at(F, ii, fvec)
-            np.add.at(F, jj, -fvec)
-            energy += float(U.sum())
-        if self.bonds.shape[0]:
-            bi = self.bonds[:, 0].astype(int)
-            bj = self.bonds[:, 1].astype(int)
-            r0 = self.bonds[:, 2]
-            d = self._min_image(self.positions[bi] - self.positions[bj])
-            r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
-            k = self._bond_k
-            energy += float(np.sum(0.5 * k * (r - r0) ** 2))
-            fmag = -k * (r - r0)
-            fvec = (fmag / r)[:, None] * d
-            np.add.at(F, bi, fvec)
-            np.add.at(F, bj, -fvec)
+        npair = ii.size
+        d, r = separations(self.positions, ii, jj, ends, self.config.box)
+        rp, ti, tj = r[:npair], self.type_ids[ii], self.type_ids[jj]
+        stretch = r[npair:] - self._bond_r0
+        k = self._bond_k
+        fmag = np.concatenate([self.ff.pair_force(rp, ti, tj), -k * stretch])
+        F = scatter(self.positions.shape[0], ii, jj, ends, (fmag / r)[:, None] * d)
+        if not with_energy:
+            return F, None
+        energy = 0.0
+        if npair:
+            energy += float(self.ff.pair_energy(rp, ti, tj).sum())
+        if stretch.size:
+            energy += float(np.sum(0.5 * k * stretch**2))
         return F, energy
 
     # --- integration -----------------------------------------------------------
@@ -275,7 +199,7 @@ class CGSim:
         c = self.config
         sigma = np.sqrt(2.0 * c.mobility * c.temperature * c.dt)
         for _ in range(nsteps):
-            F, _ = self.forces()
+            F, _ = self._forces(with_energy=False)
             noise = self.rng.standard_normal(self.positions.shape) * sigma
             self.positions = (self.positions + c.mobility * F * c.dt + noise) % c.box
             self.time += c.dt
@@ -311,4 +235,4 @@ class CGSim:
         self.rng.bit_generator.state = state["rng_state"]
         self.ff.update_secondary_structure(state["ss_pattern"])
         self._refresh_bond_stiffness()
-        self._refresh_exclusions()
+        self._refresh_bond_tables()

@@ -99,16 +99,26 @@ class CGForceField:
 
         Pairs beyond the cutoff contribute exactly zero.
         """
+        return self.pair_energy(r, type_i, type_j), self.pair_force(r, type_i, type_j)
+
+    def pair_energy(self, r: np.ndarray, type_i: np.ndarray, type_j: np.ndarray) -> np.ndarray:
+        x, e_att, inside = self._reduced(r, type_i, type_j)
+        return np.where(inside, self.eps_rep * x**2 - e_att * x**4, 0.0)
+
+    def pair_force(self, r: np.ndarray, type_i: np.ndarray, type_j: np.ndarray) -> np.ndarray:
+        """-dU/dr = (2*eps_rep*x - 4*e_att*x^3) / rc (the integrator
+        needs only this)."""
+        x, e_att, inside = self._reduced(r, type_i, type_j)
+        F = (2.0 * self.eps_rep * x - 4.0 * e_att * x**3) / self.cutoff
+        return np.where(inside, F, 0.0)
+
+    def _reduced(self, r, type_i, type_j):
+        """x = 1 - r/rc (0 beyond the cutoff), the well depths, and the
+        inside-cutoff mask."""
         r = np.asarray(r, dtype=np.float64)
-        rc = self.cutoff
-        x = 1.0 - r / rc
-        inside = r < rc
-        x = np.where(inside, x, 0.0)
-        e_att = self.eps[type_i, type_j]
-        U = self.eps_rep * x**2 - e_att * x**4
-        # -dU/dr = (2*eps_rep*x - 4*e_att*x^3) / rc
-        F = (2.0 * self.eps_rep * x - 4.0 * e_att * x**3) / rc
-        return np.where(inside, U, 0.0), np.where(inside, F, 0.0)
+        inside = r < self.cutoff
+        x = np.where(inside, 1.0 - r / self.cutoff, 0.0)
+        return x, self.eps[type_i, type_j], inside
 
     def index_of(self, name: str) -> int:
         return self.type_index[name]

@@ -7,6 +7,7 @@ disjoint keyspaces, and lifecycle verbs move the FSM over HTTP.
 
 import http.client
 import json
+import time
 
 import pytest
 
@@ -34,7 +35,6 @@ def client(server):
 
 
 def wait_state(client, campaign_id, *states, timeout=30.0):
-    import time
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         snap = client.status(campaign_id)
@@ -194,6 +194,24 @@ class TestErrorSurface:
             conn.close()
         assert response.status == 400
         assert "not valid JSON" in body["error"]
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        # Headers and body go out as two segments; with Nagle on, every
+        # reply on a reused connection waits for the client's delayed ACK
+        # (~40 ms each, ~1.1 s for 25).
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.monotonic()
+            for _ in range(25):
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                json.loads(response.read())
+                assert response.status == 200
+            elapsed = time.monotonic() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.5
 
     def test_quota_exhaustion_is_429(self, client):
         held = [client.submit("erin", **LONG) for _ in range(3)]

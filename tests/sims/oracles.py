@@ -1,0 +1,208 @@
+"""Reference force passes and neighbour searches kept as test oracles.
+
+The engines compute forces in one fused pass (one distance pass, one
+scatter). The functions below are the straightforward definitions that
+pass must match byte for byte: separate pair and bond passes, one
+``np.add.at`` scatter per block, the energy always summed. The
+brute-force and linked-cell pair searches cross-check the engines'
+periodic tree search.
+"""
+
+from typing import Callable, Optional, Tuple
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from repro.sims.aa.engine import AASim
+from repro.sims.cg.engine import CGSim
+
+Pairs = Tuple[np.ndarray, np.ndarray]
+
+
+def min_image(d: np.ndarray, box: float) -> np.ndarray:
+    return d - box * np.round(d / box)
+
+
+# --- CG neighbour searches ---------------------------------------------------
+
+
+def pairs_tree(positions: np.ndarray, box: float, rc: float) -> Pairs:
+    tree = cKDTree(positions, boxsize=box)
+    pairs = tree.query_pairs(rc, output_type="ndarray")
+    return (pairs[:, 0], pairs[:, 1]) if pairs.size else (np.empty(0, int), np.empty(0, int))
+
+
+def pairs_brute(positions: np.ndarray, box: float, rc: float) -> Pairs:
+    """Every unordered pair within ``rc`` under minimum image, O(n²)."""
+    n = positions.shape[0]
+    ii, jj = np.triu_indices(n, k=1)
+    d = min_image(positions[ii] - positions[jj], box)
+    r2 = np.einsum("ij,ij->i", d, d)
+    keep = r2 < rc * rc
+    return ii[keep], jj[keep]
+
+
+def pairs_cells(positions: np.ndarray, box: float, rc: float) -> Pairs:
+    """Linked-cell pair search: O(n) candidates at fixed density.
+
+    The box splits into cells no smaller than the cutoff; each cell
+    interacts only with itself and a half stencil of neighbours (so
+    every pair is generated exactly once). Falls back to brute force
+    when the box holds fewer than 3x3 cells, where the periodic
+    stencil would alias.
+    """
+    ncell = int(box // rc)
+    if ncell < 3:
+        return pairs_brute(positions, box, rc)
+    cell_size = box / ncell
+    cxy = np.floor(positions / cell_size).astype(np.int64) % ncell
+    cell_id = cxy[:, 0] * ncell + cxy[:, 1]
+    order = np.argsort(cell_id, kind="stable")
+    sorted_ids = cell_id[order]
+    bins = np.arange(ncell * ncell + 1)
+    starts = np.searchsorted(sorted_ids, bins[:-1])
+    ends = np.searchsorted(sorted_ids, bins[1:])
+    # Half stencil: self + E, N, NE, NW — each unordered cell pair once.
+    stencil = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
+    out_i, out_j = [], []
+    for cx in range(ncell):
+        base = cx * ncell
+        for cy in range(ncell):
+            c = base + cy
+            a = order[starts[c]: ends[c]]
+            if a.size == 0:
+                continue
+            for ox, oy in stencil:
+                if ox == 0 and oy == 0:
+                    if a.size < 2:
+                        continue
+                    ti, tj = np.triu_indices(a.size, k=1)
+                    pi, pj = a[ti], a[tj]
+                else:
+                    nc = ((cx + ox) % ncell) * ncell + (cy + oy) % ncell
+                    b = order[starts[nc]: ends[nc]]
+                    if b.size == 0:
+                        continue
+                    pi = np.repeat(a, b.size)
+                    pj = np.tile(b, a.size)
+                d = min_image(positions[pi] - positions[pj], box)
+                keep = np.einsum("ij,ij->i", d, d) < rc * rc
+                if keep.any():
+                    out_i.append(pi[keep])
+                    out_j.append(pj[keep])
+    if not out_i:
+        return np.empty(0, int), np.empty(0, int)
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+SEARCHES = {"tree": pairs_tree, "brute": pairs_brute, "cells": pairs_cells}
+
+
+# --- reference force passes --------------------------------------------------
+
+
+def cg_forces(sim: CGSim, search: str = "tree") -> Tuple[np.ndarray, float]:
+    """``CGSim.forces`` as separate pair and bond passes."""
+    box = sim.config.box
+    pos = sim.positions
+    n = pos.shape[0]
+    F = np.zeros((n, 2))
+    energy = 0.0
+    ii, jj = SEARCHES[search](pos, box, sim.ff.cutoff)
+    if sim.bonds.shape[0] and ii.size:
+        bi = sim.bonds[:, 0].astype(np.int64)
+        bj = sim.bonds[:, 1].astype(np.int64)
+        excluded = np.unique(np.minimum(bi, bj) * n + np.maximum(bi, bj))
+        keep = ~np.isin(np.minimum(ii, jj) * n + np.maximum(ii, jj), excluded)
+        ii, jj = ii[keep], jj[keep]
+    if ii.size:
+        d = min_image(pos[ii] - pos[jj], box)
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        r = np.maximum(r, 1e-9)
+        U, Fmag = sim.ff.pair_energy_force(r, sim.type_ids[ii], sim.type_ids[jj])
+        fvec = (Fmag / r)[:, None] * d
+        np.add.at(F, ii, fvec)
+        np.add.at(F, jj, -fvec)
+        energy += float(U.sum())
+    if sim.bonds.shape[0]:
+        bi = sim.bonds[:, 0].astype(int)
+        bj = sim.bonds[:, 1].astype(int)
+        r0 = sim.bonds[:, 2]
+        d = min_image(pos[bi] - pos[bj], box)
+        r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
+        k = sim._bond_k
+        energy += float(np.sum(0.5 * k * (r - r0) ** 2))
+        fmag = -k * (r - r0)
+        fvec = (fmag / r)[:, None] * d
+        np.add.at(F, bi, fvec)
+        np.add.at(F, bj, -fvec)
+    return F, energy
+
+
+def aa_forces(sim: AASim) -> Tuple[np.ndarray, float]:
+    """``AASim.forces`` as separate pair, bond and restraint passes."""
+    c = sim.config
+    pos = sim.positions
+    F = np.zeros_like(pos)
+    energy = 0.0
+    tree = cKDTree(pos, boxsize=c.box)
+    pairs = tree.query_pairs(c.cutoff, output_type="ndarray")
+    if pairs.size:
+        ii, jj = pairs[:, 0], pairs[:, 1]
+        d = min_image(pos[ii] - pos[jj], c.box)
+        r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
+        x = 1.0 - r / c.cutoff
+        energy += float(np.sum(c.repulsion * x**2))
+        fmag = 2.0 * c.repulsion * x / c.cutoff
+        fvec = (fmag / r)[:, None] * d
+        np.add.at(F, ii, fvec)
+        np.add.at(F, jj, -fvec)
+    if sim.bonds.shape[0]:
+        bi = sim.bonds[:, 0].astype(int)
+        bj = sim.bonds[:, 1].astype(int)
+        r0 = sim.bonds[:, 2]
+        d = min_image(pos[bi] - pos[bj], c.box)
+        r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
+        energy += float(np.sum(0.5 * sim.bond_k * (r - r0) ** 2))
+        fmag = -sim.bond_k * (r - r0)
+        fvec = (fmag / r)[:, None] * d
+        np.add.at(F, bi, fvec)
+        np.add.at(F, bj, -fvec)
+    if sim.restrained.any():
+        d = min_image(pos - sim._restraint_anchor, c.box)
+        mask = sim.restrained[:, None]
+        F -= sim.restraint_k * d * mask
+        energy += float(
+            np.sum(0.5 * sim.restraint_k * np.einsum("ij,ij->i", d, d)[sim.restrained])
+        )
+    return F, energy
+
+
+def forces_of(sim) -> Callable[[], Tuple[np.ndarray, float]]:
+    return (lambda: cg_forces(sim)) if isinstance(sim, CGSim) else (lambda: aa_forces(sim))
+
+
+# --- reference integrators ---------------------------------------------------
+
+
+def step(sim, nsteps: int = 1, forces: Optional[Callable] = None) -> None:
+    """``sim.step`` driven by a reference force pass (default: the
+    oracle matching the sim's type)."""
+    forces = forces or forces_of(sim)
+    c = sim.config
+    sigma = np.sqrt(2.0 * c.mobility * c.temperature * c.dt)
+    for _ in range(nsteps):
+        F, _ = forces()
+        noise = sim.rng.standard_normal(sim.positions.shape) * sigma
+        sim.positions = (sim.positions + c.mobility * F * c.dt + noise) % c.box
+        sim.time += c.dt
+        sim.step_count += 1
+
+
+def minimize(sim: AASim, nsteps: int = 50, step_size: float = 1e-4) -> float:
+    """``AASim.minimize`` with the energy summed on every iteration."""
+    energy = np.inf
+    for _ in range(nsteps):
+        F, energy = aa_forces(sim)
+        sim.positions = (sim.positions + step_size * F) % sim.config.box
+    return energy

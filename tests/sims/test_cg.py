@@ -6,6 +6,7 @@ import pytest
 from repro.sims.cg.analysis import CGAnalysis, FrameCandidate, RDFResult
 from repro.sims.cg.engine import CGConfig, CGSim
 from repro.sims.cg.forcefield import BeadType, CGForceField, martini_like
+from tests.sims import oracles
 
 
 class TestForceField:
@@ -80,12 +81,9 @@ class TestCGSim:
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_tree_and_brute_forces_agree(self):
-        cfg_t = CGConfig(n_lipids=60, seed=3, neighbor_method="tree")
-        cfg_b = CGConfig(n_lipids=60, seed=3, neighbor_method="brute")
-        a = CGSim.random_system(config=cfg_t)
-        b = CGSim.random_system(config=cfg_b)
-        Fa, Ea = a.forces()
-        Fb, Eb = b.forces()
+        sim = CGSim.random_system(config=CGConfig(n_lipids=60, seed=3))
+        Fa, Ea = sim.forces()
+        Fb, Eb = oracles.cg_forces(sim, search="brute")
         np.testing.assert_allclose(Fa, Fb, atol=1e-9)
         assert Ea == pytest.approx(Eb)
 
@@ -132,8 +130,6 @@ class TestCGSim:
     def test_validation(self):
         with pytest.raises(ValueError):
             CGConfig(box=-1)
-        with pytest.raises(ValueError):
-            CGConfig(neighbor_method="magic")
 
 
 class TestCGAnalysis:
