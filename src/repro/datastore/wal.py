@@ -26,11 +26,11 @@ before the tear was acked against a completed fsync and survives.
 
 Durability is group-committed: appends only buffer bytes in memory and
 bump ``seq``; the serving loop awaits :meth:`commit` before releasing
-responses, and concurrent waiters share a single write+fsync pass on an
-executor thread.  One fsync therefore covers an entire pipelined burst
-(and every burst that arrived while the previous fsync was in flight),
-which is what keeps durable writes within shouting distance of the
-in-memory numbers (see ``BENCH_netkv_persist.json``).
+responses.  The first waiter of a loop pass schedules a sync point
+that, next pass, writes and fdatasyncs everything buffered inline on
+the loop thread (Redis's ``appendfsync always``).  One fsync covers
+every mutation dispatched in a pass, which keeps durable writes close
+to the in-memory numbers (see ``BENCH_netkv_persist.json``).
 
 A failed write+fsync poisons the WAL rather than losing records: the
 drained buffer is pushed back in front of anything appended since, the
@@ -227,12 +227,11 @@ def replay_into(data: bytes, into: Dict[str, bytes],
 class ShardWAL:
     """Append-only write log plus snapshot for one shard.
 
-    Thread model: appends and :meth:`commit` run on the shard's event
-    loop thread (serialized by the server's dispatch lock); the actual
-    write+fsync runs on an executor thread.  ``_buf_lock`` guards the
-    pending buffer and sequence counters across that boundary, and
-    ``_file_lock`` serializes file I/O so concurrent sync passes and
-    snapshots cannot interleave their writes.
+    Thread model: appends, :meth:`commit` and its write+fsync sync point
+    run on the shard's event loop thread; :meth:`write_snapshot` runs on
+    an executor.  ``_buf_lock`` guards the pending buffer and sequence
+    counters across that boundary, and ``_file_lock`` serializes file
+    I/O so a sync pass and a snapshot cannot interleave their writes.
     """
 
     def __init__(self, directory: str,
@@ -245,7 +244,7 @@ class ShardWAL:
         self._pending = bytearray()
         self.seq = 0           # records appended since open
         self.synced_seq = 0    # records durable on disk
-        self._sync_task: Optional[asyncio.Task] = None
+        self._waiters: Optional[List[asyncio.Future]] = None  # next sync's
         self._closed = False
         self._failed = False   # a write+fsync raised; stop acking
         # compaction-in-flight state (begin_snapshot .. write_snapshot)
@@ -375,10 +374,10 @@ class ShardWAL:
 
     async def commit(self, target: Optional[int] = None) -> None:
         """Block until every record up to ``target`` (default: all
-        appended so far) is durable.  Concurrent callers coalesce onto
-        one executor write+fsync pass; a pass picks up everything
-        buffered at the moment it drains, so late joiners usually find
-        their records already covered."""
+        appended so far) is durable.  Each waiter parks on its own
+        future; the first of a loop pass schedules the sync point that
+        resolves them all, so a cancelled waiter cannot abort a write
+        other connections' acks are riding on."""
         if target is None:
             target = self.seq
         while self.synced_seq < target:
@@ -393,22 +392,24 @@ class ShardWAL:
                 # on failure), so just poll until the flag clears.
                 await asyncio.sleep(0.002)
                 continue
-            task = self._sync_task
-            if task is None:
-                task = asyncio.get_running_loop().create_task(
-                    self._sync_once())
-                self._sync_task = task
-            try:
-                # shield: one cancelled waiter must not abort the write
-                # other connections' acks are riding on.
-                await asyncio.shield(task)
-            finally:
-                if self._sync_task is task and task.done():
-                    self._sync_task = None
+            loop = asyncio.get_running_loop()
+            if self._waiters is None:
+                self._waiters = []
+                loop.call_soon(self._sync_point)
+            waiter = loop.create_future()
+            self._waiters.append(waiter)
+            await waiter
 
-    async def _sync_once(self) -> None:
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._write_and_sync)
+    def _sync_point(self) -> None:
+        waiters, self._waiters = self._waiters, None
+        try:
+            if not self._compacting:  # never block the loop on a snapshot
+                self._write_and_sync()
+        except StoreError:
+            pass  # poisoned: every waiter raises on its next check
+        for waiter in waiters:
+            if not waiter.done():  # a cancelled waiter is skipped
+                waiter.set_result(None)
 
     def _write_and_sync(self) -> None:
         with self._file_lock:

@@ -3,13 +3,16 @@
 Tests, the EXPERIMENTS.md walkthrough, and scripts use this instead of
 hand-rolling ``curl``/``http.client`` calls. Every method returns the
 decoded JSON payload; any status ≥ 400 raises :class:`ServiceError`
-carrying the HTTP status and the server's ``error`` string.
+carrying the HTTP status and the server's ``error`` string. Each
+calling thread keeps one connection alive; ``close()`` releases them.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
 import time
 from typing import Any, Dict, List, Optional
 from urllib.parse import urlencode
@@ -34,8 +37,24 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        # by thread ident: a new thread inherits a dead one's idle conn
+        self._conns: Dict[int, http.client.HTTPConnection] = {}
 
     # --- transport --------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = self._conns.get(threading.get_ident())
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port,
+                                              timeout=self.timeout)
+            self._conns[threading.get_ident()] = conn
+        elif conn.sock is not None:
+            # urllib3's check: readable while idle = closed by the server
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if poller.poll(0):
+                conn.close()
+        return conn
 
     def _request(self, method: str, path: str,
                  query: Optional[Dict[str, Any]] = None,
@@ -43,21 +62,43 @@ class ServiceClient:
         if query:
             path = f"{path}?{urlencode(query)}"
         payload = json.dumps(body).encode("utf-8") if body is not None else None
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            headers = {"Content-Type": "application/json"} if payload else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        finally:
-            conn.close()
-        data = json.loads(raw.decode("utf-8")) if raw else {}
+        headers = {"Content-Type": "application/json"} if payload else {}
+        while True:
+            conn = self._connection()
+            reused, response = conn.sock is not None, None
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+                raw = response.read()
+                break
+            except BaseException as exc:
+                conn.close()
+                # Re-send only a GET, once, and only if a reused
+                # connection died before any reply.
+                if not (isinstance(exc, ConnectionError) and reused
+                        and response is None and method == "GET"):
+                    raise
         if response.status >= 400:
-            detail = data.get("error", raw.decode("utf-8", "replace")) \
-                if isinstance(data, dict) else str(data)
+            detail = raw.decode("utf-8", "replace")
+            try:
+                data = json.loads(detail)
+            except ValueError:  # e.g. the stdlib's HTML error page
+                data = None
+            if isinstance(data, dict):
+                detail = data.get("error", detail)
             raise ServiceError(response.status, detail)
-        return data
+        return json.loads(raw.decode("utf-8")) if raw else {}
+
+    def close(self) -> None:
+        """Close every thread's connection; later calls reconnect."""
+        for conn in list(self._conns.values()):
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # --- daemon -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ lives behind the thread-safe :class:`~repro.service.registry.CampaignRegistry`.
 Shutdown discipline (the "draining and restarting safely" runbook in
 OPERATIONS.md automates this order):
 
-1. stop accepting TCP connections,
+1. stop accepting TCP connections and sever kept-alive ones,
 2. cancel or finish campaigns and join their control threads,
 3. drain the shared worker pool,
 4. close the shared store (only if the server opened it).
@@ -18,7 +18,9 @@ OPERATIONS.md automates this order):
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -44,19 +46,28 @@ class _Handler(BaseHTTPRequestHandler):
     # on, the body waits for the client's delayed ACK on every request.
     disable_nagle_algorithm = True
 
-    # The registry is attached to the TCP server by ControlPlaneServer.
-    def _registry(self) -> CampaignRegistry:
-        return self.server.registry  # type: ignore[attr-defined]
+    # ControlPlaneServer attaches the registry and the set of open
+    # connections to the TCP server.
+    def setup(self) -> None:
+        super().setup()
+        self.server.conns.add(self.connection)  # type: ignore[attr-defined]
+
+    def finish(self) -> None:
+        self.server.conns.discard(self.connection)  # type: ignore[attr-defined]
+        super().finish()
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence per-request stderr logging (telemetry covers this)."""
 
     def _read_body(self) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-        length = int(self.headers.get("Content-Length") or 0)
+        value = (self.headers.get("Content-Length") or "0").strip()
+        length = int(value) if value.isdecimal() else -1
         if length == 0:
             return None, None
-        if length > _MAX_BODY:
-            return None, f"request body over {_MAX_BODY} bytes"
+        if not 0 < length <= _MAX_BODY:
+            # Past an unread body the next request's start is unknowable.
+            self.close_connection = True
+            return None, f"Content-Length must be 0..{_MAX_BODY} bytes"
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw.decode("utf-8"))
@@ -80,11 +91,13 @@ class _Handler(BaseHTTPRequestHandler):
         query = dict(parse_qsl(parts.query))
         body, error = self._read_body()
         if error is not None:
-            self._respond(400, {"error": error})
+            self._respond(400, {"error": error}, {"Connection": "close"}
+                          if self.close_connection else None)
             return
         try:
             status, payload = api.dispatch(
-                self._registry(), method, parts.path, query, body)
+                self.server.registry,  # type: ignore[attr-defined]
+                method, parts.path, query, body)
         except Exception as exc:  # a handler bug must not kill the daemon
             status, payload = 500, {"error": f"internal: {exc}"}
         headers = None
@@ -133,6 +146,7 @@ class ControlPlaneServer:
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.registry = self.registry  # type: ignore[attr-defined]
+        self._httpd.conns = set()  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._trace_capacity = trace_capacity
         self._owns_tracer = False
@@ -159,6 +173,10 @@ class ControlPlaneServer:
         """The safe-shutdown order (see module docstring)."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        # Sever kept-alive connections (each handler wakes to EOF).
+        for conn in list(self._httpd.conns):  # type: ignore[attr-defined]
+            with contextlib.suppress(OSError):  # its handler closed it
+                conn.shutdown(socket.SHUT_RDWR)
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None

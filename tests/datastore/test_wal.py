@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
+import threading
+import time
 import zlib
 
 import pytest
 
+from repro.datastore.aio import AsyncNetKVServer
 from repro.datastore.base import StoreError
 from repro.datastore.wal import (
     DurabilityConfig,
@@ -309,3 +313,84 @@ def test_group_commit_coalesces_waiters(tmp_path):
     assert wal.synced_seq == wal.seq
     wal.close()
     assert len(replayed(tmp_path)) == 20
+
+
+def test_commit_needs_no_executor(tmp_path, monkeypatch):
+    """The write+fsync runs inline on the loop at the sync point: no
+    task, no shield, no executor hop."""
+    wal = ShardWAL(str(tmp_path))
+
+    async def commit_without_executor():
+        def refuse(*args, **kwargs):
+            raise AssertionError("commit must not hop to an executor")
+
+        monkeypatch.setattr(asyncio.get_running_loop(), "run_in_executor",
+                            refuse)
+        wal.append_set("k", b"v")
+        await wal.commit()
+
+    run(commit_without_executor())
+    assert wal.synced_seq == wal.seq == 1
+    assert wal.fsync_batches == 1
+    wal.close()
+    assert replayed(tmp_path) == {"k": b"v"}
+
+
+def test_cancelled_waiter_does_not_abort_the_sync_point(tmp_path):
+    wal = ShardWAL(str(tmp_path))
+
+    async def one_waiter_cancelled():
+        wal.append_set("a", b"1")
+        doomed = asyncio.ensure_future(wal.commit())
+        kept = asyncio.ensure_future(wal.commit())
+        await asyncio.sleep(0)  # both are parked on the sync point
+        doomed.cancel()
+        await kept
+        assert doomed.cancelled()
+
+    run(one_waiter_cancelled())
+    assert wal.synced_seq == wal.seq
+    assert wal.fsync_batches == 1
+    wal.close()
+
+
+def test_pipelined_sets_from_three_connections_share_one_fsync(tmp_path):
+    """Every mutation the shard dispatches in one loop pass rides the
+    same sync point: three pipelined connections, one fsync batch."""
+    server = AsyncNetKVServer(persist_dir=str(tmp_path / "shard")).start()
+    socks = [socket.create_connection(server.address, timeout=5)
+             for _ in range(3)]
+    try:
+        for sock in socks:  # accepted and served before the gate
+            sock.sendall(b"PING\n")
+            assert sock.recv(64) == b"OK 4\nPONG"
+        before = server.wal.fsync_batches
+        # Hold the shard's loop while all three bursts arrive, so the
+        # next pass sees every connection readable at once.
+        entered, gate = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            entered.set()
+            gate.wait(5)
+
+        server._loop_thread.loop.call_soon_threadsafe(hold)
+        assert entered.wait(5)
+        for n, sock in enumerate(socks):
+            sock.sendall(b"".join(b"SET c%d-%d 1\n%d" % (n, i, i)
+                                  for i in range(5)))
+        time.sleep(0.1)
+        gate.set()
+        for sock in socks:
+            want = b"OK 0\n" * 5
+            got = b""
+            while len(got) < len(want):
+                chunk = sock.recv(64)
+                assert chunk, "shard closed the connection"
+                got += chunk
+            assert got == want
+        assert server.wal.fsync_batches - before == 1
+        assert server.wal.synced_seq == server.wal.seq == 15
+    finally:
+        for sock in socks:
+            sock.close()
+        server.stop()

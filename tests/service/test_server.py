@@ -7,6 +7,8 @@ disjoint keyspaces, and lifecycle verbs move the FSM over HTTP.
 
 import http.client
 import json
+import socket
+import threading
 import time
 
 import pytest
@@ -228,6 +230,165 @@ class TestErrorSurface:
         with pytest.raises(ServiceError) as err:
             client._request("GET", "/v1/trace", query={"limit": "soon"})
         assert err.value.status == 400
+
+
+def raw_reply(address, request: bytes) -> bytes:
+    """Send raw bytes; read until the server closes the connection (a
+    socket timeout here means it never did)."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", [b"-1", b"abc"])
+    def test_bad_content_length_is_400_and_closes(self, server, value):
+        reply = raw_reply(server.address,
+                          b"POST /v1/campaigns HTTP/1.1\r\nHost: x\r\n"
+                          b"Content-Length: " + value + b"\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_non_json_error_body_is_a_service_error(self, client):
+        # No do_PUT: the stdlib answers 501 with an HTML page.
+        with pytest.raises(ServiceError) as err:
+            client._request("PUT", "/v1/health")
+        assert err.value.status == 501
+
+
+def counting_accepts(srv, monkeypatch):
+    """Record every connection the daemon accepts from now on."""
+    accepted = []
+    original = srv._httpd.process_request
+
+    def process_request(request, client_address):
+        accepted.append(client_address)
+        original(request, client_address)
+
+    monkeypatch.setattr(srv._httpd, "process_request", process_request)
+    return accepted
+
+
+class TestKeepAlive:
+    def test_one_client_one_connection(self, monkeypatch):
+        with ControlPlaneServer(store_url="kv://1") as srv:
+            accepted = counting_accepts(srv, monkeypatch)
+            with ServiceClient(*srv.address) as c:
+                for _ in range(50):
+                    assert c.health()["draining"] is False
+            assert len(accepted) == 1
+
+    def test_threads_get_their_own_connections(self, monkeypatch):
+        with ControlPlaneServer(store_url="kv://1") as srv:
+            accepted = counting_accepts(srv, monkeypatch)
+            c = ServiceClient(*srv.address)
+            errors = []
+
+            def probe(tenant):
+                try:
+                    cid = c.submit(tenant, **TINY)["id"]
+                    for _ in range(50):
+                        snap = c.status(cid)
+                        assert (snap["id"], snap["tenant"]) == (cid, tenant)
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=probe, args=(t,))
+                       for t in ("alice", "bob")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            c.close()
+            assert errors == []
+            assert len(accepted) == 2
+
+    def test_stop_closes_kept_alive_connections(self):
+        srv = ControlPlaneServer(store_url="kv://1").start()
+        conn = http.client.HTTPConnection(*srv.address, timeout=10)
+        try:
+            conn.request("GET", "/v1/health")
+            assert conn.getresponse().read()
+            srv.stop()
+            conn.sock.settimeout(1.0)
+            assert conn.sock.recv(1) == b""  # EOF, not a timeout
+        finally:
+            conn.close()
+
+    def test_get_reconnects_after_restart_on_same_port(self):
+        srv = ControlPlaneServer(store_url="kv://1").start()
+        port = srv.address[1]
+        with ServiceClient(*srv.address) as c:
+            c.health()
+            srv.stop()
+            with ControlPlaneServer(store_url="kv://1", port=port) as again:
+                assert c.health()["draining"] is False
+                assert again.registry is not srv.registry
+
+    def test_post_on_a_closed_connection_is_sent_once(self):
+        srv = ControlPlaneServer(store_url="kv://1").start()
+        port = srv.address[1]
+        with ServiceClient(*srv.address) as c:
+            c.health()
+            srv.stop()  # the server closes the kept-alive connection
+            with ControlPlaneServer(store_url="kv://1", port=port) as again:
+                snap = c.submit("alice", **TINY)
+                c.wait(snap["id"], timeout=60)
+                assert [x["id"] for x in again.registry.list()] == [snap["id"]]
+
+
+class _HangUp(threading.Thread):
+    """An HTTP peer that answers the first request on each connection,
+    then hangs up on the next one without sending a status line."""
+
+    def __init__(self) -> None:
+        super().__init__(daemon=True)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()
+        self.requests = []
+        self.start()
+
+    def run(self) -> None:
+        while True:
+            try:
+                sock, _ = self.listener.accept()
+            except OSError:
+                return
+            with sock:
+                data = sock.recv(65536)
+                self.requests.append(data.split(b"\r\n", 1)[0])
+                sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2"
+                             b"\r\n\r\n{}")
+                data = sock.recv(65536)
+                if data:
+                    self.requests.append(data.split(b"\r\n", 1)[0])
+
+    def close(self) -> None:
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        self.listener.close()
+        self.join(5)
+
+
+class TestRetryRule:
+    def test_get_is_retried_once_post_is_never_resent(self):
+        peer = _HangUp()
+        try:
+            with ServiceClient(*peer.address, timeout=5) as c:
+                assert c.health() == {}
+                assert c.health() == {}  # hung up on, retried fresh
+                with pytest.raises(ConnectionError):
+                    c.drain()
+        finally:
+            peer.close()
+        get, post = b"GET /v1/health HTTP/1.1", b"POST /v1/drain HTTP/1.1"
+        assert peer.requests == [get, get, get, post]
 
 
 class TestDrainAndShutdown:
