@@ -1,16 +1,17 @@
 """Extension bench: in-process vs networked KV for the feedback path.
 
 The paper's Redis cluster is a networked service; our default ``kv://``
-backend is in-process. This bench quantifies what the wire costs: the
-same frame stream through both, using real TCP sockets for the
-networked side.
+backend runs the same ``NetKVCluster`` over in-process shards, so the
+two rows below differ only by the wire. This bench quantifies what the
+wire costs: the same frame stream through both, using real TCP sockets
+for the networked side.
 """
 
 import time
 
 from conftest import report
 
-from repro.datastore import KVStore
+from repro.datastore import open_store
 from repro.datastore.netkv import NetKVServer, NetKVStore
 
 N_FRAMES = 2_000
@@ -36,7 +37,9 @@ def _drive(store):
 
 def test_network_overhead(benchmark):
     def run_both():
-        inproc = _drive(KVStore(nservers=4))
+        inproc_store = open_store("kv://4")
+        inproc = _drive(inproc_store)
+        inproc_store.close()
         servers = [NetKVServer().start() for _ in range(4)]
         net_store = NetKVStore.connect([s.address for s in servers])
         net = _drive(net_store)

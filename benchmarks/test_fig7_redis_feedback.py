@@ -3,8 +3,9 @@
 Paper: a 20-node Redis cluster served the feedback loop at ~10,000 key
 retrievals/s, ~10,000 deletions/s, and ~2,000 value reads/s; the figure
 plots time vs number of CG frames for the three operation types, all
-scaling linearly. We measure the same three operations on the in-memory
-cluster re-implementation across the same frame-count sweep.
+scaling linearly. We measure the same three operations on the
+production ``NetKVCluster`` over 20 in-process shards (``kv://20``)
+across the same frame-count sweep.
 """
 
 import time
@@ -12,7 +13,7 @@ import time
 import numpy as np
 from conftest import report
 
-from repro.datastore.kvstore import KVCluster
+from repro.datastore import open_store
 
 FRAME_COUNTS = [5_000, 10_000, 20_000, 40_000, 70_000]
 PAYLOAD = b"x" * 850  # one CG frame's identifying info (~850 B)
@@ -26,10 +27,10 @@ def _populate(cluster, n):
 def _sweep():
     rows = []
     for n in FRAME_COUNTS:
-        cluster = KVCluster(nservers=20)
+        cluster = open_store("kv://20").cluster
         _populate(cluster, n)
         t0 = time.perf_counter()
-        keys = cluster.scan("rdf/live/")
+        keys = cluster.keys("rdf/live/")
         t_keys = time.perf_counter() - t0
         t0 = time.perf_counter()
         for k in keys:
@@ -40,6 +41,7 @@ def _sweep():
             cluster.delete(k)
         t_delete = time.perf_counter() - t0
         rows.append((n, t_keys, t_values, t_delete))
+        cluster.close()
     return rows
 
 
@@ -75,9 +77,11 @@ def test_fig7_keys_spread_over_cluster(benchmark):
     routing must spread the frame keys evenly for the throughput above."""
 
     def build():
-        cluster = KVCluster(nservers=20)
+        cluster = open_store("kv://20").cluster
         _populate(cluster, 20_000)
-        return cluster.balance()
+        sizes = cluster._gather([(i, "len", ()) for i in range(20)])
+        cluster.close()
+        return min(sizes), max(sizes)
 
     lo, hi = benchmark(build)
     report("fig7_balance", [f"keys per shard across 20 shards: min={lo}, max={hi}"])

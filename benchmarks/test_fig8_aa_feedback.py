@@ -17,7 +17,7 @@ import numpy as np
 from conftest import report
 
 from repro.app.feedback import AAToCGFeedback
-from repro.datastore import KVStore
+from repro.datastore import open_store
 from repro.sims.cg.forcefield import martini_like
 
 FRAME_COUNTS = [100, 400, 800, 1600, 3200, 7000]
@@ -33,7 +33,7 @@ def costed_processor(pattern: str) -> str:
 
 
 def _one_iteration(n_frames: int) -> float:
-    store = KVStore(nservers=4)
+    store = open_store("kv://4")
     ff = martini_like(2)
     patterns = ["HHCC", "HHEE", "HHHH", "CCCC"]
     for i in range(n_frames):
@@ -83,7 +83,7 @@ def test_fig8_pool_bounds_iteration_time(benchmark):
     def compare():
         times = {}
         for pool in (1, POOL_SIZE):
-            store = KVStore(nservers=2)
+            store = open_store("kv://2")
             ff = martini_like(2)
             for i in range(200):
                 store.write(f"ss/live/f{i:04d}", b"HHCC")

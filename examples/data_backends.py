@@ -75,11 +75,11 @@ def namespace_tagging() -> None:
 
 def tiered_storage(tmp: str) -> None:
     print("\n--- tiered storage (RAM disk + shared filesystem) ---")
-    from repro.datastore import FSStore, KVStore
+    from repro.datastore import FSStore
     from repro.datastore.tiered import TieredStore
 
     store = TieredStore(
-        fast=KVStore(nservers=2),
+        fast=open_store("kv://2"),
         backing=FSStore(os.path.join(tmp, "gpfs")),
         persist_prefixes=("ckpt/",),
     )

@@ -3,14 +3,14 @@
 Every replication decision (placement, failover, read repair, markers,
 fail-back repair, slot migration) is made by the production
 :class:`~repro.datastore.netkv.NetKVCluster`, built here over
-in-process shards on the campaign's clock, with no socket or thread.
-A shard answers the cluster's channel API through the server's own
-``aio._dispatch`` on a ``KVServer``; when durable it logs to a real
-``ShardWAL`` and acks only once the record is written. The driver adds
-the faults, an *ack log* (the last value or deletion acked per key)
-that :meth:`ChaosStore.verify_acked` reads back through the cluster,
-and wire delay/garble faults that cost deterministic virtual time, as
-the hardened transport would retry them.
+in-process :class:`~repro.datastore.aio.LocalShard` shards (the ones
+``kv://`` runs on) on the campaign's clock, with no socket or thread.
+When durable each shard logs to a real ``ShardWAL`` and acks only once
+the record is written. The driver adds the faults, an *ack log* (the
+last value or deletion acked per key) that
+:meth:`ChaosStore.verify_acked` reads back through the cluster, and wire
+delay/garble faults that cost deterministic virtual time, as the
+hardened transport would retry them.
 """
 
 from __future__ import annotations
@@ -18,130 +18,23 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import threading
 import weakref
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.datastore.aio import (_MUTATING, _dispatch, _pack_items,
-                                 _unpack_values, open_shard)
+from repro.datastore.aio import LocalShard
 from repro.datastore.base import (DataStore, KeyNotFound, StoreError,
                                   StoreUnavailable, validate_key)
-from repro.datastore.kvstore import key_slot
-from repro.datastore.netkv import NetKVCluster
+from repro.datastore.netkv import NetKVCluster, key_slot
 from repro.datastore.stats import TransportStats
-from repro.datastore.wal import DurabilityConfig, ShardWAL
+from repro.datastore.wal import ShardWAL
 from repro.util.faults import NetworkFaultInjector
 
 __all__ = ["ChaosStore"]
 
-# A shard "crash" here kills the process, not the kernel: the page
-# cache survives, so skipping fsync changes nothing a restart can see.
-_NOSYNC = DurabilityConfig(fsync=False)
 
-
-def _joined(keys: List[str]) -> bytes:
-    return "\x00".join(keys).encode("utf-8")
-
-
-def _flags(raw: bytes) -> List[bool]:
-    return [b == 0x31 for b in raw]
-
-
-class _Shard:
-    """One in-process shard behind the channel API ``NetKVCluster`` calls,
-    with the attributes ``_dispatch`` reads from a server."""
-
-    max_payload = 256 * 1024 * 1024
-
-    def __init__(self, index: int, directory: Optional[str]) -> None:
-        self.address = ("chaos", index)
-        self.directory = directory
-        self.lock = threading.Lock()
-        self.start()
-
-    def start(self) -> None:
-        """Start from the WAL directory (empty when memory-only)."""
-        self.backend, self.wal = open_shard(self.directory, _NOSYNC)
-        self.up = True
-
-    def close(self) -> None:
-        self.up = False
-        if self.wal is not None:
-            self.wal.close()
-            self.wal = None
-
-    def _call(self, cmd: str, args: List[str] = (), payload: bytes = b""):
-        if not self.up:
-            raise StoreUnavailable(f"chaos shard {self.address[1]} is down")
-        reply = _dispatch(self, cmd, list(args), payload)
-        if self.wal is not None and cmd in _MUTATING:
-            self.wal._write_and_sync()  # the ack waits for the record
-            if self.wal.needs_compaction():
-                self.snapshot()
-        return reply
-
-    # --- the channel API ----------------------------------------------------
-
-    def _post(self, op: str, args: tuple = (), wakes=None):
-        """Answer ``op(*args)`` now, in call order; :meth:`_wait` hands
-        the outcome over (the socket channel's post/wait pair)."""
-        try:
-            return getattr(self, op)(*args), None
-        except StoreError as exc:
-            return None, exc
-
-    @staticmethod
-    def _wait(handle):
-        value, exc = handle
-        if exc is not None:
-            raise exc
-        return value
-
-    def ping(self) -> bool:
-        return self._call("PING") == b"PONG"
-
-    def set(self, key: str, value: bytes) -> None:
-        self._call("SET", [key], value)
-
-    def get(self, key: str) -> bytes:
-        return self._call("GET", [key])
-
-    def delete(self, key: str) -> None:
-        self._call("DEL", [key])
-
-    def keys(self, prefix: str = "") -> List[str]:
-        raw = self._call("KEYS", [prefix] if prefix else [])
-        return raw.decode("utf-8").split("\x00") if raw else []
-
-    def rename(self, src: str, dst: str) -> None:
-        self._call("RENAME", [src, dst])
-
-    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
-        return _unpack_values(self._call("MGET", payload=_joined(keys)),
-                              len(keys))
-
-    def mset(self, items) -> int:
-        return int(self._call("MSET", payload=_pack_items(items)))
-
-    def mdelete(self, keys: List[str]) -> List[bool]:
-        return _flags(self._call("MDEL", payload=_joined(keys)))
-
-    def msetnx(self, items) -> List[bool]:
-        return _flags(self._call("MSETNX", payload=_pack_items(items)))
-
-    def snapshot(self) -> dict:
-        if self.wal is None:
-            raise StoreError("shard has no persistence configured")
-        with self.lock:
-            items = self.backend.items()
-            self.wal.begin_snapshot()
-        keys = self.wal.write_snapshot(items)["keys"]
-        return dict(self.wal.info(), keys=keys)
-
-
-def _release(shards: List[_Shard], directory: Optional[str]) -> None:
+def _release(shards: List[LocalShard], directory: Optional[str]) -> None:
     for shard in shards:
         shard.close()
     if directory is not None:
@@ -165,8 +58,9 @@ class ChaosStore(DataStore):
             rng=rng if rng is not None else np.random.default_rng(0))
         self.directory = (tempfile.mkdtemp(prefix="repro-chaos-")
                           if durable else None)
-        self.shards = [_Shard(i, self.directory and os.path.join(
-            self.directory, f"shard{i}")) for i in range(nshards)]
+        self.shards = [LocalShard(("chaos", i), self.directory and
+                                  os.path.join(self.directory, f"shard{i}"))
+                       for i in range(nshards)]
         self._release = weakref.finalize(self, _release, self.shards,
                                          self.directory)
         # No clock: time stands still, so probe cooldowns never lapse.
@@ -296,7 +190,8 @@ class ChaosStore(DataStore):
         for i, shard in enumerate(self.shards):
             if shard.wal is None:
                 continue
-            replay = ShardWAL(shard.directory, _NOSYNC)  # what a restart reads
+            # What a restart reads.
+            replay = ShardWAL(shard.directory, shard.durability)
             replay.close()
             replayed = replay.recovered
             held = dict(shard.backend.items())

@@ -163,6 +163,7 @@ def _cmd_run(args) -> int:
     from repro import trace
     from repro.app.builder import build_application
     from repro.core.config import application_kwargs, load_config_file
+    from repro.datastore.base import StoreError
 
     if args.config:
         kwargs = application_kwargs(load_config_file(args.config))
@@ -170,7 +171,11 @@ def _cmd_run(args) -> int:
         kwargs = {"store_url": args.store, "seed": args.seed}
     tracer = trace.enable() if args.trace else None
     try:
-        app = build_application(**kwargs)
+        try:
+            app = build_application(**kwargs)
+        except StoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         counters = app.run(nrounds=args.rounds)
     finally:
         if tracer is not None:

@@ -46,12 +46,14 @@ class TelemetryReport:
     - ``transport``: wire-level counters (retries, timeouts, reconnects,
       latency percentiles in ms, plus cluster counters — failovers,
       shard down/up events, read repairs, rename orphans, and batched
-      request/key/pipeline-depth counts) when the store is networked;
-      empty for in-process backends.
+      request/key/pipeline-depth counts) once the store has sent
+      requests over a wire; empty for in-process backends (``kv://``
+      shards answer in the caller's process, so nothing reaches a wire).
     - ``replicas``: replica topology and health when the store is a
-      replicated networked cluster — ``replication`` (copies per hash
-      slot), ``nshards`` / ``up`` (counts), per-shard ``address`` and
-      ``up`` flags, and ``pending_repairs`` (count); empty otherwise.
+      NetKV cluster (``kv://`` or ``netkv://``) — ``replication``
+      (copies per hash slot), ``nshards`` / ``up`` (counts), per-shard
+      ``address`` and ``up`` flags, and ``pending_repairs`` (count);
+      empty otherwise.
     - ``trace``: span-tracing summary when tracing is enabled — total
       ``spans`` and ``dropped`` (counts) and per-stage ``count`` /
       ``total_ms`` (milliseconds); empty when tracing is off.
@@ -174,7 +176,8 @@ def collect_telemetry(wm: WorkflowManager) -> TelemetryReport:
         store_io=wm.store.stats.as_dict(),
         feedback=feedback,
         selectors=selectors,
-        transport=tstats.as_dict() if tstats is not None else {},
+        transport=(tstats.as_dict() if tstats is not None and tstats.requests
+                   else {}),
         replicas=health_fn() if callable(health_fn) else {},
         trace=tracer.summary() if tracer is not None else {},
         scheduler=scheduler,

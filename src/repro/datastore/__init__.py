@@ -8,9 +8,11 @@ One abstract byte-stream interface, three interchangeable backends:
 - :class:`~repro.datastore.taridx.TaridxStore` — our re-implementation
   of ``pytaridx``: append-only indexed tar archives with random access,
   collapsing millions of inodes into a handful of standard tar files.
-- :class:`~repro.datastore.kvstore.KVStore` — an in-memory key-value
-  cluster modeled on Redis, used as the high-throughput backend for in
-  situ feedback.
+- :class:`~repro.datastore.netkv.NetKVStore` — the key-value cluster
+  modeled on Redis, used as the high-throughput backend for in situ
+  feedback: ``kv://N`` runs it over N in-process shards (no socket, no
+  thread), ``netkv://`` over TCP shards in other processes. Both run
+  the same routing, replication and listing code.
 
 "Save a Numpy archive into a byte stream that can be redirected
 effortlessly to a file, an archive, or a database — all with a single
@@ -22,7 +24,6 @@ from repro.datastore.base import (
 )
 from repro.datastore.fsstore import FSStore, FaultInjector
 from repro.datastore.taridx import IndexedTar, TaridxStore, recover_index
-from repro.datastore.kvstore import KVServer, KVCluster, KVStore, LatencyModel
 from repro.datastore.netkv import (
     NetKVServer, NetKVClient, NetKVCluster, NetKVStore, TransportConfig,
     WireProtocolError,
@@ -43,10 +44,6 @@ __all__ = [
     "IndexedTar",
     "TaridxStore",
     "recover_index",
-    "KVServer",
-    "KVCluster",
-    "KVStore",
-    "LatencyModel",
     "NetKVServer",
     "NetKVClient",
     "NetKVCluster",

@@ -12,6 +12,11 @@ API callers see is a thin layer over coroutines run on a
   consumed-offset cursor and lazy compaction.
 - :class:`LoopThread` — a dedicated event loop on a daemon thread;
   blocking callers submit coroutines via ``run_coroutine_threadsafe``.
+- :class:`KVServer` — one shard's key space: a dict plus the operation
+  set :func:`_dispatch` serves (the backend of every shard below).
+- :class:`LocalShard` — a shard in the caller's process: the channel
+  API ``NetKVCluster`` calls, answered through :func:`_dispatch` with no
+  socket and no thread (``kv://`` and the chaos harness run on it).
 - :class:`AsyncNetKVServer` — the shard server (``netkv.NetKVServer``).
   One ``asyncio.Protocol`` connection per client, a per-connection
   serve task, vectored writes (``transport.writelines``), and
@@ -48,7 +53,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import trace
 from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
-from repro.datastore.kvstore import KVServer
 from repro.datastore.stats import TransportStats
 from repro.datastore.wal import DurabilityConfig, ShardWAL
 
@@ -57,6 +61,8 @@ __all__ = [
     "WireProtocolError",
     "ReadBuffer",
     "LoopThread",
+    "KVServer",
+    "LocalShard",
     "AsyncNetKVServer",
     "AsyncClientChannel",
 ]
@@ -498,6 +504,75 @@ _MUTATING = frozenset({"SET", "DEL", "RENAME", "MSET", "MSETNX", "MDEL",
                        "FLUSH"})
 
 
+class KVServer:
+    """One shard's key space. Not thread-safe on its own: every caller
+    goes through :func:`_dispatch`, which holds the shard's lock."""
+
+    def __init__(self) -> None:
+        self._data: Dict[str, bytes] = {}
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def set(self, key: str, value: bytes) -> None:
+        self._data[key] = value
+
+    def get(self, key: str) -> bytes:
+        try:
+            return self._data[key]
+        except KeyError:
+            raise KeyNotFound(key) from None
+
+    def delete(self, key: str) -> None:
+        if self._data.pop(key, None) is None:
+            raise KeyNotFound(key)
+
+    def rename(self, src: str, dst: str) -> None:
+        try:
+            self._data[dst] = self._data.pop(src)
+        except KeyError:
+            raise KeyNotFound(src) from None
+
+    def scan(self, prefix: str = "") -> List[str]:
+        return [k for k in self._data if k.startswith(prefix)]
+
+    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
+        """Values for ``keys`` in order; missing keys yield None (the
+        pipelined read never aborts a whole batch over one absent key)."""
+        return [self._data.get(k) for k in keys]
+
+    def mset(self, items: List[Tuple[str, bytes]]) -> int:
+        for key, value in items:
+            self._data[key] = value
+        return len(items)
+
+    def msetnx(self, items: List[Tuple[str, bytes]]) -> List[bool]:
+        """Set each pair only where the key is absent; per-key flags say
+        which were stored. The slot-migration copier leans on this so a
+        source-side copy can never overwrite a fresher value that was
+        dual-written to the destination mid-copy."""
+        flags = []
+        for key, value in items:
+            absent = key not in self._data
+            if absent:
+                self._data[key] = value
+            flags.append(absent)
+        return flags
+
+    def mdelete(self, keys: List[str]) -> List[bool]:
+        """Delete ``keys``; per-key flags say which actually existed
+        (a replicated caller ORs the flags across copies)."""
+        return [self._data.pop(k, None) is not None for k in keys]
+
+    def flush(self) -> None:
+        self._data.clear()
+
+    def items(self) -> List[Tuple[str, bytes]]:
+        """A stable copy of the key space (snapshot writers iterate it
+        outside the lock held while taking the copy)."""
+        return list(self._data.items())
+
+
 def open_shard(persist_dir: Optional[str],
                durability: Optional[DurabilityConfig] = None
                ) -> Tuple[KVServer, Optional[ShardWAL]]:
@@ -576,6 +651,114 @@ def _dispatch(server: "AsyncNetKVServer", cmd: str, args: List[str],
                 wal.append_flush()
             return b""
         raise StoreError(f"unknown command {cmd!r}")
+
+
+class LocalShard:
+    """One shard in the caller's process, behind the channel API
+    ``NetKVCluster`` calls, with the attributes :func:`_dispatch` reads
+    from a server.
+
+    ``_post`` answers at once, in call order, and ``_wait`` hands the
+    outcome over (the socket channel's post/wait pair), so a cluster
+    over these shards starts no thread and opens no socket. Concurrent
+    callers are serialized by :func:`_dispatch`'s shard lock, as the
+    server's loop serializes its connections. With a WAL ``directory``
+    every mutation is logged and the ack waits for the record. The log
+    skips fsync: a shard "crash" here kills the process, not the kernel,
+    so the page cache survives and a restart sees the same records.
+    """
+
+    max_payload = 256 * 1024 * 1024
+    durability = DurabilityConfig(fsync=False)
+
+    def __init__(self, address: Tuple[str, int],
+                 directory: Optional[str] = None) -> None:
+        self.address = address
+        self.directory = directory
+        self.lock = threading.Lock()
+        self.start()
+
+    def start(self) -> None:
+        """Start from the WAL directory (empty when memory-only)."""
+        self.backend, self.wal = open_shard(self.directory, self.durability)
+        self.up = True
+
+    def close(self) -> None:
+        self.up = False
+        if self.wal is not None:
+            self.wal.close()
+            self.wal = None
+
+    def _call(self, cmd: str, args: List[str] = (), payload: bytes = b""):
+        if not self.up:
+            raise StoreUnavailable(
+                f"{self.address[0]} shard {self.address[1]} is down")
+        reply = _dispatch(self, cmd, list(args), payload)
+        if self.wal is not None and cmd in _MUTATING:
+            self.wal._write_and_sync()  # the ack waits for the record
+            if self.wal.needs_compaction():
+                self.snapshot()
+        return reply
+
+    # --- the channel API ----------------------------------------------------
+
+    def _post(self, op: str, args: tuple = (), wakes=None):
+        try:
+            return getattr(self, op)(*args), None
+        except StoreError as exc:
+            return None, exc
+
+    @staticmethod
+    def _wait(handle):
+        value, exc = handle
+        if exc is not None:
+            raise exc
+        return value
+
+    def ping(self) -> bool:
+        return self._call("PING") == b"PONG"
+
+    def set(self, key: str, value: bytes) -> None:
+        self._call("SET", [key], value)
+
+    def get(self, key: str) -> bytes:
+        return self._call("GET", [key])
+
+    def delete(self, key: str) -> None:
+        self._call("DEL", [key])
+
+    def keys(self, prefix: str = "") -> List[str]:
+        raw = self._call("KEYS", [prefix] if prefix else [])
+        return raw.decode("utf-8").split("\x00") if raw else []
+
+    def rename(self, src: str, dst: str) -> None:
+        self._call("RENAME", [src, dst])
+
+    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
+        return _unpack_values(self._call("MGET", payload=_join_keys(keys)),
+                              len(keys))
+
+    def mset(self, items) -> int:
+        return int(self._call("MSET", payload=_pack_items(items)))
+
+    def mdelete(self, keys: List[str]) -> List[bool]:
+        return [b == 0x31 for b in self._call("MDEL", payload=_join_keys(keys))]
+
+    def msetnx(self, items) -> List[bool]:
+        return [b == 0x31 for b in self._call("MSETNX",
+                                              payload=_pack_items(items))]
+
+    def len(self) -> int:
+        return int(self._call("LEN"))
+
+    def snapshot(self) -> dict:
+        if self.wal is None:
+            raise StoreError("shard has no persistence configured")
+        with self.lock:
+            items = self.backend.items()
+            self.wal.begin_snapshot()
+        keys = self.wal.write_snapshot(items)["keys"]
+        return dict(self.wal.info(), keys=keys)
 
 
 class _ServerConnection(_BufferedProtocol):

@@ -226,7 +226,8 @@ def open_store(url: str, **kwargs: Any) -> DataStore:
 
         fs://<directory>          filesystem backend
         taridx://<directory>      indexed-tar archive backend
-        kv://[nservers]           in-memory KV cluster (default 1 server)
+        kv://[nshards]            the NetKV cluster over in-process
+                                  shards (default 1): no socket, no thread
         netkv://host:port[,...][?replication=N&route_refresh=S]
                                   networked KV cluster (live servers);
                                   ``replication`` places every hash slot
@@ -238,7 +239,6 @@ def open_store(url: str, **kwargs: Any) -> DataStore:
     Extra keyword arguments are forwarded to the backend constructor.
     """
     from repro.datastore.fsstore import FSStore
-    from repro.datastore.kvstore import KVCluster, KVStore
     from repro.datastore.taridx import TaridxStore
 
     scheme, sep, rest = url.partition("://")
@@ -249,8 +249,18 @@ def open_store(url: str, **kwargs: Any) -> DataStore:
     if scheme == "taridx":
         return TaridxStore(rest, **kwargs)
     if scheme == "kv":
-        nservers = int(rest) if rest else 1
-        return KVStore(KVCluster(nservers=nservers), **kwargs)
+        from repro.datastore.aio import LocalShard
+        from repro.datastore.netkv import NetKVCluster, NetKVStore
+
+        count = rest or "1"
+        if not (count.isascii() and count.isdigit()) or int(count) < 1:
+            raise StoreError(f"kv URL must be kv://N with N >= 1 shards: {url!r}")
+        shards = [LocalShard(("kv", i)) for i in range(int(count))]
+        # Nothing outside this process can migrate these shards' slots,
+        # so there is no shared routing map to poll.
+        return NetKVStore(NetKVCluster([s.address for s in shards],
+                                       route_refresh=0.0, channels=shards),
+                          **kwargs)
     if scheme == "netkv":
         from repro.datastore.netkv import NetKVStore
 

@@ -1,11 +1,14 @@
-"""NetKV: the Redis substitute over real sockets — cluster client and store.
+"""NetKV: the Redis substitute — cluster client, router and store.
 
-The in-process :mod:`~repro.datastore.kvstore` models the cluster's
-semantics; this module provides the same operations over actual TCP so
-deployments where components live in different processes (the paper's
-WM + thousands of simulation jobs) exercise a real wire protocol. The
-transport itself — shard server, client channel, framing — lives in
-:mod:`repro.datastore.aio`; ``NetKVServer`` and ``NetKVClient`` are its
+:class:`NetKVCluster` is the one replicated, slot-routed KV client.
+Over TCP shards (``netkv://``) components in different processes (the
+paper's WM + thousands of simulation jobs) exercise a real wire
+protocol; over in-process :class:`~repro.datastore.aio.LocalShard`
+channels (``kv://``, the chaos harness) the same routing, replication
+and listing code runs with no socket and no thread, and differs from
+the TCP cluster only by the wire. The transport itself — shard
+server, client channel, framing — lives in :mod:`repro.datastore.aio`;
+``NetKVServer`` and ``NetKVClient`` are its
 :class:`~repro.datastore.aio.AsyncNetKVServer` and
 :class:`~repro.datastore.aio.AsyncClientChannel`.
 
@@ -28,8 +31,8 @@ trip::
         -> OK frame whose payload is one '1'/'0' flag byte per key
            ('1' = the key existed and was deleted)
 
-A :class:`NetKVCluster` client routes keys over several servers with
-the same hash-slot rule as the in-process cluster, and can replicate
+A :class:`NetKVCluster` client routes keys over several servers by
+Redis Cluster's hash-slot rule (:func:`key_slot`), and can replicate
 every hash slot across ``replication`` consecutive shards: writes go
 to every replica at once, reads fail over to the first healthy copy,
 and the slice of the keyspace a shard owns only becomes unavailable
@@ -89,7 +92,6 @@ from repro.datastore.aio import (
     WireProtocolError,
     wake,
 )
-from repro.datastore.kvstore import _HASH_SLOTS, key_slot
 from repro.datastore.stats import TransportStats
 
 __all__ = [
@@ -99,12 +101,58 @@ __all__ = [
     "NetKVClient",
     "NetKVCluster",
     "NetKVStore",
+    "key_slot",
 ]
 
 # The shard server and the single-shard client are the event-loop
 # transport's classes under their public names.
 NetKVServer = AsyncNetKVServer
 NetKVClient = AsyncClientChannel
+
+
+_HASH_SLOTS = 16384  # as in Redis Cluster
+
+
+def _crc16_table() -> List[int]:
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+        table.append(crc)
+    return table
+
+
+_CRC16_TABLE = _crc16_table()
+
+
+def _crc16(data: bytes) -> int:
+    """CRC16-CCITT (XModem), the hash Redis Cluster uses for slotting.
+
+    Table-driven (one lookup per byte): key_slot sits on the routing
+    hot path of every cluster operation, and batched mget/mset hash
+    each key of the batch, so the bit-by-bit loop showed up as the
+    single largest cost in pipelined round trips.
+    """
+    crc = 0
+    table = _CRC16_TABLE
+    for byte in data:
+        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ byte]
+    return crc
+
+
+def key_slot(key: str) -> int:
+    """Hash slot for a key (honors Redis-style ``{hash tags}``)."""
+    raw = key
+    lb = key.find("{")
+    if lb != -1:
+        rb = key.find("}", lb + 1)
+        if rb != -1 and rb > lb + 1:
+            raw = key[lb + 1 : rb]
+    return _crc16(raw.encode("utf-8")) % _HASH_SLOTS
 
 
 def _chunks(seq: List, size: int) -> List[List]:
@@ -217,9 +265,10 @@ class NetKVCluster:
 
     ``channels`` replaces the socket channels with given objects that
     speak the same ``_post``/``_wait`` pair (one per address; they also
-    answer the health probes) and ``clock`` replaces
-    ``time.monotonic``: the chaos harness runs this class over
-    in-process shards on virtual time that way.
+    answer the health probes), such as
+    :class:`~repro.datastore.aio.LocalShard`: ``kv://`` is this class
+    over in-process shards, and the chaos harness runs it that way too,
+    with ``clock`` replacing ``time.monotonic`` by virtual time.
     """
 
     def __init__(self, addresses: List[Tuple[str, int]],
@@ -824,20 +873,29 @@ class NetKVCluster:
         self._maybe_repair()
         self._maybe_refresh_route()
         special = self._migrating_slots()
+        migrating = bool(special) and (key_slot(src) in special
+                                       or key_slot(dst) in special)
         src_replicas = self._replicas_for(src)
-        if (src_replicas == self._replicas_for(dst)
-                and not (special and (key_slot(src) in special
-                                      or key_slot(dst) in special))):
+        dst_replicas = self._replicas_for(dst)
+        if src_replicas == dst_replicas and not migrating:
             self._rename_native(src, dst, src_replicas)
             return
         # Two-phase cross-shard move: the destination copy is fully
         # acknowledged before the source delete, so a shard death
         # between the phases leaves a duplicate (counted below), never
         # a lost value. Keys that share a hash tag never take this path.
-        value = self.get(src)
-        self.set(dst, value)
+        # A migrating slot needs the public paths, which know both of
+        # its windows; otherwise one window per key is the whole story.
+        if migrating:
+            self.set(dst, self.get(src))
+        else:
+            self._set_window(dst, self._get_window(src, src_replicas),
+                             dst_replicas)
         try:
-            self.delete(src)
+            if migrating:
+                self.delete(src)
+            else:
+                self._delete_window(src, src_replicas)
         except KeyNotFound:
             pass  # a concurrent mover finished the delete first
         except StoreUnavailable:
@@ -1613,10 +1671,9 @@ class NetKVCluster:
 
 
 class NetKVStore(DataStore):
-    """DataStore adapter over a :class:`NetKVCluster`.
-
-    Drop-in for the in-process ``kv://`` backend when components run in
-    separate processes; the feedback managers work against it unchanged.
+    """DataStore adapter over a :class:`NetKVCluster`: what both
+    ``kv://`` (in-process shards) and ``netkv://`` (TCP shards) open, so
+    the feedback managers run the same store either way.
     """
 
     def __init__(self, cluster: NetKVCluster) -> None:

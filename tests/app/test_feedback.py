@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.app.feedback import AAToCGFeedback, CGToContinuumFeedback, rdf_to_coupling
-from repro.datastore import KVStore
+from repro.datastore import open_store
 from repro.sims.cg.analysis import RDFResult
 from repro.sims.cg.forcefield import martini_like
 from repro.sims.cg.engine import CGConfig, CGSim
@@ -46,7 +46,7 @@ class TestRdfToCoupling:
 
 class TestCGToContinuum:
     def _manager(self, store=None):
-        store = store or KVStore(nservers=2)
+        store = store or open_store("kv://2")
         cont = ContinuumSim(CONT_CFG)
         return CGToContinuumFeedback(store, cont), store, cont
 
@@ -77,13 +77,13 @@ class TestCGToContinuum:
         assert cont.coupling_version == 0
 
     def test_blend_bounds(self):
-        store = KVStore()
+        store = open_store("kv://1")
         cont = ContinuumSim(CONT_CFG)
         with pytest.raises(ValueError):
             CGToContinuumFeedback(store, cont, blend=0.0)
 
     def test_blend_moves_partially(self):
-        store = KVStore(nservers=1)
+        store = open_store("kv://1")
         cont = ContinuumSim(CONT_CFG)
         mgr = CGToContinuumFeedback(store, cont, blend=0.5)
         before = cont.g_inner.copy()
@@ -97,7 +97,7 @@ class TestCGToContinuum:
 
 class TestAAToCG:
     def _manager(self, processor=None, sims=()):
-        store = KVStore(nservers=2)
+        store = open_store("kv://2")
         ff = martini_like(2)
         mgr = AAToCGFeedback(store, ff, sims=sims, external_processor=processor)
         return mgr, store, ff
@@ -127,7 +127,7 @@ class TestAAToCG:
 
     def test_running_sims_get_refreshed(self):
         sim = CGSim.random_system(config=CGConfig(n_lipids=10, seed=0))
-        store = KVStore()
+        store = open_store("kv://1")
         mgr = AAToCGFeedback(store, sim.ff, sims=[sim])
         store.write("ss/live/f0", b"CCCCC")
         k_before = sim._bond_k.copy()
@@ -151,11 +151,11 @@ class TestAAToCG:
 
     def test_pool_size_validation(self):
         with pytest.raises(ValueError):
-            AAToCGFeedback(KVStore(), martini_like(2), pool_size=0)
+            AAToCGFeedback(open_store("kv://1"), martini_like(2), pool_size=0)
 
     def test_pooled_processing_matches_serial(self):
         serial_mgr, s1, ff1 = self._manager()
-        pooled = AAToCGFeedback(KVStore(nservers=2), martini_like(2), pool_size=8)
+        pooled = AAToCGFeedback(open_store("kv://2"), martini_like(2), pool_size=8)
         patterns = ["HHCC", "HHCC", "HHEE", "CCCC", "HHCC"]
         for i, p in enumerate(patterns):
             s1.write(f"ss/live/f{i}", p.encode())

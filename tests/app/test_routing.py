@@ -74,7 +74,7 @@ class TestNeighborCounting:
 class TestFiveQueueWorkflow:
     def test_wm_runs_with_five_queues(self):
         from repro.core.wm import WorkflowConfig, WorkflowManager
-        from repro.datastore import KVStore
+        from repro.datastore import open_store
         from repro.ml.encoder import PatchEncoder
 
         from repro.sims.cg.forcefield import martini_like
@@ -86,7 +86,7 @@ class TestFiveQueueWorkflow:
             encoder=PatchEncoder(input_dim=2 * 81, latent_dim=9, hidden=(16,),
                                  rng=np.random.default_rng(0)),
             forcefield=martini_like(2),
-            store=KVStore(nservers=2),
+            store=open_store("kv://2"),
             config=WorkflowConfig(beads_per_type=6, cg_chunks_per_job=1,
                                   cg_steps_per_chunk=5, seed=1),
             patch_creator=PatchCreator(patch_grid=9),
@@ -100,7 +100,7 @@ class TestFiveQueueWorkflow:
 
     def test_router_without_queues_rejected(self):
         from repro.core.wm import WorkflowManager
-        from repro.datastore import KVStore
+        from repro.datastore import open_store
         from repro.ml.encoder import PatchEncoder
         from repro.sims.cg.forcefield import martini_like
 
@@ -111,6 +111,6 @@ class TestFiveQueueWorkflow:
                 macro=macro,
                 encoder=PatchEncoder(input_dim=2 * 81, hidden=(8,)),
                 forcefield=martini_like(2),
-                store=KVStore(),
+                store=open_store("kv://1"),
                 queue_router=five_queue_router,
             )

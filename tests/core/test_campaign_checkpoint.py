@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.campaign import CampaignConfig, CampaignSimulator, RunSpec
-from repro.datastore import KVStore
+from repro.datastore import open_store
 
 LEDGER = (RunSpec(15, 2, 2), RunSpec(30, 3, 2))
 CFG = CampaignConfig(ledger=LEDGER, seed=17)
@@ -62,7 +62,7 @@ class TestCheckpointEquivalence:
         assert len(payload) > 100
 
     def test_checkpoint_roundtrips_through_a_store(self):
-        store = KVStore(nservers=2)
+        store = open_store("kv://2")
         sim = CampaignSimulator(CFG)
         sim.run(max_runs=2)
         store.write_json("campaign/ckpt", sim.state_dict())

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.feedback import FeedbackManager, StoreFeedbackMixin
 from repro.core.jobs import JobTracker, JobTypeConfig
-from repro.datastore import FSStore, KVStore, TaridxStore
+from repro.datastore import FSStore, TaridxStore, open_store
 from repro.sched.adapter import FluxAdapter, ThreadAdapter
 from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobState
@@ -144,7 +144,7 @@ class TestFeedbackManager:
             return FSStore(str(tmp_path / "fs"))
         if request.param == "taridx":
             return TaridxStore(str(tmp_path / "tar"))
-        return KVStore(nservers=3)
+        return open_store("kv://3")
 
     def test_iteration_processes_and_tags(self, store):
         for i in range(5):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.app.feedback import CGToContinuumFeedback
 from repro.core.feedback import FeedbackManager, StoreFeedbackMixin
-from repro.datastore import FSStore, KVStore
+from repro.datastore import FSStore, open_store
 from repro.sims.cg.analysis import RDFResult
 from repro.sims.continuum.ddft import ContinuumConfig, ContinuumSim
 
@@ -59,10 +59,10 @@ class TestParallelCollect:
         np.testing.assert_array_equal(run(1), run(6))
 
     def test_single_item_skips_pool(self):
-        store = KVStore()
+        store = open_store("kv://1")
         store.write("x/live/only", b"1")
         assert Collector(store, 8).collect() == [("x/live/only", b"1")]
 
     def test_worker_validation(self):
         with pytest.raises(ValueError):
-            Collector(KVStore(), 0)
+            Collector(open_store("kv://1"), 0)

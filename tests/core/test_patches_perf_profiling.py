@@ -6,7 +6,7 @@ import pytest
 from repro.core.patches import Patch, PatchCreator
 from repro.core.perfmodel import PerformanceModel
 from repro.core.profiling import OccupancyProfiler
-from repro.datastore import KVStore
+from repro.datastore import open_store
 from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobSpec
 from repro.sched.resources import summit_like
@@ -61,7 +61,7 @@ class TestPatchCreator:
         assert abs(peak[0] - 4) <= 1 and abs(peak[1] - 4) <= 1
 
     def test_store_persistence(self, snapshot):
-        store = KVStore(nservers=2)
+        store = open_store("kv://2")
         pc = PatchCreator(patch_grid=9, store=store)
         patches = pc.create(snapshot)
         keys = store.keys("patches/")

@@ -10,7 +10,7 @@ from repro.core.replay import (
     save_history,
     verify_selector_replay,
 )
-from repro.datastore import KVStore
+from repro.datastore import open_store
 from repro.sampling.binned import BinnedSampler, BinSpec
 from repro.sampling.fps import FarthestPointSampler
 from repro.sampling.points import Point
@@ -26,7 +26,7 @@ def P(pid, *coords):
 
 class TestHistoryStore:
     def test_save_load_roundtrip(self):
-        store = KVStore()
+        store = open_store("kv://1")
         rows = [{"time": 1.0, "selected": ["a"], "candidates": 3, "detail": ""}]
         save_history(store, "hist/patch", rows)
         assert load_history(store, "hist/patch") == rows

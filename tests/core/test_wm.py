@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.patches import PatchCreator
 from repro.core.wm import WorkflowConfig, WorkflowManager
-from repro.datastore import KVStore
-from repro.datastore.kvstore import key_slot
+from repro.datastore import open_store
+from repro.datastore.netkv import key_slot
 from repro.ml.encoder import PatchEncoder
 from repro.sched.adapter import ThreadAdapter
 from repro.sims.cg.forcefield import martini_like
@@ -16,7 +16,7 @@ from repro.sims.continuum import ContinuumConfig, ContinuumSim
 def make_wm(store=None, adapter=None, **cfg_kwargs):
     macro = ContinuumSim(ContinuumConfig(grid=16, n_inner=2, n_outer=2,
                                          n_proteins=3, dt=0.25, seed=0))
-    store = store if store is not None else KVStore(nservers=2)
+    store = store if store is not None else open_store("kv://2")
     encoder = PatchEncoder(input_dim=2 * 81, latent_dim=9, hidden=(16,),
                            rng=np.random.default_rng(0))
     ff = martini_like(n_lipid_types=2, seed=0)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datastore import FSStore, KVStore, KeyNotFound, StoreError, TaridxStore
+from repro.datastore import (FSStore, KeyNotFound, StoreError, TaridxStore,
+                             open_store)
 
 BACKENDS = ["fs", "taridx", "kv"]
 
@@ -22,7 +23,7 @@ def store(request, tmp_path):
     elif request.param == "taridx":
         s = TaridxStore(str(tmp_path / "tar"))
     else:
-        s = KVStore(nservers=3)
+        s = open_store("kv://3")
     yield s
     s.close()
 
@@ -157,7 +158,7 @@ def test_property_backends_agree(tmp_path_factory, ops):
     stores = {
         "fs": FSStore(str(tmp / "fs")),
         "tar": TaridxStore(str(tmp / "tar")),
-        "kv": KVStore(nservers=2),
+        "kv": open_store("kv://2"),
     }
     model = {}
     dst_cycle = ["k1", "k2", "k3", "ns/k4"]
@@ -292,7 +293,7 @@ class TestSeededOpSequenceFuzz:
         stores = {
             "fs": FSStore(str(tmp_path / "fs")),
             "taridx": TaridxStore(str(tmp_path / "tar")),
-            "kv": KVStore(nservers=3),
+            "kv": open_store("kv://3"),
         }
         for name, s in stores.items():
             try:
@@ -304,7 +305,7 @@ class TestSeededOpSequenceFuzz:
     def test_tiered_store_matches_model(self, tmp_path, seed):
         from repro.datastore import TieredStore
 
-        s = TieredStore(fast=KVStore(nservers=2),
+        s = TieredStore(fast=open_store("kv://2"),
                         backing=FSStore(str(tmp_path / "backing")),
                         persist_prefixes=("ns/",))
         try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datastore import FSStore, KVStore, TaridxStore
+from repro.datastore import FSStore, TaridxStore, open_store
 from repro.datastore.stats import IOStats, LatencyHistogram, TransportStats
 
 
@@ -13,7 +13,7 @@ def store(request, tmp_path):
     elif request.param == "taridx":
         s = TaridxStore(str(tmp_path / "tar"))
     else:
-        s = KVStore(nservers=2)
+        s = open_store("kv://2")
     yield s
     s.close()
 
@@ -53,8 +53,8 @@ class TestAutomaticInstrumentation:
         assert store.stats.bytes_written == store.stats.bytes_read
 
     def test_stats_are_per_instance(self, tmp_path):
-        a = KVStore()
-        b = KVStore()
+        a = open_store("kv://1")
+        b = open_store("kv://1")
         a.write("k", b"xxx")
         assert a.stats.writes == 1
         assert b.stats.writes == 0

@@ -222,17 +222,17 @@ class TestCrossShardRename:
             dst = key_on_shard(cluster, 1, "dst")
             cluster.set(src, b"payload")
 
-            original_delete = cluster.delete
+            original_delete = cluster._delete_window
 
-            def delete_on_a_dying_shard(key):
+            def delete_on_a_dying_shard(*args, **kwargs):
                 servers[0].stop()  # crash inside the two-phase window
-                return original_delete(key)
+                return original_delete(*args, **kwargs)
 
-            cluster.delete = delete_on_a_dying_shard
+            cluster._delete_window = delete_on_a_dying_shard
             try:
                 cluster.rename(src, dst)  # must not raise
             finally:
-                cluster.delete = original_delete
+                cluster._delete_window = original_delete
 
             assert cluster.get(dst) == b"payload"
             assert cluster.stats.rename_orphans == 1

@@ -19,9 +19,8 @@ import pytest
 from repro.core.feedback import StoreFeedbackMixin
 from repro.core.wm import _feedback_key
 from repro.datastore import aio
-from repro.datastore.kvstore import key_slot
 from repro.datastore.netkv import (NetKVClient, NetKVCluster, NetKVServer,
-                                   NetKVStore, TransportConfig)
+                                   NetKVStore, TransportConfig, key_slot)
 from repro.util.faults import NetworkFaultInjector
 
 pytestmark = pytest.mark.multi_server

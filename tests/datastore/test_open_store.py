@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.datastore import FSStore, KVStore, StoreError, TaridxStore, open_store
+from repro.datastore import (FSStore, NetKVStore, StoreError, TaridxStore,
+                             open_store)
 
 
 class TestOpenStore:
@@ -18,12 +19,20 @@ class TestOpenStore:
 
     def test_kv_scheme_default_servers(self):
         s = open_store("kv://")
-        assert isinstance(s, KVStore)
-        assert len(s.cluster.servers) == 1
+        assert isinstance(s, NetKVStore)
+        assert len(s.cluster._channels) == 1
+        s.close()
 
     def test_kv_scheme_with_count(self):
         s = open_store("kv://20")
-        assert len(s.cluster.servers) == 20
+        assert len(s.cluster._channels) == 20
+        s.close()
+
+    @pytest.mark.parametrize("url", ["kv://abc", "kv://2?x=1", "kv://0",
+                                     "kv://-1", "kv://2,3"])
+    def test_kv_scheme_rejects_bad_counts(self, url):
+        with pytest.raises(StoreError, match="kv://"):
+            open_store(url)
 
     def test_netkv_scheme(self):
         from repro.datastore import NetKVServer, NetKVStore

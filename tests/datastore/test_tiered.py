@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.datastore import FSStore, KVStore, KeyNotFound
+from repro.datastore import FSStore, KeyNotFound, open_store
 from repro.datastore.tiered import TieredStore
 
 
 @pytest.fixture
 def store(tmp_path):
     s = TieredStore(
-        fast=KVStore(nservers=2),
+        fast=open_store("kv://2"),
         backing=FSStore(str(tmp_path / "gpfs")),
         persist_prefixes=("ckpt/", "aa-input/"),
     )
@@ -55,7 +55,7 @@ class TestReadPath:
         assert "ckpt/a" in store.fast_keys()
 
     def test_no_promotion_when_disabled(self, tmp_path):
-        s = TieredStore(KVStore(), FSStore(str(tmp_path / "b")),
+        s = TieredStore(open_store("kv://1"), FSStore(str(tmp_path / "b")),
                         persist_prefixes=("ckpt/",), promote_on_read=False)
         s.write("ckpt/a", b"x")
         s.fast.delete("ckpt/a")

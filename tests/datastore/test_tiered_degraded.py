@@ -5,7 +5,7 @@ import socket
 import pytest
 
 from repro.datastore.base import StoreUnavailable
-from repro.datastore.kvstore import KVCluster, KVStore
+from repro.datastore import open_store
 from repro.datastore.netkv import NetKVStore, TransportConfig
 from repro.datastore.tiered import TieredStore
 
@@ -24,7 +24,7 @@ def dead_address():
 @pytest.fixture
 def degraded():
     fast = NetKVStore.connect([dead_address()], config=DEAD_FAST)
-    backing = KVStore(KVCluster(nservers=1))
+    backing = open_store("kv://1")
     store = TieredStore(fast, backing, persist_prefixes=("ckpt/",))
     yield store, backing
     fast.close()
@@ -56,8 +56,8 @@ class TestDegradedMode:
         assert store.keys("ckpt/") == ["ckpt/one", "ckpt/two"]
 
     def test_healthy_tiers_never_count_degraded(self):
-        fast = KVStore(KVCluster(nservers=1))
-        backing = KVStore(KVCluster(nservers=1))
+        fast = open_store("kv://1")
+        backing = open_store("kv://1")
         store = TieredStore(fast, backing, persist_prefixes=("ckpt/",))
         store.write("ckpt/a", b"x")
         assert store.read("ckpt/a") == b"x"

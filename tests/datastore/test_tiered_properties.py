@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datastore import FSStore, KVStore, KeyNotFound
+from repro.datastore import FSStore, KeyNotFound, open_store
 from repro.datastore.tiered import TieredStore
 
 KEYS = ["ckpt/a", "ckpt/b", "traj/x", "traj/y"]
@@ -25,7 +25,7 @@ KEYS = ["ckpt/a", "ckpt/b", "traj/x", "traj/y"]
 def test_property_tiered_matches_dict_model(tmp_path_factory, ops):
     tmp = tmp_path_factory.mktemp("tiered")
     store = TieredStore(
-        fast=KVStore(nservers=2),
+        fast=open_store("kv://2"),
         backing=FSStore(str(tmp / "backing")),
         persist_prefixes=("ckpt/",),
     )

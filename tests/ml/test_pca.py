@@ -96,7 +96,7 @@ class TestWorkflowIntegration:
         """Duck-type compatibility: the WM runs with a PCA encoder."""
         from repro.core.patches import PatchCreator
         from repro.core.wm import WorkflowConfig, WorkflowManager
-        from repro.datastore import KVStore
+        from repro.datastore import open_store
         from repro.sims.cg.forcefield import martini_like
         from repro.sims.continuum import ContinuumConfig, ContinuumSim
 
@@ -115,7 +115,7 @@ class TestWorkflowIntegration:
             macro=macro,
             encoder=enc,
             forcefield=martini_like(2),
-            store=KVStore(nservers=2),
+            store=open_store("kv://2"),
             config=WorkflowConfig(beads_per_type=6, cg_chunks_per_job=1,
                                   cg_steps_per_chunk=5, seed=0),
             patch_creator=PatchCreator(patch_grid=9),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datastore import KVStore
+from repro.datastore import open_store
 from repro.sampling.binned import BinnedSampler, BinSpec
 from repro.sampling.fps import FarthestPointSampler
 from repro.sampling.persistence import (
@@ -109,7 +109,7 @@ class TestStoreRoundtrip:
         (make_binned, lambda: BinnedSampler([BinSpec(0, 1, 4)] * 3, randomness=0.2)),
     ])
     def test_save_load_through_store(self, maker, factory):
-        store = KVStore(nservers=2)
+        store = open_store("kv://2")
         original = maker()
         save_sampler(store, "wm/selector", original)
         fresh = factory()
@@ -117,6 +117,6 @@ class TestStoreRoundtrip:
         assert [p.id for p in fresh.select(3)] == [p.id for p in original.select(3)]
 
     def test_unsupported_type(self):
-        store = KVStore()
+        store = open_store("kv://1")
         with pytest.raises(TypeError):
             save_sampler(store, "x", object())

@@ -9,10 +9,10 @@ import threading
 
 import pytest
 
-from repro.datastore.base import StoreError, StoreUnavailable
-from repro.datastore.kvstore import KVStore
+from repro.datastore.base import StoreError, StoreUnavailable, open_store
 from repro.datastore.namespaced import (NamespacedStore,
                                         validate_namespace_segment)
+from repro.datastore.netkv import NetKVStore
 from repro.sched.jobspec import JobSpec, JobState
 from repro.sched.shares import FairShareAdapter, StrideScheduler
 from repro.service.registry import (CampaignRegistry, CampaignSpec,
@@ -27,7 +27,7 @@ TINY = {"rounds": 1}
 
 @pytest.fixture
 def registry():
-    reg = CampaignRegistry(KVStore(), config=ServiceConfig(pool_workers=2))
+    reg = CampaignRegistry(open_store("kv://1"), config=ServiceConfig(pool_workers=2))
     yield reg
     reg.shutdown()
 
@@ -118,7 +118,7 @@ class TestSubmission:
 
     def test_per_tenant_quota(self):
         cfg = ServiceConfig(max_campaigns_per_tenant=1, pool_workers=2)
-        reg = CampaignRegistry(KVStore(), config=cfg)
+        reg = CampaignRegistry(open_store("kv://1"), config=cfg)
         try:
             reg.submit({"tenant": "alice", "rounds": 5000})
             with pytest.raises(QuotaExceeded):
@@ -130,7 +130,7 @@ class TestSubmission:
 
     def test_total_quota(self):
         cfg = ServiceConfig(max_campaigns_total=1, pool_workers=2)
-        reg = CampaignRegistry(KVStore(), config=cfg)
+        reg = CampaignRegistry(open_store("kv://1"), config=cfg)
         try:
             reg.submit({"tenant": "alice", "rounds": 5000})
             with pytest.raises(QuotaExceeded):
@@ -140,7 +140,7 @@ class TestSubmission:
 
     def test_terminal_campaigns_do_not_count_against_quota(self, registry):
         cfg = ServiceConfig(max_campaigns_per_tenant=1, pool_workers=2)
-        reg = CampaignRegistry(KVStore(), config=cfg)
+        reg = CampaignRegistry(open_store("kv://1"), config=cfg)
         try:
             first = reg.submit({"tenant": "alice", **TINY})
             assert first.wait(timeout=30.0) is CampaignState.DONE
@@ -190,7 +190,7 @@ class TestRegistryBookkeeping:
         retryable 503 and leave the campaign deletable, not half-forget
         it with its keyspace still on the shards."""
 
-        class FlakyStore(KVStore):
+        class FlakyStore(NetKVStore):
             down = False
 
             def keys(self, prefix=""):
@@ -198,7 +198,7 @@ class TestRegistryBookkeeping:
                     raise StoreUnavailable("replica window fully down")
                 return super().keys(prefix)
 
-        store = FlakyStore()
+        store = FlakyStore(open_store("kv://1").cluster)
         reg = CampaignRegistry(store, config=ServiceConfig(pool_workers=2))
         try:
             handle = reg.submit({"tenant": "alice", **TINY})
@@ -255,7 +255,7 @@ class TestNamespacing:
                 validate_namespace_segment(bad, "tenant")
 
     def test_views_are_disjoint(self):
-        base = KVStore()
+        base = open_store("kv://1")
         a = NamespacedStore(base, "alice", "c000001")
         b = NamespacedStore(base, "bob", "c000001")
         a.write("frame", b"A")
@@ -267,7 +267,7 @@ class TestNamespacing:
         assert a.keys("") == ["frame"]
 
     def test_batched_paths_stay_namespaced(self):
-        base = KVStore()
+        base = open_store("kv://1")
         view = NamespacedStore(base, "alice", "c000001")
         view.write_many({"x/1": b"1", "x/2": b"2"})
         assert view.read_many(["x/1", "x/2"]) == {"x/1": b"1", "x/2": b"2"}
@@ -279,7 +279,7 @@ class TestNamespacing:
         assert base.keys("") == []
 
     def test_purge_only_touches_own_namespace(self):
-        base = KVStore()
+        base = open_store("kv://1")
         mine = NamespacedStore(base, "alice", "c000001")
         other = NamespacedStore(base, "alice", "c000002")
         mine.write("k", b"m")

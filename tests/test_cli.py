@@ -46,6 +46,10 @@ class TestCommands:
         assert "snapshots" in out
         assert "cg_finished" in out
 
+    def test_run_rejects_bad_store_url(self, capsys):
+        assert main(["run", "--rounds", "1", "--store", "kv://abc"]) == 2
+        assert "kv://abc" in capsys.readouterr().err
+
     def test_run_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "app.toml"
         cfg.write_text(
