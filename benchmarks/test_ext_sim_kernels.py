@@ -15,8 +15,11 @@ bond passes, one ``np.add.at`` per block, energy always summed):
 Each case runs an oracle copy and an engine copy of one system in
 alternating blocks, so both see the same states (their trajectories
 are bitwise identical, which is checked at the end), and keeps the
-best block per side. Results go to ``BENCH_sims.json``. The guard:
-engine <= 0.85x oracle at the laptop sizes.
+best block per side. The oracle searches afresh on every step; the
+engine keeps its Verlet list, and each case also records the fraction
+of its force calls that rebuilt the list (rebuilds / force calls).
+Results go to ``BENCH_sims.json``. The guard: engine <= 0.85x oracle
+at the laptop sizes.
 """
 
 import time
@@ -86,19 +89,21 @@ def best_block_us(steps_per_block, rounds, make):
             else:
                 best_eng = min(best_eng, us)
     assert ref.positions.tobytes() == eng.positions.tobytes()
-    return best_ref, best_eng, ref.positions.shape[0]
+    return best_ref, best_eng, ref.positions.shape[0], eng.nlist.builds / eng.nlist.calls
 
 
 def test_sim_kernels():
     rows = {}
-    lines = [f"{'case':>18} {'n':>5} {'oracle us':>10} {'engine us':>10} {'ratio':>6}"]
+    lines = [f"{'case':>18} {'n':>5} {'oracle us':>10} {'engine us':>10} {'ratio':>6} "
+             f"{'rebuilds':>8}"]
     for name, (make, steps, rounds) in cases().items():
-        oracle_us, engine_us, n = best_block_us(steps, rounds, make)
+        oracle_us, engine_us, n, rebuilds = best_block_us(steps, rounds, make)
         rows[name] = {"n": n, "oracle_us_per_step": oracle_us,
                       "engine_us_per_step": engine_us, "ratio": engine_us / oracle_us,
-                      "steps_per_block": steps, "rounds": rounds}
+                      "rebuild_fraction": rebuilds, "steps_per_block": steps,
+                      "rounds": rounds}
         lines.append(f"{name:>18} {n:>5} {oracle_us:>10.1f} {engine_us:>10.1f} "
-                     f"{engine_us / oracle_us:>6.2f}")
+                     f"{engine_us / oracle_us:>6.2f} {rebuilds:>8.3f}")
     lines.append(f"guard: engine <= {MAX_RATIO}x oracle for {', '.join(LAPTOP)}")
     report("ext_sim_kernels", lines)
     record_json("BENCH_sims.json", "sim_kernels", {"max_ratio": MAX_RATIO, "cases": rows})

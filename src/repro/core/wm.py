@@ -255,6 +255,11 @@ class WorkflowManager:
     # Task 3: schedule and manage jobs (which triggers Task 2 selections)
     # ------------------------------------------------------------------
 
+    def _launch_seed(self) -> int:
+        """A job's seed, drawn when it is launched on the WM thread, so the
+        seed a system gets does not depend on which worker runs first."""
+        return int(self.rng.integers(2**31))
+
     def _fill_cg_buffer(self) -> int:
         """Launch createsim jobs until the ready buffer will hit target."""
         launched = 0
@@ -272,8 +277,9 @@ class WorkflowManager:
                 break
             patch = self._patch_by_id.pop(selected[0].id)
             self._bump("patches_selected")
+            seed = self._launch_seed()
 
-            def setup_job(patch=patch):
+            def setup_job(patch=patch, seed=seed):
                 with trace.span("wm.createsim", patch=patch.patch_id):
                     system = createsim(
                         patch.densities,
@@ -282,7 +288,7 @@ class WorkflowManager:
                         patch_id=patch.patch_id,
                         forcefield=self.forcefield,
                         beads_per_type=self.config.beads_per_type,
-                        seed=int(self.rng.integers(2**31)),
+                        seed=seed,
                     )
                     with self._buffer_lock:
                         self.cg_ready.append(system)
@@ -304,18 +310,19 @@ class WorkflowManager:
             with self._counters_lock:
                 sim_id = f"cg{self.counters['cg_spawned']:05d}"
                 self.counters["cg_spawned"] += 1
+            seed = self._launch_seed()
 
-            def cg_job(system=system, sim_id=sim_id):
-                return self._run_cg_sim(system, sim_id)
+            def cg_job(system=system, sim_id=sim_id, seed=seed):
+                return self._run_cg_sim(system, sim_id, seed)
 
             tracker.launch(sim_id, fn=trace.wrap(cg_job))
             spawned += 1
         return spawned
 
-    def _run_cg_sim(self, system: CGSystem, sim_id: str) -> float:
+    def _run_cg_sim(self, system: CGSystem, sim_id: str, seed: int) -> float:
         """The CG simulation + co-scheduled analysis job body."""
         with trace.span("wm.cg_sim", sim=sim_id):
-            cfg = CGConfig(box=system.box, n_lipids=1, seed=int(self.rng.integers(2**31)))
+            cfg = CGConfig(box=system.box, n_lipids=1, seed=seed)
             sim = CGSim(system.positions, system.type_ids, self.forcefield, cfg,
                         bonds=system.bonds)
             analysis = CGAnalysis(sim, sim_id=sim_id)
@@ -361,11 +368,11 @@ class WorkflowManager:
                 if sp:
                     sp.set(frame=frame_id)
             self._bump("frames_selected")
+            seed = self._launch_seed()
 
-            def backmap_job(system=system, frame_id=frame_id):
+            def backmap_job(system=system, frame_id=frame_id, seed=seed):
                 with trace.span("wm.backmap", frame=frame_id):
-                    aa = backmap(system, self.forcefield, frame_id=frame_id,
-                                 seed=int(self.rng.integers(2**31)))
+                    aa = backmap(system, self.forcefield, frame_id=frame_id, seed=seed)
                     with self._buffer_lock:
                         self.aa_ready.append(aa)
                 return aa.natoms
@@ -385,18 +392,19 @@ class WorkflowManager:
             with self._counters_lock:
                 sim_id = f"aa{self.counters['aa_spawned']:05d}"
                 self.counters["aa_spawned"] += 1
+            seed = self._launch_seed()
 
-            def aa_job(system=system, sim_id=sim_id):
-                return self._run_aa_sim(system, sim_id)
+            def aa_job(system=system, sim_id=sim_id, seed=seed):
+                return self._run_aa_sim(system, sim_id, seed)
 
             tracker.launch(sim_id, fn=trace.wrap(aa_job))
             spawned += 1
         return spawned
 
-    def _run_aa_sim(self, system: AASystem, sim_id: str) -> float:
+    def _run_aa_sim(self, system: AASystem, sim_id: str, seed: int) -> float:
         with trace.span("wm.aa_sim", sim=sim_id):
             sim = AASim(system.positions, system.bonds, system.backbone,
-                        config=AAConfig(box=system.box, seed=int(self.rng.integers(2**31))))
+                        config=AAConfig(box=system.box, seed=seed))
             analysis = SecondaryStructureAnalysis(system.backbone, box=system.box)
             for chunk in range(self.config.aa_chunks_per_job):
                 sim.step(self.config.aa_steps_per_chunk)

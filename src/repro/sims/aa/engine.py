@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from repro.sims.pairwise import bond_table, scatter, separations
+from repro.sims.pairwise import NeighbourList, bond_table
 
 __all__ = ["AAConfig", "AASim"]
 
@@ -82,6 +81,7 @@ class AASim:
         self.restraint_k = float(restraint_k)
         self._restraint_anchor = self.positions.copy()
         self._bond_ends, self._bond_r0 = bond_table(self.bonds)
+        self.nlist = NeighbourList(self._bond_ends, exclude_bonded=False)
         self.rng = np.random.default_rng(self.config.seed)
         self.time = 0.0
         self.step_count = 0
@@ -99,17 +99,14 @@ class AASim:
 
     def _forces(self, with_energy: bool) -> Tuple[np.ndarray, Optional[float]]:
         c = self.config
-        ends = self._bond_ends
-        # Excluded volume: soft quadratic repulsion below cutoff.
-        tree = cKDTree(self.positions, boxsize=c.box)
-        pairs = tree.query_pairs(c.cutoff, output_type="ndarray")
-        ii, jj = pairs[:, 0], pairs[:, 1]
-        npair = ii.size
-        d, r = separations(self.positions, ii, jj, ends, c.box)
-        x = 1.0 - r[:npair] / c.cutoff
-        stretch = r[npair:] - self._bond_r0
+        nl = self.nlist.update(self.positions, c.box, c.cutoff)
+        d, r = nl.separations(self.positions, c.box)
+        # Excluded volume: soft quadratic repulsion below cutoff; the
+        # clamp makes candidates beyond it add exactly 0.0.
+        x = np.maximum(1.0 - r[:nl.npair] / c.cutoff, 0.0)
+        stretch = r[nl.npair:] - self._bond_r0
         fmag = np.concatenate([2.0 * c.repulsion * x / c.cutoff, -self.bond_k * stretch])
-        F = scatter(self.natoms, ii, jj, ends, (fmag / r)[:, None] * d)
+        F = nl.scatter((fmag / r)[:, None] * d)
         # Position restraints.
         any_restrained = self.restrained.any()
         if any_restrained:
@@ -117,9 +114,10 @@ class AASim:
             F -= self.restraint_k * dr * self.restrained[:, None]
         if not with_energy:
             return F, None
+        inside = r[:nl.npair] < c.cutoff
         energy = 0.0
-        if npair:
-            energy += float(np.sum(c.repulsion * x**2))
+        if inside.any():
+            energy += float(np.sum(c.repulsion * x[inside] ** 2))
         if stretch.size:
             energy += float(np.sum(0.5 * self.bond_k * stretch**2))
         if any_restrained:

@@ -6,27 +6,26 @@ periodic 2-D membrane plane::
     x += mobility * F(x) * dt + sqrt(2 * D * dt) * xi
 
 Non-bonded forces come from the force field's soft-core pair potential
-over a periodic neighbour list (``scipy.spatial.cKDTree`` with
-``boxsize``, whose traversal order fixes the summation order);
-protein beads are chained by harmonic bonds whose stiffness tracks the
-secondary-structure pattern — the parameter AA→CG feedback refines
-mid-campaign via :meth:`CGSim.apply_feedback`. Pairs and bonds share
-one fused force pass (:mod:`repro.sims.pairwise`); the tests keep the
-separate passes and the brute-force and linked-cell pair searches as
-oracles (``tests/sims/oracles.py``).
+over a periodic Verlet neighbour list kept across steps, its pairs in
+sorted (i < j) order so that the summation order does not depend on
+how they were found; protein beads are chained by harmonic bonds whose
+stiffness tracks the secondary-structure pattern — the parameter AA→CG
+feedback refines mid-campaign via :meth:`CGSim.apply_feedback`. Pairs
+and bonds share one fused force pass (:mod:`repro.sims.pairwise`); the
+tests keep the separate passes, with a fresh tree, brute-force or
+linked-cell pair search per step, as oracles (``tests/sims/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.sims.cg.forcefield import CGForceField
 from repro.sims.cg.forcefield import martini_like
-from repro.sims.pairwise import bond_table, scatter, separations
+from repro.sims.pairwise import NeighbourList, bond_table
 
 __all__ = ["CGConfig", "CGSim"]
 
@@ -90,20 +89,11 @@ class CGSim:
         self._refresh_bond_tables()
 
     def _refresh_bond_tables(self) -> None:
-        """Cache the bond ends and the sorted keys of bonded pairs, which
-        are excluded from non-bonded interactions (standard MD
+        """Cache the bond ends and start a neighbour list over them, which
+        excludes bonded pairs from non-bonded interactions (standard MD
         exclusions; bonds alone set their geometry)."""
         self._bond_ends, self._bond_r0 = bond_table(self.bonds)
-        lo, hi = np.sort(self._bond_ends, axis=0)
-        self._excluded_keys = np.unique(lo * self.positions.shape[0] + hi)
-
-    def _filter_excluded(self, ii: np.ndarray, jj: np.ndarray):
-        excluded = self._excluded_keys
-        if excluded.size == 0 or ii.size == 0:
-            return ii, jj
-        keys = ii * self.positions.shape[0] + jj  # tree pairs have ii < jj
-        keep = excluded.take(np.searchsorted(excluded, keys), mode="clip") != keys
-        return ii[keep], jj[keep]
+        self.nlist = NeighbourList(self._bond_ends, exclude_bonded=True)
 
     # --- construction helpers ------------------------------------------------
 
@@ -163,32 +153,26 @@ class CGSim:
         box = self.config.box
         return d - box * np.round(d / box)
 
-    def _pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every pair within the cutoff, i < j, in tree traversal order
-        (which fixes the force summation order)."""
-        tree = cKDTree(self.positions, boxsize=self.config.box)
-        pairs = tree.query_pairs(self.ff.cutoff, output_type="ndarray")
-        return pairs[:, 0], pairs[:, 1]
-
     def forces(self) -> Tuple[np.ndarray, float]:
         """Total forces (n, 2) and potential energy."""
         return self._forces(with_energy=True)
 
     def _forces(self, with_energy: bool) -> Tuple[np.ndarray, Optional[float]]:
-        ends = self._bond_ends
-        ii, jj = self._filter_excluded(*self._pairs())
-        npair = ii.size
-        d, r = separations(self.positions, ii, jj, ends, self.config.box)
-        rp, ti, tj = r[:npair], self.type_ids[ii], self.type_ids[jj]
-        stretch = r[npair:] - self._bond_r0
+        box, rc = self.config.box, self.ff.cutoff
+        nl = self.nlist.update(self.positions, box, rc)
+        d, r = nl.separations(self.positions, box)
+        rp, ti, tj = r[:nl.npair], self.type_ids[nl.ii], self.type_ids[nl.jj]
+        stretch = r[nl.npair:] - self._bond_r0
         k = self._bond_k
+        # pair_force is exactly 0.0 for candidates beyond the cutoff.
         fmag = np.concatenate([self.ff.pair_force(rp, ti, tj), -k * stretch])
-        F = scatter(self.positions.shape[0], ii, jj, ends, (fmag / r)[:, None] * d)
+        F = nl.scatter((fmag / r)[:, None] * d)
         if not with_energy:
             return F, None
+        inside = rp < rc
         energy = 0.0
-        if npair:
-            energy += float(self.ff.pair_energy(rp, ti, tj).sum())
+        if inside.any():
+            energy += float(self.ff.pair_energy(rp[inside], ti[inside], tj[inside]).sum())
         if stretch.size:
             energy += float(np.sum(0.5 * k * stretch**2))
         return F, energy

@@ -1,25 +1,46 @@
-"""The fused force pass shared by the CG and AA engines.
+"""The Verlet neighbour list and fused force pass shared by the CG and
+AA engines.
 
 Both engines sum pair forces over a periodic neighbour list and bond
 forces over a fixed bond table. At laptop scale (tens of particles) the
-cost is numpy call overhead, not arithmetic, so each force evaluation
-does one distance pass over the pair rows followed by the bond rows,
-and one scatter: an ``np.bincount`` per component over the row targets
-``concat(ii, jj, bi, bj)``.
+cost is numpy call overhead, not arithmetic, so each sim keeps one
+:class:`NeighbourList` across steps:
 
-``bincount`` adds every row in input order starting from +0.0, the
-order of four successive ``np.add.at`` calls, so the forces are
-bitwise identical to the separate passes
-(``tests/sims/oracles.py`` keeps those as the reference).
+- its candidate pairs lie within ``cutoff * (1 + SKIN)``. A periodic
+  ``cKDTree`` finds them and they are sorted lexicographically (i < j),
+  so the summation order is a property of the pair *set*: any search
+  method gives the same bits. Bonded pairs are excluded here, once per
+  build, when the engine asks for it;
+- the row tables are built with the list: gather indices of the pair
+  rows followed by the bond rows, and the ``np.bincount`` scatter
+  targets ``concat(ii, jj, bi, bj)``;
+- it rebuilds when some particle's minimum-image displacement since the
+  build exceeds ``SKIN * cutoff / 2`` (no pair can then have crossed
+  from beyond the candidate radius to inside the cutoff), or when the
+  particle count, box or cutoff change. A sim whose bonds change starts
+  a new list.
+
+Each force evaluation does one distance pass over every candidate row
+and one scatter. A candidate beyond the cutoff gets a force of exactly
+±0.0 from the engine's masked pair force, and ``bincount`` adds the rows
+in input order starting from +0.0, where ``x + ±0.0 == x``. So the
+forces are bitwise identical to separate passes over the inside-cutoff
+pairs alone, in sorted order, with one ``np.add.at`` per block
+(``tests/sims/oracles.py`` keeps those, with a fresh search per step,
+as the reference).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-__all__ = ["bond_table", "scatter", "separations"]
+__all__ = ["SKIN", "NeighbourList", "bond_table"]
+
+SKIN = 0.2
+"""Candidate radius beyond the cutoff, as a fraction of the cutoff."""
 
 
 def bond_table(bonds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -29,30 +50,67 @@ def bond_table(bonds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ends, np.ascontiguousarray(bonds[:, 2])
 
 
-def separations(
-    positions: np.ndarray, ii: np.ndarray, jj: np.ndarray, bond_ends: np.ndarray, box: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Minimum-image separation vectors and distances of the pair rows
-    followed by the bond rows (floored at 1e-9 so overlapping particles
-    get a huge but finite force)."""
-    left = np.concatenate([ii, bond_ends[0]])
-    right = np.concatenate([jj, bond_ends[1]])
-    d = positions.take(left, axis=0) - positions.take(right, axis=0)
-    d = d - box * np.rint(d / box)  # = np.round, without its wrapper
-    r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
-    return d, r
+class NeighbourList:
+    """One sim's sorted Verlet list and the row tables built from it.
 
+    The bonds are fixed for the list's life: a sim whose bonds change
+    starts a new list. ``update`` is called once per force evaluation;
+    ``builds / calls`` is the fraction of evaluations that paid for a
+    tree search.
+    """
 
-def scatter(
-    n: int, ii: np.ndarray, jj: np.ndarray, bond_ends: np.ndarray, fvec: np.ndarray
-) -> np.ndarray:
-    """Forces (n, 2) from pair rows ``fvec[:len(ii)]`` (+ on ii, - on jj)
-    followed by bond rows (+ on bond_ends[0], - on bond_ends[1])."""
-    npair = ii.size
-    targets = np.concatenate([ii, jj, bond_ends.ravel()])
-    fp, fb = fvec[:npair], fvec[npair:]
-    weights = np.concatenate([fp, -fp, fb, -fb])
-    F = np.empty((n, 2))
-    F[:, 0] = np.bincount(targets, weights[:, 0], minlength=n)
-    F[:, 1] = np.bincount(targets, weights[:, 1], minlength=n)
-    return F
+    def __init__(self, bond_ends: np.ndarray, exclude_bonded: bool) -> None:
+        self.bond_ends = bond_ends
+        self.exclude_bonded = exclude_bonded
+        self.calls = 0
+        self.builds = 0
+        self._key: Optional[Tuple[int, float, float]] = None
+
+    def update(self, positions: np.ndarray, box: float, cutoff: float) -> "NeighbourList":
+        """Rebuild if stale for ``positions``; returns ``self``."""
+        self.calls += 1
+        if (positions.shape[0], box, cutoff) != self._key or self._drifted(positions, box):
+            self._build(positions, box, cutoff)
+        return self
+
+    def _drifted(self, positions: np.ndarray, box: float) -> bool:
+        d = positions - self._origin
+        d -= box * np.rint(d / box)
+        return np.einsum("ij,ij->i", d, d).max(initial=0.0) > self._max_drift2
+
+    def _build(self, positions: np.ndarray, box: float, cutoff: float) -> None:
+        n = positions.shape[0]
+        pairs = cKDTree(positions, boxsize=box).query_pairs(
+            cutoff * (1.0 + SKIN), output_type="ndarray")
+        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])  # query_pairs gives i < j
+        bi, bj = self.bond_ends
+        if self.exclude_bonded and bi.size:
+            keys = keys[~np.isin(keys, np.minimum(bi, bj) * n + np.maximum(bi, bj))]
+        ii, jj = np.divmod(keys, n)
+        self.ii, self.jj, self.npair, self.n = ii, jj, ii.size, n
+        self.left = np.concatenate([ii, bi])
+        self.right = np.concatenate([jj, bj])
+        self.targets = np.concatenate([ii, jj, bi, bj])
+        self._origin = positions.copy()
+        self._max_drift2 = (SKIN * cutoff / 2.0) ** 2
+        self._key = (n, box, cutoff)
+        self.builds += 1
+
+    def separations(self, positions: np.ndarray, box: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Minimum-image separation vectors and distances of the pair rows
+        followed by the bond rows (floored at 1e-9 so overlapping
+        particles get a huge but finite force)."""
+        d = positions.take(self.left, axis=0) - positions.take(self.right, axis=0)
+        d = d - box * np.rint(d / box)  # = np.round, without its wrapper
+        r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
+        return d, r
+
+    def scatter(self, fvec: np.ndarray) -> np.ndarray:
+        """Forces (n, 2) from pair rows ``fvec[:npair]`` (+ on ii, - on jj)
+        followed by bond rows (+ on the first end, - on the second)."""
+        fp, fb = fvec[:self.npair], fvec[self.npair:]
+        weights = np.concatenate([fp, -fp, fb, -fb])
+        F = np.empty((self.n, 2))
+        F[:, 0] = np.bincount(self.targets, weights[:, 0], minlength=self.n)
+        F[:, 1] = np.bincount(self.targets, weights[:, 1], minlength=self.n)
+        return F

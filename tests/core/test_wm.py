@@ -1,9 +1,12 @@
 """Tests for the Workflow Manager driving real (tiny) simulations."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.patches import PatchCreator
+from repro.core import wm as wm_module
 from repro.core.wm import WorkflowConfig, WorkflowManager
 from repro.datastore import open_store
 from repro.datastore.netkv import key_slot
@@ -149,3 +152,56 @@ class TestCheckpoint:
         payload = store.read_json("wm/checkpoint")
         assert "coupling_version" in payload
         assert "ss_pattern" in payload
+
+
+class TestLaunchSeeds:
+    """Seeds are drawn on the WM thread when a job is launched, so each
+    job's seed is fixed by launch order, not by which worker runs first."""
+
+    @staticmethod
+    def seeds_by_id(monkeypatch, max_workers):
+        seeds = {}
+        # Job bodies wait until their launch step has returned, so every
+        # launch decision sees the same state whatever the pool size.
+        gate = threading.Event()
+
+        def recording(fn, id_of):
+            def record(*args, **kwargs):
+                assert gate.wait(timeout=60)
+                seeds[id_of(*args, **kwargs)] = kwargs["seed"]
+                return fn(*args, **kwargs)
+            return record
+
+        pool = ThreadAdapter(max_workers=max_workers)
+        with monkeypatch.context() as patch:
+            patch.setattr(wm_module, "createsim", recording(
+                wm_module.createsim, lambda *a, **k: k["patch_id"]))
+            # Which frame the one backmap gets still depends on the order
+            # the CG jobs added their candidates, so it is keyed by kind.
+            patch.setattr(wm_module, "backmap", recording(
+                wm_module.backmap, lambda *a, **k: "backmap"))
+            try:
+                wm, _ = make_wm(adapter=pool, cg_ready_target=4, max_cg_sims=4)
+                for name in ("_run_cg_sim", "_run_aa_sim"):
+                    run = recording(getattr(wm, name), lambda system, sim_id, **k: sim_id)
+                    setattr(wm, name, lambda system, sim_id, seed, run=run: run(
+                        system, sim_id, seed=seed))
+                wm.task1_process_macro(advance_us=1.0)
+                wm.task1_process_macro(advance_us=1.0)
+                for launch in (wm._fill_cg_buffer, wm._spawn_cg_sims,
+                               wm._fill_aa_buffer, wm._spawn_aa_sims):
+                    gate.clear()
+                    assert launch() > 0
+                    gate.set()
+                    pool.wait_all(timeout=60)
+            finally:
+                gate.set()
+                pool.shutdown()
+        return seeds
+
+    def test_same_seed_per_job_for_one_or_two_workers(self, monkeypatch):
+        serial = self.seeds_by_id(monkeypatch, max_workers=1)
+        assert self.seeds_by_id(monkeypatch, max_workers=2) == serial
+        assert len(serial) == len(set(serial.values()))
+        assert [key[:2] for key in sorted(serial)] == ["aa", "ba", "cg", "cg", "cg", "cg",
+                                                       "s0", "s0", "s0", "s0"]

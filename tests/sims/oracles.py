@@ -1,11 +1,14 @@
 """Reference force passes and neighbour searches kept as test oracles.
 
-The engines compute forces in one fused pass (one distance pass, one
-scatter). The functions below are the straightforward definitions that
-pass must match byte for byte: separate pair and bond passes, one
-``np.add.at`` scatter per block, the energy always summed. The
-brute-force and linked-cell pair searches cross-check the engines'
-periodic tree search.
+The engines keep a Verlet neighbour list across steps and compute
+forces in one fused pass (one distance pass over every candidate row,
+one scatter). The functions below are the straightforward definitions
+that pass must match byte for byte: a fresh pair search on every call,
+its pairs in the canonical order (sorted, i < j) and cut at the
+engine's own minimum-image ``r < rc``; separate pair and bond passes
+over those pairs alone, one ``np.add.at`` scatter per block; the
+energy always summed. The tree, brute-force and linked-cell searches
+give the same canonical pairs, so any of them can drive the oracle.
 """
 
 from typing import Callable, Optional, Tuple
@@ -23,7 +26,7 @@ def min_image(d: np.ndarray, box: float) -> np.ndarray:
     return d - box * np.round(d / box)
 
 
-# --- CG neighbour searches ---------------------------------------------------
+# --- neighbour searches ------------------------------------------------------
 
 
 def pairs_tree(positions: np.ndarray, box: float, rc: float) -> Pairs:
@@ -97,6 +100,35 @@ def pairs_cells(positions: np.ndarray, box: float, rc: float) -> Pairs:
 
 SEARCHES = {"tree": pairs_tree, "brute": pairs_brute, "cells": pairs_cells}
 
+PAD = 1.0 + 1e-9
+"""Search radius over the cutoff, so that a search's own distance
+rounding cannot drop a pair the engine's distance puts inside."""
+
+
+def neighbours(positions: np.ndarray, box: float, rc: float, search: str = "tree") -> Pairs:
+    """Every pair whose minimum-image distance, computed as the engines
+    compute it, is < ``rc``: sorted rows with i < j."""
+    n = positions.shape[0]
+    ii, jj = SEARCHES[search](positions, box, rc * PAD)
+    ii, jj = np.divmod(np.unique(np.minimum(ii, jj) * n + np.maximum(ii, jj)), n)
+    d = min_image(positions[ii] - positions[jj], box)
+    r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
+    keep = r < rc
+    return ii[keep], jj[keep]
+
+
+def cg_pairs(sim: CGSim, search: str = "tree") -> Pairs:
+    """``neighbours`` of a CG sim without its bonded pairs."""
+    n = sim.positions.shape[0]
+    ii, jj = neighbours(sim.positions, sim.config.box, sim.ff.cutoff, search)
+    if sim.bonds.shape[0] and ii.size:
+        bi = sim.bonds[:, 0].astype(np.int64)
+        bj = sim.bonds[:, 1].astype(np.int64)
+        excluded = np.unique(np.minimum(bi, bj) * n + np.maximum(bi, bj))
+        keep = ~np.isin(ii * n + jj, excluded)
+        ii, jj = ii[keep], jj[keep]
+    return ii, jj
+
 
 # --- reference force passes --------------------------------------------------
 
@@ -105,16 +137,9 @@ def cg_forces(sim: CGSim, search: str = "tree") -> Tuple[np.ndarray, float]:
     """``CGSim.forces`` as separate pair and bond passes."""
     box = sim.config.box
     pos = sim.positions
-    n = pos.shape[0]
-    F = np.zeros((n, 2))
+    F = np.zeros_like(pos)
     energy = 0.0
-    ii, jj = SEARCHES[search](pos, box, sim.ff.cutoff)
-    if sim.bonds.shape[0] and ii.size:
-        bi = sim.bonds[:, 0].astype(np.int64)
-        bj = sim.bonds[:, 1].astype(np.int64)
-        excluded = np.unique(np.minimum(bi, bj) * n + np.maximum(bi, bj))
-        keep = ~np.isin(np.minimum(ii, jj) * n + np.maximum(ii, jj), excluded)
-        ii, jj = ii[keep], jj[keep]
+    ii, jj = cg_pairs(sim, search)
     if ii.size:
         d = min_image(pos[ii] - pos[jj], box)
         r = np.sqrt(np.einsum("ij,ij->i", d, d))
@@ -145,10 +170,8 @@ def aa_forces(sim: AASim) -> Tuple[np.ndarray, float]:
     pos = sim.positions
     F = np.zeros_like(pos)
     energy = 0.0
-    tree = cKDTree(pos, boxsize=c.box)
-    pairs = tree.query_pairs(c.cutoff, output_type="ndarray")
-    if pairs.size:
-        ii, jj = pairs[:, 0], pairs[:, 1]
+    ii, jj = neighbours(pos, c.box, c.cutoff)
+    if ii.size:
         d = min_image(pos[ii] - pos[jj], c.box)
         r = np.maximum(np.sqrt(np.einsum("ij,ij->i", d, d)), 1e-9)
         x = 1.0 - r / c.cutoff

@@ -1,10 +1,13 @@
-"""The fused force pass is bitwise identical to the oracle passes.
+"""The fused force pass over a kept neighbour list is bitwise identical
+to the oracle passes, which search afresh on every call.
 
 Positions, forces, energies and ``minimize()`` return values are
-compared with ``tobytes()``: the fused pass reorders no addition, so
-not even the last bit may move.
+compared with ``tobytes()``: both sides sum in the canonical pair order
+and candidates beyond the cutoff add exactly ±0.0, so not even the last
+bit may move.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -13,9 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sims import pairwise
-from repro.sims.aa import engine as aa_engine
 from repro.sims.aa.engine import AAConfig, AASim
-from repro.sims.cg import engine as cg_engine
 from repro.sims.cg.engine import CGConfig, CGSim
 from repro.sims.cg.forcefield import martini_like
 from repro.sims.mapping.backmap import backmap
@@ -61,6 +62,8 @@ def laptop_pipeline(seed):
 
 
 def use_oracles(monkeypatch):
+    monkeypatch.setattr(CGSim, "forces", oracles.cg_forces)
+    monkeypatch.setattr(AASim, "forces", oracles.aa_forces)
     monkeypatch.setattr(CGSim, "step", lambda self, nsteps=1: oracles.step(self, nsteps))
     monkeypatch.setattr(AASim, "step", lambda self, nsteps=1: oracles.step(self, nsteps))
     monkeypatch.setattr(AASim, "minimize", oracles.minimize)
@@ -90,6 +93,15 @@ def test_cg_matches_oracle(seed, n_lipids, n_protein, box):
     assert_steps_same(a, b, 4)
 
 
+def test_306_bead_system_matches_oracle():
+    """``CGSim.random_system`` defaults, the size where pair arithmetic
+    starts to matter; long enough to reuse the list and rebuild it."""
+    a, b = (CGSim.random_system(config=CGConfig(seed=0)) for _ in range(2))
+    assert_forces_same(a)
+    assert_steps_same(a, b, 30)
+    assert 1 < a.nlist.builds < a.nlist.calls
+
+
 def random_aa(seed, n, restrained):
     rng = np.random.default_rng(seed)
     positions = rng.random((n, 2)) * 3.0
@@ -115,6 +127,31 @@ def test_aa_restrained_then_released_matches_oracle(seed, n, nsteps):
     assert_steps_same(a, b, 3)
 
 
+def test_list_follows_a_larger_cutoff():
+    cfg = CGConfig(n_lipids=30, seed=4, box=5.0)
+    a, b = (CGSim.random_system(config=cfg) for _ in range(2))
+    assert_steps_same(a, b, 3)
+    builds = a.nlist.builds
+    a.ff.cutoff = b.ff.cutoff = 1.6 * a.ff.cutoff
+    assert_steps_same(a, b, 3)
+    assert a.nlist.builds > builds
+
+
+def test_planted_stale_list_is_caught(monkeypatch):
+    """The fresh-search oracle catches a neighbour list that is never
+    rebuilt once particles have moved. In the laptop pipeline (seed 0)
+    createsim's relaxation and the CG job never let a pair in from
+    beyond the skin, so their outputs still match; backmap's
+    steepest-descent minimization does, and its sixth force call is the
+    first to differ (the fifth for seed 2, the seventh for seed 1)."""
+    monkeypatch.setattr(pairwise.NeighbourList, "_drifted", lambda self, positions, box: False)
+    engine = laptop_pipeline(0)
+    use_oracles(monkeypatch)
+    reference = laptop_pipeline(0)
+    matches = [same(got, want) for got, want in zip(engine, reference)]
+    assert matches[:3] == [True, True, False]  # createsim, CG job, backmap
+
+
 def test_systems_without_bonds_or_pairs():
     ff = martini_like()
     rng = np.random.default_rng(5)
@@ -134,7 +171,8 @@ def test_systems_without_bonds_or_pairs():
     bonds = np.array([[0, 1, 4.0], [2, 3, 5.5]])
     a, b = (CGSim(positions, np.zeros(6, int), ff, CGConfig(box=60.0, n_lipids=6), bonds=bonds)
             for _ in range(2))
-    assert a._pairs()[0].size == 0
+    a.forces()
+    assert a.nlist.npair == 0
     assert_steps_same(a, b, 3)
 
 
@@ -155,12 +193,14 @@ def test_planted_scatter_swap_is_caught(monkeypatch):
     """The comparison has teeth: adding the jj block before the ii block
     changes only the summation order, and that alone must show."""
 
-    def swapped(n, ii, jj, bond_ends, fvec):
-        return pairwise.scatter(n, jj, ii, bond_ends, np.concatenate(
-            [-fvec[:ii.size], fvec[ii.size:]]))
+    scatter = pairwise.NeighbourList.scatter
 
-    monkeypatch.setattr(cg_engine, "scatter", swapped)
-    monkeypatch.setattr(aa_engine, "scatter", swapped)
+    def swapped(nl, fvec):
+        flipped = copy.copy(nl)
+        flipped.targets = np.concatenate([nl.jj, nl.ii, nl.targets[2 * nl.npair:]])
+        return scatter(flipped, np.concatenate([-fvec[:nl.npair], fvec[nl.npair:]]))
+
+    monkeypatch.setattr(pairwise.NeighbourList, "scatter", swapped)
     a = CGSim.random_system(config=CGConfig(n_lipids=40, seed=1, box=4.0))
     b = CGSim.random_system(config=CGConfig(n_lipids=40, seed=1, box=4.0))
     F, _ = a.forces()
