@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -84,6 +84,8 @@ class JobTracker:
         self.abandoned: List[str] = []  # tags that exhausted retries
         self._retries: Dict[str, int] = {}
         self._tag_hooks: Dict[str, List[Callable[[JobRecord], None]]] = {}
+        # Each tag's final record until take() hands it over.
+        self._settled: Dict[str, JobRecord] = {}
         # A threaded adapter may finish a job before launch() records it
         # in ``active``; such early settles are parked here so launch()
         # does not then track a finished job forever.
@@ -100,12 +102,14 @@ class JobTracker:
     ) -> JobRecord:
         """Submit one job for simulation ``tag``.
 
-        A failed job's retry is submitted from inside the adapter's
-        completion callback, so an adapter's ``wait_all`` — which counts
-        a job until that callback returns — also covers the retry.
+        A failed job's retry runs the same ``fn`` and is submitted from
+        inside the adapter's completion callback, so an adapter's
+        ``wait_all`` — which counts a job until that callback returns —
+        also covers the retry.
         """
         spec = self.config.make_spec(tag, self.rng, duration=duration)
-        record = self.adapter.submit(spec, fn=fn, on_complete=self._job_done)
+        record = self.adapter.submit(
+            spec, fn=fn, on_complete=lambda done: self._job_done(done, fn))
         with self._active_lock:
             if record.job_id in self._settled_untracked:
                 self._settled_untracked.discard(record.job_id)
@@ -126,11 +130,31 @@ class JobTracker:
         """
         self._tag_hooks.setdefault(tag, []).append(callback)
 
-    def _job_done(self, record: JobRecord) -> None:
+    def take(self, tag: str) -> Optional[Tuple[JobState, Any]]:
+        """``tag``'s final state and result, once: completed, failed with
+        retries exhausted, or cancelled; None while it is in flight. The
+        result moves out of the record, so the tables that keep records
+        (the adapter's, :attr:`completed`) do not keep outputs alive."""
+        with self._active_lock:
+            record = self._settled.pop(tag, None)
+        if record is None:
+            return None
+        result, record.result = record.result, None
+        return record.state, result
+
+    def _job_done(self, record: JobRecord, fn: Optional[Callable[[], Any]]) -> None:
         with self._active_lock:
             if self.active.pop(record.job_id, None) is None:
                 self._settled_untracked.add(record.job_id)
         tag = record.spec.tag or ""
+        tries = self._retries.get(tag, 0)
+        if record.state is JobState.FAILED and tries < self.config.max_retries:
+            # Retry with the same tag and the same body.
+            self._retries[tag] = tries + 1
+            self.launch(tag, fn=fn, duration=record.spec.duration)
+            return
+        with self._active_lock:
+            self._settled[tag] = record
         if record.state is JobState.COMPLETED:
             self.completed.append(record)
             self._retries.pop(tag, None)
@@ -138,14 +162,7 @@ class JobTracker:
                 self.on_success(record)
             for hook in self._tag_hooks.pop(tag, []):
                 hook(record)
-            return
-        # FAILED (or CANCELLED by a node failure): retry with same tag.
-        tries = self._retries.get(tag, 0)
-        if record.state is JobState.FAILED and tries < self.config.max_retries:
-            self._retries[tag] = tries + 1
-            self.launch(tag, duration=record.spec.duration)
-            return
-        if record.state is JobState.FAILED:
+        elif record.state is JobState.FAILED:
             self.abandoned.append(tag)
             if self.on_abandon is not None:
                 self.on_abandon(tag)

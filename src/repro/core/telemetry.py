@@ -28,9 +28,8 @@ class TelemetryReport:
 
     - ``rounds``: WM rounds completed so far (count).
     - ``counters``: WM pipeline counters, e.g. ``cg_finished`` (counts).
-    - ``lock_stats``: :class:`~repro.util.locks.LockStats` totals across
-      the WM's shared state — ``acquisitions``, ``contentions``,
-      ``failed_tries`` (all counts).
+    - ``lock_stats``: :class:`~repro.util.locks.LockStats` of the guard
+      over the WM's state — ``acquisitions``, ``contentions`` (counts).
     - ``trackers``: per job type, ``active`` / ``running`` / ``pending``
       / ``completed`` / ``abandoned`` job counts.
     - ``store_io``: :class:`~repro.datastore.stats.IOStats` dict —

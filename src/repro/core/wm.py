@@ -22,9 +22,8 @@ functional workflow.
 from __future__ import annotations
 
 import functools
-import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from repro.sampling.binned import BinnedSampler, BinSpec
 from repro.sampling.fps import FarthestPointSampler
 from repro.sampling.points import Point
 from repro.sched.adapter import SchedulerAdapter, ThreadAdapter
+from repro.sched.jobspec import JobState
 from repro.util.locks import SharedState
 from repro.sims.aa.analysis import SecondaryStructureAnalysis
 from repro.sims.aa.engine import AAConfig, AASim
@@ -138,10 +138,10 @@ class WorkflowManager:
         self.feedback_managers = list(feedback_managers)
         self.rng = np.random.default_rng(self.config.seed)
 
-        # Task 2 state: the two selectors, shared across tasks -> locked.
-        # Queue layout + routing are application choices (§4.4 Task 2:
-        # the production Patch Selector keeps five queues for different
-        # protein configurations); the default is the two-state layout.
+        # Task 2 state: the two selectors. Queue layout + routing are
+        # application choices (§4.4 Task 2: the production Patch Selector
+        # keeps five queues for different protein configurations); the
+        # default is the two-state layout.
         if queue_router is None:
             queue_router = lambda patch: (  # noqa: E731 - tiny default
                 "ras-raf" if patch.protein_state == 1 else "ras"
@@ -164,14 +164,15 @@ class WorkflowManager:
             randomness=self.config.frame_randomness,
             rng=np.random.default_rng(self.config.seed + 1),
         )
-        # Shared across WM tasks and analysis threads; blocking lock
-        # with contention counters (§4.4 "Parallelism and Locking").
-        self._selector_guard = SharedState(None)
+        # Only the thread that drives the rounds writes WM state; it holds
+        # this guard while writing, so readers on other threads (status(),
+        # counters_snapshot(), telemetry) see whole updates (§4.4
+        # "Parallelism and Locking").
+        self._guard = SharedState(None)
 
         # Task 3 state: ready buffers and trackers per job type.
         self.cg_ready: List[CGSystem] = []
         self.aa_ready: List[AASystem] = []
-        self._buffer_lock = threading.Lock()
         self._patch_by_id: Dict[str, Patch] = {}
         self._frame_by_id: Dict[str, FrameCandidate] = {}
         self._frame_systems: Dict[str, CGSystem] = {}
@@ -183,12 +184,10 @@ class WorkflowManager:
                 [("createsim", 24, 0), ("cg-sim", 2, 1), ("backmap", 18, 0), ("aa-sim", 2, 1)]
             )
         }
+        # (tracker name, tag) of launched jobs not yet applied, in launch order.
+        self._launched: List[Tuple[str, str]] = []
 
-        # Counters mirrored into the checkpoint. Job bodies run in
-        # adapter worker threads and bump cg_finished / aa_finished /
-        # frames_seen concurrently with the round driver's own updates,
-        # so every mutation goes through _bump under this lock.
-        self._counters_lock = threading.Lock()
+        # Counters mirrored into the checkpoint.
         self.counters: Dict[str, int] = {
             "snapshots": 0,
             "patches": 0,
@@ -209,14 +208,9 @@ class WorkflowManager:
         }
         self.rounds = 0
 
-    def _bump(self, name: str, n: int = 1) -> None:
-        """Thread-safe counter increment (job bodies run in worker threads)."""
-        with self._counters_lock:
-            self.counters[name] += n
-
     def counters_snapshot(self) -> Dict[str, int]:
-        """Consistent copy of the pipeline counters."""
-        with self._counters_lock:
+        """Consistent copy of the pipeline counters (any thread)."""
+        with self._guard.locked():
             return dict(self.counters)
 
     # ------------------------------------------------------------------
@@ -224,32 +218,33 @@ class WorkflowManager:
     # ------------------------------------------------------------------
 
     def task1_process_macro(self, advance_us: float = 1.0) -> int:
-        """Advance the continuum, cut patches, encode, enqueue candidates."""
+        """Advance the continuum, cut and encode patches (on the adapter's
+        executor), then enqueue the candidates on this thread."""
+        patches, encodings = self._offload(
+            functools.partial(self._cut_patches, advance_us))
+        # Encoding already ran in batch; feed the selector in batch too:
+        # one add_batch per queue.
+        by_queue: Dict[str, List[Point]] = {}
+        for patch, z in zip(patches, encodings):
+            by_queue.setdefault(self.queue_router(patch), []).append(
+                Point(id=patch.patch_id, coords=z))
+        with self._guard.locked():
+            self._patch_by_id.update((p.patch_id, p) for p in patches)
+            for queue, points in by_queue.items():
+                self.patch_selector.add_batch(points, queue=queue)
+            self.counters["snapshots"] += 1
+            self.counters["patches"] += len(patches)
+        return len(patches)
+
+    def _cut_patches(self, advance_us: float) -> Tuple[List[Patch], Any]:
         with trace.span("wm.task1") as sp:
-            steps = max(1, int(round(advance_us / self.macro.config.dt)))
-            self.macro.step(steps)
-            snapshot = self.macro.snapshot()
-            patches = self.patch_creator.create(snapshot)
-            if patches:
-                encodings = self.encoder.encode(np.stack([p.flat() for p in patches]))
-                # Encoding already ran in batch; feed the selector in batch
-                # too — grouped per queue, one add_batch per group, under a
-                # single lock acquisition.
-                by_queue: Dict[str, List[Point]] = {}
-                for patch, z in zip(patches, encodings):
-                    queue = self.queue_router(patch)
-                    by_queue.setdefault(queue, []).append(
-                        Point(id=patch.patch_id, coords=z)
-                    )
-                    self._patch_by_id[patch.patch_id] = patch
-                with self._selector_guard.locked():
-                    for queue, points in by_queue.items():
-                        self.patch_selector.add_batch(points, queue=queue)
+            self.macro.step(max(1, int(round(advance_us / self.macro.config.dt))))
+            patches = self.patch_creator.create(self.macro.snapshot())
+            encodings = (self.encoder.encode(np.stack([p.flat() for p in patches]))
+                         if patches else [])
             if sp:
                 sp.set(patches=len(patches))
-        self._bump("snapshots")
-        self._bump("patches", len(patches))
-        return len(patches)
+        return patches, encodings
 
     # ------------------------------------------------------------------
     # Task 3: schedule and manage jobs (which triggers Task 2 selections)
@@ -260,28 +255,35 @@ class WorkflowManager:
         seed a system gets does not depend on which worker runs first."""
         return int(self.rng.integers(2**31))
 
+    def _launch(self, kind: str, tag: str, fn: Callable[[], Any]) -> None:
+        self.trackers[kind].launch(tag, fn=trace.wrap(fn))
+        self._launched.append((kind, tag))
+
+    def _unapplied(self, kind: str) -> int:
+        """Launched jobs of ``kind`` whose output is not yet applied."""
+        return sum(1 for k, _ in self._launched if k == kind)
+
     def _fill_cg_buffer(self) -> int:
         """Launch createsim jobs until the ready buffer will hit target."""
         launched = 0
-        tracker = self.trackers["createsim"]
         while (
-            len(self.cg_ready) + tracker.nactive() < self.config.cg_ready_target
+            len(self.cg_ready) + self._unapplied("createsim") < self.config.cg_ready_target
             and self.patch_selector.ncandidates() > 0
         ):
             with trace.span("wm.select") as sp:
-                with self._selector_guard.locked():
+                with self._guard.locked():
                     selected = self.patch_selector.select(1, now=float(self.rounds))
-                if sp and selected:
-                    sp.set(patch=selected[0].id)
-            if not selected:
-                break
-            patch = self._patch_by_id.pop(selected[0].id)
-            self._bump("patches_selected")
+                    if not selected:
+                        break
+                    patch = self._patch_by_id.pop(selected[0].id)
+                    self.counters["patches_selected"] += 1
+                if sp:
+                    sp.set(patch=patch.patch_id)
             seed = self._launch_seed()
 
-            def setup_job(patch=patch, seed=seed):
+            def setup_job(patch=patch, seed=seed) -> CGSystem:
                 with trace.span("wm.createsim", patch=patch.patch_id):
-                    system = createsim(
+                    return createsim(
                         patch.densities,
                         box=patch.box_nm / 10.0,  # nm -> engine units
                         with_raf=patch.protein_state == 1,
@@ -290,37 +292,34 @@ class WorkflowManager:
                         beads_per_type=self.config.beads_per_type,
                         seed=seed,
                     )
-                    with self._buffer_lock:
-                        self.cg_ready.append(system)
-                return system.nparticles
 
-            tracker.launch(patch.patch_id, fn=trace.wrap(setup_job))
+            self._launch("createsim", patch.patch_id, setup_job)
             launched += 1
         return launched
 
-    def _spawn_cg_sims(self) -> int:
-        """Start CG simulation jobs from the ready buffer."""
+    def _spawn_sims(self, kind: str, ready: List, prefix: str, limit: int,
+                    body: Callable[..., Any]) -> int:
+        """Start simulation jobs of ``kind`` from its ready buffer."""
         spawned = 0
-        tracker = self.trackers["cg-sim"]
-        while tracker.nactive() < self.config.max_cg_sims:
-            with self._buffer_lock:
-                if not self.cg_ready:
-                    break
-                system = self.cg_ready.pop(0)
-            with self._counters_lock:
-                sim_id = f"cg{self.counters['cg_spawned']:05d}"
-                self.counters["cg_spawned"] += 1
-            seed = self._launch_seed()
-
-            def cg_job(system=system, sim_id=sim_id, seed=seed):
-                return self._run_cg_sim(system, sim_id, seed)
-
-            tracker.launch(sim_id, fn=trace.wrap(cg_job))
+        while ready and self._unapplied(kind) < limit:
+            with self._guard.locked():
+                system = ready.pop(0)
+                sim_id = f"{prefix}{self.counters[prefix + '_spawned']:05d}"
+                self.counters[prefix + "_spawned"] += 1
+            self._launch(kind, sim_id, functools.partial(
+                body, system, sim_id, self._launch_seed()))
             spawned += 1
         return spawned
 
-    def _run_cg_sim(self, system: CGSystem, sim_id: str, seed: int) -> float:
-        """The CG simulation + co-scheduled analysis job body."""
+    def _spawn_cg_sims(self) -> int:
+        return self._spawn_sims("cg-sim", self.cg_ready, "cg",
+                                self.config.max_cg_sims, self._run_cg_sim)
+
+    def _run_cg_sim(self, system: CGSystem, sim_id: str,
+                    seed: int) -> List[Tuple[FrameCandidate, CGSystem]]:
+        """The CG simulation + co-scheduled analysis job body; returns
+        each chunk's frame candidate with its system."""
+        frames = []
         with trace.span("wm.cg_sim", sim=sim_id):
             cfg = CGConfig(box=system.box, n_lipids=1, seed=seed)
             sim = CGSim(system.positions, system.type_ids, self.forcefield, cfg,
@@ -332,76 +331,48 @@ class WorkflowManager:
                 self.store.write(
                     _feedback_key("rdf", sim_id, chunk), out["rdf"].to_bytes()
                 )
-                candidate = out["candidate"]
-                with self._selector_guard.locked():
-                    self.frame_selector.add(
-                        Point(id=candidate.frame_id, coords=candidate.encoding)
-                    )
-                    self._frame_by_id[candidate.frame_id] = candidate
-                    self._frame_systems[candidate.frame_id] = CGSystem(
-                        positions=sim.positions.copy(),
-                        type_ids=sim.type_ids.copy(),
-                        bonds=sim.bonds.copy(),
-                        box=system.box,
-                        source_patch=system.source_patch,
-                    )
-                    self._bump("frames_seen")
-        self._bump("cg_finished")
-        return sim.time
+                frames.append((out["candidate"], CGSystem(
+                    positions=sim.positions.copy(),
+                    type_ids=sim.type_ids.copy(),
+                    bonds=sim.bonds.copy(),
+                    box=system.box,
+                    source_patch=system.source_patch,
+                )))
+        return frames
 
     def _fill_aa_buffer(self) -> int:
         """Select frames and launch backmapping jobs."""
         launched = 0
-        tracker = self.trackers["backmap"]
         while (
-            len(self.aa_ready) + tracker.nactive() < self.config.aa_ready_target
+            len(self.aa_ready) + self._unapplied("backmap") < self.config.aa_ready_target
             and self.frame_selector.ncandidates() > 0
         ):
             with trace.span("wm.select") as sp:
-                with self._selector_guard.locked():
+                with self._guard.locked():
                     selected = self.frame_selector.select(1, now=float(self.rounds))
                     if not selected:
                         break
                     frame_id = selected[0].id
                     self._frame_by_id.pop(frame_id, None)
                     system = self._frame_systems.pop(frame_id)
+                    self.counters["frames_selected"] += 1
                 if sp:
                     sp.set(frame=frame_id)
-            self._bump("frames_selected")
             seed = self._launch_seed()
 
-            def backmap_job(system=system, frame_id=frame_id, seed=seed):
+            def backmap_job(system=system, frame_id=frame_id, seed=seed) -> AASystem:
                 with trace.span("wm.backmap", frame=frame_id):
-                    aa = backmap(system, self.forcefield, frame_id=frame_id, seed=seed)
-                    with self._buffer_lock:
-                        self.aa_ready.append(aa)
-                return aa.natoms
+                    return backmap(system, self.forcefield, frame_id=frame_id, seed=seed)
 
-            tracker.launch(frame_id, fn=trace.wrap(backmap_job))
+            self._launch("backmap", frame_id, backmap_job)
             launched += 1
         return launched
 
     def _spawn_aa_sims(self) -> int:
-        spawned = 0
-        tracker = self.trackers["aa-sim"]
-        while tracker.nactive() < self.config.max_aa_sims:
-            with self._buffer_lock:
-                if not self.aa_ready:
-                    break
-                system = self.aa_ready.pop(0)
-            with self._counters_lock:
-                sim_id = f"aa{self.counters['aa_spawned']:05d}"
-                self.counters["aa_spawned"] += 1
-            seed = self._launch_seed()
+        return self._spawn_sims("aa-sim", self.aa_ready, "aa",
+                                self.config.max_aa_sims, self._run_aa_sim)
 
-            def aa_job(system=system, sim_id=sim_id, seed=seed):
-                return self._run_aa_sim(system, sim_id, seed)
-
-            tracker.launch(sim_id, fn=trace.wrap(aa_job))
-            spawned += 1
-        return spawned
-
-    def _run_aa_sim(self, system: AASystem, sim_id: str, seed: int) -> float:
+    def _run_aa_sim(self, system: AASystem, sim_id: str, seed: int) -> None:
         with trace.span("wm.aa_sim", sim=sim_id):
             sim = AASim(system.positions, system.bonds, system.backbone,
                         config=AAConfig(box=system.box, seed=seed))
@@ -413,11 +384,42 @@ class WorkflowManager:
                     _feedback_key("ss", sim_id, chunk),
                     pattern.encode("utf-8"),
                 )
-        self._bump("aa_finished")
-        return sim.time
+
+    def _apply_settled(self) -> None:
+        """Apply settled jobs' outputs to WM state in launch order: a
+        createsim's system joins ``cg_ready``, a CG sim's frames the
+        Frame Selector, a backmap's system ``aa_ready``. An abandoned or
+        cancelled job applies nothing; one in flight stays in the ledger."""
+        pending = []
+        with self._guard.locked():
+            for kind, tag in self._launched:
+                settled = self.trackers[kind].take(tag)
+                if settled is None:
+                    pending.append((kind, tag))
+                    continue
+                state, output = settled
+                if state is not JobState.COMPLETED:
+                    continue
+                if kind == "createsim":
+                    self.cg_ready.append(output)
+                elif kind == "cg-sim":
+                    for candidate, system in output:
+                        self.frame_selector.add(
+                            Point(id=candidate.frame_id, coords=candidate.encoding))
+                        self._frame_by_id[candidate.frame_id] = candidate
+                        self._frame_systems[candidate.frame_id] = system
+                    self.counters["frames_seen"] += len(output)
+                    self.counters["cg_finished"] += 1
+                elif kind == "backmap":
+                    self.aa_ready.append(output)
+                else:
+                    self.counters["aa_finished"] += 1
+            self._launched = pending
 
     def task3_manage_jobs(self) -> Dict[str, int]:
-        """One scan-and-replace pass over all four job types."""
+        """One scan-and-replace pass over all four job types, after
+        applying whatever jobs have settled since the last pass."""
+        self._apply_settled()
         with trace.span("schedule.manage") as sp:
             launched = {
                 "createsim": self._fill_cg_buffer(),
@@ -434,18 +436,21 @@ class WorkflowManager:
     # ------------------------------------------------------------------
 
     def task4_feedback(self) -> int:
-        """Run one iteration of every registered feedback manager."""
-        n = 0
+        """One iteration of every feedback manager, on the adapter's executor."""
+        n = self._offload(self._feedback_iteration)
+        with self._guard.locked():
+            self.counters["feedback_iterations"] += n
+        return n
+
+    def _feedback_iteration(self) -> int:
         with trace.span("wm.task4"):
             for manager in self.feedback_managers:
                 manager.run_iteration(now=float(self.rounds))
-                n += 1
-        self._bump("feedback_iterations", n)
-        return n
+        return len(self.feedback_managers)
 
     def lock_stats(self) -> Dict[str, int]:
-        """Selector-lock contention counters (profiling, §4.4)."""
-        return self._selector_guard.stats.as_dict()
+        """State-guard contention counters (profiling, §4.4)."""
+        return self._guard.stats.as_dict()
 
     # ------------------------------------------------------------------
     # The round driver
@@ -456,34 +461,35 @@ class WorkflowManager:
 
         Task 1 → Task 3 → barrier → Task 3 → barrier → Task 4. The
         barrier is ``adapter.wait_all()``: it returns once every job
-        this adapter submitted has settled, retries included — the
-        deterministic laptop mode. The second scan starts sims on the
-        buffers the setup jobs just filled. With ``wait=False`` both
-        the barrier and the second scan are skipped, so jobs overlap
-        rounds like the production WM.
+        this adapter submitted has settled, retries included. The
+        settled jobs' outputs are then applied in launch order, so the
+        round is fixed by its seed. The second scan starts sims on the
+        buffers the setup jobs just filled. ``wait=False`` skips both
+        barriers and the second scan, so jobs overlap rounds like the
+        production WM; each scan applies whatever has settled by then.
 
-        Task 1 and Task 4 run on ``adapter.executor`` when the adapter
-        has one (a tenant's are billed to its fair share as
-        ``wm-offload`` jobs) and inline otherwise.
+        Task 1's patch cutting and Task 4's feedback run on
+        ``adapter.executor`` when the adapter has one (a tenant's are
+        billed to its fair share as ``wm-offload`` jobs), else inline.
         """
         with trace.span("wm.round", round=self.rounds):
-            self._offload(functools.partial(self.task1_process_macro, advance_us))
+            self.task1_process_macro(advance_us)
             self.task3_manage_jobs()
             if wait:
                 self.adapter.wait_all()
                 self.task3_manage_jobs()
                 self.adapter.wait_all()
-            self._offload(self.task4_feedback)
+                self._apply_settled()
+            self.task4_feedback()
         self.rounds += 1
         return self.counters_snapshot()
 
-    def _offload(self, fn: Callable[[], object]) -> None:
-        """Run ``fn`` on the adapter's executor (inline if none) and wait."""
+    def _offload(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` on the adapter's executor (inline if none)."""
         executor = self.adapter.executor
         if executor is None:
-            fn()
-        else:
-            executor.submit(trace.wrap(fn)).result()
+            return fn()
+        return executor.submit(trace.wrap(fn)).result()
 
     def run(self, nrounds: int, advance_us: float = 1.0,
             wait: bool = True) -> Dict[str, int]:
@@ -499,16 +505,16 @@ class WorkflowManager:
         here is owned by *this* instance — no module or process globals —
         which is what lets one daemon host many WMs side by side.
         """
-        with self._buffer_lock:
+        with self._guard.locked():
             ready = {"cg": len(self.cg_ready), "aa": len(self.aa_ready)}
-        with self._selector_guard.locked():
             selectors = {
                 "patch_candidates": self.patch_selector.ncandidates(),
                 "frame_candidates": self.frame_selector.ncandidates(),
             }
+            counters = dict(self.counters)
         return {
             "rounds": self.rounds,
-            "counters": self.counters_snapshot(),
+            "counters": counters,
             "ready_buffers": ready,
             "selectors": selectors,
             "active_jobs": {name: t.nactive() for name, t in self.trackers.items()},
@@ -534,18 +540,16 @@ class WorkflowManager:
     # ------------------------------------------------------------------
 
     def _quiesce(self) -> None:
-        """Flush in-flight jobs before snapshotting state.
+        """Settle in-flight jobs and apply their outputs before a snapshot.
 
-        ``run(wait=False)`` (and the production WM generally) leaves the
-        final round's jobs in flight; a checkpoint taken at that moment
-        used to strand them — their patches were already popped from the
-        side tables, their outputs not yet in the ready buffers, so a
-        restore silently lost that work. ``adapter.flush()`` drains
-        them: the round barrier for thread-pool adapters, a drain that
-        ignores stalls for the chaos adapter, and a no-op for
-        virtual-time adapters, which have nothing to flush.
+        ``run(wait=False)`` leaves the last round's jobs in flight, their
+        patches already popped from the side tables; a checkpoint must
+        not strand that work. ``adapter.flush()`` is the round barrier
+        for thread-pool adapters, a drain that ignores stalls for the
+        chaos adapter, and a no-op for virtual-time adapters.
         """
         self.adapter.flush()
+        self._apply_settled()
 
     def checkpoint(self, key: str = "wm/checkpoint") -> None:
         """Persist WM counters, selector state, histories — and the
@@ -557,21 +561,17 @@ class WorkflowManager:
         from repro.sampling.persistence import save_sampler
 
         self._quiesce()
-        with self._selector_guard.locked():
-            save_sampler(self.store, f"{key}/patch-selector", self.patch_selector)
-            save_sampler(self.store, f"{key}/frame-selector", self.frame_selector)
-            patches = dict(self._patch_by_id)
-            frames = [c.to_json() for c in self._frame_by_id.values()]
-            systems = dict(self._frame_systems)
+        save_sampler(self.store, f"{key}/patch-selector", self.patch_selector)
+        save_sampler(self.store, f"{key}/frame-selector", self.frame_selector)
+        frames = [c.to_json() for c in self._frame_by_id.values()]
         side = {f"{key}/patch-table/{pid}": p.to_bytes()
-                for pid, p in patches.items()}
+                for pid, p in self._patch_by_id.items()}
         side.update({f"{key}/frame-table/{fid}": s.to_bytes()
-                     for fid, s in systems.items()})
-        with self._buffer_lock:
-            side.update({f"{key}/ready/cg/{i:04d}": s.to_bytes()
-                         for i, s in enumerate(self.cg_ready)})
-            side.update({f"{key}/ready/aa/{i:04d}": s.to_bytes()
-                         for i, s in enumerate(self.aa_ready)})
+                     for fid, s in self._frame_systems.items()})
+        side.update({f"{key}/ready/cg/{i:04d}": s.to_bytes()
+                     for i, s in enumerate(self.cg_ready)})
+        side.update({f"{key}/ready/aa/{i:04d}": s.to_bytes()
+                     for i, s in enumerate(self.aa_ready)})
         stale = [
             k
             for prefix in (f"{key}/patch-table/", f"{key}/frame-table/",
@@ -586,7 +586,7 @@ class WorkflowManager:
         self.store.write_json(f"{key}/frame-candidates", frames)
         payload = {
             "rounds": self.rounds,
-            "counters": self.counters_snapshot(),
+            "counters": dict(self.counters),
             "patch_history": self.patch_selector.history_rows(),
             "frame_history": self.frame_selector.history_rows(),
             "macro_time_us": self.macro.time_us,
@@ -605,12 +605,6 @@ class WorkflowManager:
         from repro.sampling.persistence import load_sampler
 
         payload = self.store.read_json(key)
-        self.rounds = int(payload["rounds"])
-        with self._counters_lock:
-            self.counters.update({k: int(v) for k, v in payload["counters"].items()})
-            # Patch ids number snapshots: resume the numbering, or the
-            # next snapshot re-mints ids of selected and queued patches.
-            self.patch_creator.snapshots_processed = self.counters["snapshots"]
         patch_prefix = f"{key}/patch-table/"
         patch_table = {
             k[len(patch_prefix):]: Patch.from_bytes(v)
@@ -629,10 +623,14 @@ class WorkflowManager:
             }
         cg_rows = self.store.read_present(sorted(self.store.keys(f"{key}/ready/cg/")))
         aa_rows = self.store.read_present(sorted(self.store.keys(f"{key}/ready/aa/")))
-        with self._buffer_lock:
+        with self._guard.locked():
+            self.rounds = int(payload["rounds"])
+            self.counters.update({k: int(v) for k, v in payload["counters"].items()})
+            # Patch ids number snapshots: resume the numbering, or the
+            # next snapshot re-mints ids of selected and queued patches.
+            self.patch_creator.snapshots_processed = self.counters["snapshots"]
             self.cg_ready = [CGSystem.from_bytes(cg_rows[k]) for k in sorted(cg_rows)]
             self.aa_ready = [AASystem.from_bytes(aa_rows[k]) for k in sorted(aa_rows)]
-        with self._selector_guard.locked():
             if self.store.exists(f"{key}/patch-selector"):
                 load_sampler(self.store, f"{key}/patch-selector", self.patch_selector)
             if self.store.exists(f"{key}/frame-selector"):
@@ -642,9 +640,9 @@ class WorkflowManager:
             self._frame_by_id = candidates
             for pid in self.patch_selector.candidate_ids() - set(patch_table):
                 self.patch_selector.remove(pid)
-                self._bump("patches_pruned")
+                self.counters["patches_pruned"] += 1
             for fid in self.frame_selector.candidate_ids() - set(frame_table):
                 self.frame_selector.discard(fid)
                 self._frame_by_id.pop(fid, None)
-                self._bump("frames_pruned")
+                self.counters["frames_pruned"] += 1
         return payload

@@ -115,10 +115,13 @@ class TenantExecutor:
             return fn(*args, **kwargs)
 
         def done(record: JobRecord) -> None:
+            # The future owns the result: the pool's record table, which
+            # lives as long as the pool, keeps none.
+            result, record.result = record.result, None
             if record.state is JobState.COMPLETED:
-                future.set_result(record.result)
-            elif isinstance(record.result, BaseException):
-                future.set_exception(record.result)
+                future.set_result(result)
+            elif isinstance(result, BaseException):
+                future.set_exception(result)
             else:
                 future.set_exception(
                     RuntimeError(f"offload job ended {record.state.name}")

@@ -8,7 +8,7 @@ I/O goes through this package so that campaign-scale runs are both fast
 from repro.util.clock import VirtualClock, EventLoop, Event
 from repro.util.rng import RngStream, spawn_rngs
 from repro.util.armor import armored_call, ArmorError, RetryPolicy
-from repro.util.locks import SharedState, try_acquire
+from repro.util.locks import SharedState
 from repro.util.stats import Summary, summarize, Histogram, percentile_of
 from repro.util import units
 
@@ -22,7 +22,6 @@ __all__ = [
     "ArmorError",
     "RetryPolicy",
     "SharedState",
-    "try_acquire",
     "Summary",
     "summarize",
     "Histogram",

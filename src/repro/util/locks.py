@@ -1,44 +1,39 @@
-"""Thread-safety helpers for objects shared across Workflow Manager tasks.
+"""The guard over Workflow Manager state.
 
 Section 4.4 ("Parallelism and Locking"): the four WM tasks share objects
-such as the Patch Selector, protected by "thread-safe objects ... with a
-mix of blocking and nonblocking locks". :class:`SharedState` provides the
-blocking path; :func:`try_acquire` provides the nonblocking one.
+such as the Patch Selector. Here one thread, the one driving the rounds,
+writes that state; :class:`SharedState` is the blocking lock it holds
+while writing, so readers on other threads see whole updates, and it
+counts how often a thread had to wait.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, TypeVar
+from typing import Any, Iterator
 
-T = TypeVar("T")
-
-__all__ = ["SharedState", "try_acquire", "LockStats"]
+__all__ = ["SharedState", "LockStats"]
 
 
 class LockStats:
     """Counters for lock contention, used by workflow profiling.
 
-    All fields are cumulative counts: ``acquisitions`` — successful
-    lock acquisitions (blocking or not); ``contentions`` — blocking
-    acquisitions that had to wait because another thread held the lock;
-    ``failed_tries`` — nonblocking attempts that found the lock busy
-    and gave up.
+    Both fields are cumulative counts: ``acquisitions`` — lock
+    acquisitions; ``contentions`` — acquisitions that had to wait
+    because another thread held the lock.
     """
 
-    __slots__ = ("acquisitions", "contentions", "failed_tries")
+    __slots__ = ("acquisitions", "contentions")
 
     def __init__(self) -> None:
         self.acquisitions = 0
         self.contentions = 0
-        self.failed_tries = 0
 
     def as_dict(self) -> dict:
         return {
             "acquisitions": self.acquisitions,
             "contentions": self.contentions,
-            "failed_tries": self.failed_tries,
         }
 
 
@@ -48,9 +43,6 @@ class SharedState:
     >>> counter = SharedState({"n": 0})
     >>> with counter.locked() as d:
     ...     d["n"] += 1
-
-    ``apply`` runs a function under the lock and returns its result,
-    which is the preferred idiom for short critical sections.
     """
 
     def __init__(self, obj: Any) -> None:
@@ -70,34 +62,3 @@ class SharedState:
             yield self._obj
         finally:
             self._lock.release()
-
-    @contextmanager
-    def try_locked(self) -> Iterator[Optional[Any]]:
-        """Nonblocking acquisition; yields the object or None if busy."""
-        got = self._lock.acquire(blocking=False)
-        try:
-            if got:
-                self.stats.acquisitions += 1
-                yield self._obj
-            else:
-                self.stats.failed_tries += 1
-                yield None
-        finally:
-            if got:
-                self._lock.release()
-
-    def apply(self, fn: Callable[[Any], T]) -> T:
-        """Run ``fn(obj)`` under the lock and return its result."""
-        with self.locked() as obj:
-            return fn(obj)
-
-
-@contextmanager
-def try_acquire(lock: threading.Lock, timeout: float = 0.0) -> Iterator[bool]:
-    """Context manager over ``lock.acquire(timeout=...)`` yielding success."""
-    got = lock.acquire(timeout=timeout) if timeout > 0 else lock.acquire(blocking=False)
-    try:
-        yield got
-    finally:
-        if got:
-            lock.release()

@@ -1,10 +1,9 @@
 """Tests for the Workflow Manager driving real (tiny) simulations."""
 
-import threading
-
 import numpy as np
 import pytest
 
+from repro.app import build_application
 from repro.core.patches import PatchCreator
 from repro.core import wm as wm_module
 from repro.core.wm import WorkflowConfig, WorkflowManager
@@ -155,19 +154,16 @@ class TestCheckpoint:
 
 
 class TestLaunchSeeds:
-    """Seeds are drawn on the WM thread when a job is launched, so each
-    job's seed is fixed by launch order, not by which worker runs first."""
+    """Seeds are drawn on the WM thread when a job is launched, and job
+    outputs are applied in launch order, so each job's seed is fixed by
+    launch order, not by which worker runs first."""
 
     @staticmethod
     def seeds_by_id(monkeypatch, max_workers):
         seeds = {}
-        # Job bodies wait until their launch step has returned, so every
-        # launch decision sees the same state whatever the pool size.
-        gate = threading.Event()
 
         def recording(fn, id_of):
             def record(*args, **kwargs):
-                assert gate.wait(timeout=60)
                 seeds[id_of(*args, **kwargs)] = kwargs["seed"]
                 return fn(*args, **kwargs)
             return record
@@ -176,10 +172,8 @@ class TestLaunchSeeds:
         with monkeypatch.context() as patch:
             patch.setattr(wm_module, "createsim", recording(
                 wm_module.createsim, lambda *a, **k: k["patch_id"]))
-            # Which frame the one backmap gets still depends on the order
-            # the CG jobs added their candidates, so it is keyed by kind.
             patch.setattr(wm_module, "backmap", recording(
-                wm_module.backmap, lambda *a, **k: "backmap"))
+                wm_module.backmap, lambda *a, **k: k["frame_id"]))
             try:
                 wm, _ = make_wm(adapter=pool, cg_ready_target=4, max_cg_sims=4)
                 for name in ("_run_cg_sim", "_run_aa_sim"):
@@ -190,12 +184,10 @@ class TestLaunchSeeds:
                 wm.task1_process_macro(advance_us=1.0)
                 for launch in (wm._fill_cg_buffer, wm._spawn_cg_sims,
                                wm._fill_aa_buffer, wm._spawn_aa_sims):
-                    gate.clear()
                     assert launch() > 0
-                    gate.set()
                     pool.wait_all(timeout=60)
+                    wm._apply_settled()
             finally:
-                gate.set()
                 pool.shutdown()
         return seeds
 
@@ -203,5 +195,92 @@ class TestLaunchSeeds:
         serial = self.seeds_by_id(monkeypatch, max_workers=1)
         assert self.seeds_by_id(monkeypatch, max_workers=2) == serial
         assert len(serial) == len(set(serial.values()))
-        assert [key[:2] for key in sorted(serial)] == ["aa", "ba", "cg", "cg", "cg", "cg",
+        assert [key[:2] for key in sorted(serial)] == ["aa", "cg", "cg", "cg", "cg", "cg",
                                                        "s0", "s0", "s0", "s0"]
+
+
+class TestSameSeedSameRun:
+    """Job outputs are applied at the barrier in launch order, so a run
+    is fixed by its seed, not by the pool's size."""
+
+    @staticmethod
+    def outputs(max_workers):
+        pool = ThreadAdapter(max_workers=max_workers)
+        try:
+            app = build_application(
+                store_url="kv://2", grid=12, adapter=pool, seed=3,
+                workflow=WorkflowConfig(beads_per_type=6, cg_chunks_per_job=2,
+                                        cg_steps_per_chunk=8, aa_chunks_per_job=1,
+                                        aa_steps_per_chunk=8, seed=3))
+            counters = app.run(nrounds=3)
+            return {
+                "counters": counters,
+                "ss_pattern": app.forcefield.ss_pattern,
+                "coupling_version": app.macro.coupling_version,
+                "couplings": app.macro.g_inner.tobytes() + app.macro.g_outer.tobytes(),
+                "frames": app.wm.frame_selector.history_rows(),
+                "patches": app.wm.patch_selector.history_rows(),
+            }
+        finally:
+            pool.shutdown()
+
+    def test_one_and_four_workers_agree(self):
+        serial = self.outputs(max_workers=1)
+        assert self.outputs(max_workers=4) == serial
+        assert serial["counters"]["aa_finished"] > 0
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_fill_cg_buffer_launches_up_to_the_target(self, max_workers):
+        # Job bodies run ungated; one that finishes inside the launch
+        # loop must not end it early (its output is not applied yet).
+        pool = ThreadAdapter(max_workers=max_workers)
+        try:
+            wm, _ = make_wm(adapter=pool, cg_ready_target=4)
+            wm.task1_process_macro()
+            wm.task1_process_macro()
+            assert wm._fill_cg_buffer() == 4 - len(wm.cg_ready)
+            pool.wait_all(timeout=60)
+            assert wm._fill_cg_buffer() == 0  # settled, not yet applied
+            wm._apply_settled()
+            assert len(wm.cg_ready) == 4
+        finally:
+            pool.shutdown()
+
+
+class TestRetriedJobs:
+    """A failed job is re-run with its body up to ``max_retries``; the WM
+    applies the final output, or nothing once the tag is abandoned."""
+
+    @staticmethod
+    def fill(monkeypatch, failures):
+        calls = {}
+        real = wm_module.createsim
+
+        def flaky(*args, **kwargs):
+            n = calls[kwargs["patch_id"]] = calls.get(kwargs["patch_id"], 0) + 1
+            if n <= failures:
+                raise RuntimeError("node lost")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wm_module, "createsim", flaky)
+        wm, _ = make_wm(cg_ready_target=2)
+        try:
+            wm.task1_process_macro()
+            assert wm._fill_cg_buffer() == 2
+            wm.adapter.wait_all(timeout=60)
+            wm._apply_settled()
+        finally:
+            wm.close()
+        return wm, calls
+
+    def test_final_output_of_a_retried_job_is_applied(self, monkeypatch):
+        wm, calls = self.fill(monkeypatch, failures=1)
+        assert sorted(calls.values()) == [2, 2]
+        assert sorted(s.source_patch for s in wm.cg_ready) == sorted(calls)
+
+    def test_abandoned_job_applies_nothing(self, monkeypatch):
+        wm, calls = self.fill(monkeypatch, failures=3)  # max_retries is 2
+        assert sorted(calls.values()) == [3, 3]
+        assert wm.cg_ready == []
+        assert sorted(wm.trackers["createsim"].abandoned) == sorted(calls)
+        assert wm._unapplied("createsim") == 0

@@ -1,18 +1,10 @@
-"""Regression tests: WM restore side tables and counter thread safety.
+"""Regression tests: WM restore side tables.
 
-Two coordination-layer bugs used to live here:
-
-- ``checkpoint()`` saved the selectors (with their queued candidate
-  ids) but not the ``_patch_by_id`` / ``_frame_by_id`` /
-  ``_frame_systems`` side tables those ids resolve against, so the
-  first selection after ``restore()`` raised KeyError in the round
-  driver.
-- job bodies run in adapter worker threads and incremented
-  ``wm.counters`` without synchronization against the round driver's
-  own updates, so counts could be lost under contention.
+``checkpoint()`` used to save the selectors (with their queued candidate
+ids) but not the ``_patch_by_id`` / ``_frame_by_id`` / ``_frame_systems``
+side tables those ids resolve against, so the first selection after
+``restore()`` raised KeyError in the round driver.
 """
-
-import threading
 
 import numpy as np
 
@@ -21,7 +13,6 @@ from repro.core.wm import WorkflowConfig, WorkflowManager
 from repro.datastore import open_store
 from repro.ml.encoder import PatchEncoder
 from repro.sched.adapter import ThreadAdapter
-from repro.sched.jobspec import JobSpec
 from repro.sims.cg.forcefield import martini_like
 from repro.sims.continuum import ContinuumConfig, ContinuumSim
 
@@ -158,41 +149,3 @@ class TestRestoreResumesPatchIds:
         wm2.run(nrounds=2)
         assert minted
         assert not set(minted) & before
-
-
-class TestCounterThreadSafety:
-    def test_every_pipeline_mutation_holds_the_counters_lock(self):
-        wm, _ = make_wm(max_workers=4)
-
-        class GuardedDict(dict):
-            def __init__(self, data, lock):
-                super().__init__(data)
-                self.lock = lock
-                self.violations = 0
-
-            def __setitem__(self, key, value):
-                if not self.lock.locked():
-                    self.violations += 1
-                super().__setitem__(key, value)
-
-        wm.counters = GuardedDict(wm.counters, wm._counters_lock)
-        wm.run(nrounds=2)  # job bodies bump counters from worker threads
-        assert wm.counters["cg_finished"] > 0
-        assert wm.counters.violations == 0
-
-    def test_concurrent_bumps_via_thread_adapter_lose_nothing(self):
-        wm, _ = make_wm()
-        adapter = ThreadAdapter(max_workers=8)
-        njobs, per_job = 8, 5000
-        barrier = threading.Barrier(njobs)
-
-        def body():
-            barrier.wait()  # maximize interleaving
-            for _ in range(per_job):
-                wm._bump("cg_finished")
-
-        for _ in range(njobs):
-            adapter.submit(JobSpec(name="bump", ncores=1), fn=body)
-        adapter.wait_all()
-        adapter.shutdown()
-        assert wm.counters_snapshot()["cg_finished"] == njobs * per_job

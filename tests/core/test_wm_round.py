@@ -77,13 +77,41 @@ class TestBarrier:
     def test_covers_a_tracker_retry(self, make_adapter):
         adapter = make_adapter(max_workers=1)
         tracker = _tracker(adapter, max_retries=2)
-        tracker.launch("t1", fn=_boom)
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("first try dies")
+            return "second try"
+
+        tracker.launch("t1", fn=flaky)
         adapter.wait_all(timeout=10)
-        # The failure was resubmitted from its completion callback; the
-        # barrier held until the resubmission settled too.
+        # The failure was resubmitted, with its body, from its completion
+        # callback; the barrier held until the resubmission settled too.
+        assert len(calls) == 2
         assert tracker.nactive() == 0
-        assert [r.spec.tag for r in tracker.completed] == ["t1"]
+        assert [(r.spec.tag, r.result) for r in tracker.completed] == [("t1", "second try")]
         assert tracker.abandoned == []
+        assert tracker.take("t1") == (JobState.COMPLETED, "second try")
+        assert tracker.take("t1") is None
+
+    def test_retries_rerun_the_body_until_abandoned(self, make_adapter):
+        adapter = make_adapter(max_workers=1)
+        tracker = _tracker(adapter, max_retries=2)
+        calls = []
+
+        def boom():
+            calls.append(1)
+            _boom()
+
+        tracker.launch("t1", fn=boom)
+        adapter.wait_all(timeout=10)
+        assert len(calls) == 3  # the first run and two retries
+        assert tracker.completed == []
+        assert tracker.abandoned == ["t1"]
+        state, error = tracker.take("t1")
+        assert state is JobState.FAILED and isinstance(error, ValueError)
 
     def test_exhausted_retries_end_abandoned(self, make_adapter):
         adapter = make_adapter()
@@ -168,7 +196,7 @@ class TestRound:
         finally:
             wm.close()
 
-    def test_task1_and_task4_run_on_the_adapter_executor(self, make_adapter):
+    def test_task1_and_task4_work_runs_on_the_adapter_executor(self, make_adapter):
         wm, _ = make_wm(adapter=make_adapter())
         threads = []
 
@@ -178,8 +206,8 @@ class TestRound:
                 return task(*args)
             return run
 
-        wm.task1_process_macro = spy(wm.task1_process_macro)
-        wm.task4_feedback = spy(wm.task4_feedback)
+        wm._cut_patches = spy(wm._cut_patches)
+        wm._feedback_iteration = spy(wm._feedback_iteration)
         try:
             wm.round()
         finally:

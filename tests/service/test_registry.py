@@ -375,3 +375,41 @@ class TestFairShares:
             assert stats["queued"] == 0
         finally:
             pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# same seed, same campaign
+# ---------------------------------------------------------------------------
+
+class TestSameSeedSameCampaign:
+    """Through the daemon path, a campaign's outputs are fixed by its
+    seed: the pool's size (and so the order jobs finish in) does not
+    reach a launch decision, a selection or a feedback result."""
+
+    @staticmethod
+    def outputs(pool_workers):
+        reg = CampaignRegistry(open_store("kv://2"),
+                               config=ServiceConfig(pool_workers=pool_workers))
+        try:
+            handles = [reg.submit({"tenant": tenant, "rounds": 3, "seed": seed})
+                       for tenant, seed in (("alice", 1), ("bob", 2))]
+            out = {}
+            for handle in handles:
+                assert handle.wait(timeout=120) is CampaignState.DONE, handle.error
+                macro = handle.app.macro
+                out[handle.spec.tenant] = {
+                    "counters": handle.snapshot()["counters"],
+                    "ss_pattern": handle.app.forcefield.ss_pattern,
+                    "coupling_version": macro.coupling_version,
+                    "couplings": macro.g_inner.tobytes() + macro.g_outer.tobytes(),
+                }
+            return out
+        finally:
+            reg.shutdown()
+
+    def test_one_and_two_pool_workers_agree(self):
+        serial = self.outputs(pool_workers=1)
+        assert self.outputs(pool_workers=2) == serial
+        for run in serial.values():
+            assert run["counters"]["aa_finished"] > 0
+            assert run["coupling_version"] > 0

@@ -3,7 +3,7 @@
 import threading
 
 from repro.util import units
-from repro.util.locks import SharedState, try_acquire
+from repro.util.locks import SharedState
 
 
 class TestSharedState:
@@ -11,13 +11,10 @@ class TestSharedState:
         s = SharedState({"n": 0})
         with s.locked() as d:
             d["n"] = 7
-        assert s.apply(lambda d: d["n"]) == 7
+        with s.locked() as d:
+            assert d["n"] == 7
 
-    def test_apply_returns_result(self):
-        s = SharedState([1, 2, 3])
-        assert s.apply(sum) == 6
-
-    def test_try_locked_yields_none_when_held_by_other_thread(self):
+    def test_contention_counted_when_held_by_other_thread(self):
         s = SharedState({})
         holding = threading.Event()
         release = threading.Event()
@@ -30,10 +27,10 @@ class TestSharedState:
         t = threading.Thread(target=holder)
         t.start()
         holding.wait(timeout=5)
-        with s.try_locked() as obj:
-            assert obj is None
-        assert s.stats.failed_tries == 1
-        release.set()
+        threading.Timer(0.05, release.set).start()
+        with s.locked():
+            pass
+        assert s.stats.contentions == 1
         t.join()
 
     def test_reentrant_from_same_thread(self):
@@ -55,32 +52,17 @@ class TestSharedState:
             t.start()
         for t in threads:
             t.join()
-        assert s.apply(lambda d: d["n"]) == 4000
+        with s.locked() as d:
+            assert d["n"] == 4000
 
     def test_stats_counts_acquisitions(self):
         s = SharedState({})
         with s.locked():
             pass
-        with s.try_locked():
+        with s.locked():
             pass
         assert s.stats.acquisitions == 2
         assert s.stats.as_dict()["acquisitions"] == 2
-
-
-class TestTryAcquire:
-    def test_acquires_free_lock(self):
-        lock = threading.Lock()
-        with try_acquire(lock) as got:
-            assert got
-        assert lock.acquire(blocking=False)
-        lock.release()
-
-    def test_fails_on_held_lock(self):
-        lock = threading.Lock()
-        lock.acquire()
-        with try_acquire(lock) as got:
-            assert not got
-        lock.release()
 
 
 class TestUnits:
