@@ -20,7 +20,7 @@ from repro.core.wm import WorkflowConfig, WorkflowManager
 from repro.datastore import open_store
 from repro.datastore.base import DataStore
 from repro.ml.encoder import PatchEncoder, train_metric_encoder
-from repro.sched.adapter import SchedulerAdapter, ThreadAdapter
+from repro.sched.adapter import SchedulerAdapter
 from repro.sims.cg.forcefield import CGForceField, martini_like
 from repro.sims.continuum.ddft import ContinuumConfig, ContinuumSim
 
@@ -107,7 +107,7 @@ def build_application(
         encoder=encoder,
         forcefield=forcefield,
         store=store,
-        adapter=adapter if adapter is not None else ThreadAdapter(max_workers=2),
+        adapter=adapter,
         config=workflow or WorkflowConfig(beads_per_type=10, seed=seed),
         patch_creator=patch_creator,
         feedback_managers=[cg2cont, aa2cg],

@@ -77,9 +77,6 @@ class ChaosAdapter(SchedulerAdapter):
         self._queue.append((record, fn))
         return record
 
-    def poll(self, job_id: int) -> JobState:
-        return self._records[job_id].state
-
     def cancel(self, job_id: int) -> None:
         record = self._records[job_id]
         if record.state is not JobState.PENDING:

@@ -80,7 +80,7 @@ class JobTracker:
         self.on_success = on_success
         self.on_abandon = on_abandon
         self.active: Dict[int, JobRecord] = {}
-        self.completed: List[JobRecord] = []
+        self.completed = 0  # jobs that ended COMPLETED
         self.abandoned: List[str] = []  # tags that exhausted retries
         self._retries: Dict[str, int] = {}
         self._tag_hooks: Dict[str, List[Callable[[JobRecord], None]]] = {}
@@ -133,8 +133,8 @@ class JobTracker:
     def take(self, tag: str) -> Optional[Tuple[JobState, Any]]:
         """``tag``'s final state and result, once: completed, failed with
         retries exhausted, or cancelled; None while it is in flight. The
-        result moves out of the record, so the tables that keep records
-        (the adapter's, :attr:`completed`) do not keep outputs alive."""
+        result moves out of the record, so an adapter that keeps its
+        records (the chaos adapter's table) does not keep outputs alive."""
         with self._active_lock:
             record = self._settled.pop(tag, None)
         if record is None:
@@ -155,8 +155,9 @@ class JobTracker:
             return
         with self._active_lock:
             self._settled[tag] = record
+            if record.state is JobState.COMPLETED:
+                self.completed += 1
         if record.state is JobState.COMPLETED:
-            self.completed.append(record)
             self._retries.pop(tag, None)
             if self.on_success is not None:
                 self.on_success(record)

@@ -115,7 +115,7 @@ def collect_telemetry(wm: WorkflowManager) -> TelemetryReport:
             "active": tracker.nactive(),
             "running": tracker.nrunning(),
             "pending": tracker.npending(),
-            "completed": len(tracker.completed),
+            "completed": tracker.completed,
             "abandoned": len(tracker.abandoned),
         }
         for name, tracker in wm.trackers.items()

@@ -36,8 +36,9 @@ from repro.ml.encoder import PatchEncoder
 from repro.sampling.binned import BinnedSampler, BinSpec
 from repro.sampling.fps import FarthestPointSampler
 from repro.sampling.points import Point
-from repro.sched.adapter import SchedulerAdapter, ThreadAdapter
+from repro.sched.adapter import SchedulerAdapter
 from repro.sched.jobspec import JobState
+from repro.sched.shares import FairShareAdapter
 from repro.util.locks import SharedState
 from repro.sims.aa.analysis import SecondaryStructureAnalysis
 from repro.sims.aa.engine import AAConfig, AASim
@@ -105,8 +106,9 @@ class WorkflowManager:
         DataStore for patches, RDFs and SS patterns (one store, three
         namespaces; any backend).
     adapter:
-        Scheduler adapter executing job bodies (ThreadAdapter by
-        default).
+        Scheduler adapter executing job bodies. By default the WM builds
+        a two-worker :class:`~repro.sched.shares.FairShareAdapter`, runs
+        on one tenant view of it, and shuts it down in :meth:`close`.
     feedback_managers:
         Managers whose ``run_iteration`` the WM drives each round.
     """
@@ -129,11 +131,14 @@ class WorkflowManager:
         self.encoder = encoder
         self.forcefield = forcefield
         self.store = store
-        # A WM owns only the adapter it created itself. Shared adapters
-        # (the control plane's fair-share pool) belong to their daemon:
-        # close() must not shut them down under other tenants.
-        self._owns_adapter = adapter is None
-        self.adapter = adapter if adapter is not None else ThreadAdapter(max_workers=2)
+        # A WM owns only the pool it created itself. Shared pools (the
+        # control plane's) belong to their daemon: close() must not shut
+        # them down under other tenants.
+        self._own_pool: Optional[FairShareAdapter] = None
+        if adapter is None:
+            self._own_pool = FairShareAdapter(max_workers=2)
+            adapter = self._own_pool.view("wm")
+        self.adapter = adapter
         self.patch_creator = patch_creator or PatchCreator(patch_grid=9, store=store)
         self.feedback_managers = list(feedback_managers)
         self.rng = np.random.default_rng(self.config.seed)
@@ -456,7 +461,7 @@ class WorkflowManager:
     # The round driver
     # ------------------------------------------------------------------
 
-    def round(self, advance_us: float = 1.0, wait: bool = True) -> Dict[str, int]:
+    def round(self, advance_us: float = 1.0) -> Dict[str, int]:
         """One coordination round across all four tasks.
 
         Task 1 → Task 3 → barrier → Task 3 → barrier → Task 4. The
@@ -464,22 +469,22 @@ class WorkflowManager:
         this adapter submitted has settled, retries included. The
         settled jobs' outputs are then applied in launch order, so the
         round is fixed by its seed. The second scan starts sims on the
-        buffers the setup jobs just filled. ``wait=False`` skips both
-        barriers and the second scan, so jobs overlap rounds like the
-        production WM; each scan applies whatever has settled by then.
+        buffers the setup jobs just filled. A round ends with no job in
+        flight, unless a stalled chaos adapter's barrier returned early;
+        those jobs are applied by a later round's scans.
 
         Task 1's patch cutting and Task 4's feedback run on
-        ``adapter.executor`` when the adapter has one (a tenant's are
-        billed to its fair share as ``wm-offload`` jobs), else inline.
+        ``adapter.executor`` when the adapter has one (billed to the
+        tenant's fair share as ``wm-offload`` jobs), else inline. Both
+        start after a barrier, with this WM's jobs settled.
         """
         with trace.span("wm.round", round=self.rounds):
             self.task1_process_macro(advance_us)
             self.task3_manage_jobs()
-            if wait:
-                self.adapter.wait_all()
-                self.task3_manage_jobs()
-                self.adapter.wait_all()
-                self._apply_settled()
+            self.adapter.wait_all()
+            self.task3_manage_jobs()
+            self.adapter.wait_all()
+            self._apply_settled()
             self.task4_feedback()
         self.rounds += 1
         return self.counters_snapshot()
@@ -491,10 +496,9 @@ class WorkflowManager:
             return fn()
         return executor.submit(trace.wrap(fn)).result()
 
-    def run(self, nrounds: int, advance_us: float = 1.0,
-            wait: bool = True) -> Dict[str, int]:
+    def run(self, nrounds: int, advance_us: float = 1.0) -> Dict[str, int]:
         for _ in range(nrounds):
-            self.round(advance_us, wait=wait)
+            self.round(advance_us)
         return self.counters_snapshot()
 
     def status(self) -> Dict[str, object]:
@@ -524,7 +528,7 @@ class WorkflowManager:
         }
 
     def close(self) -> None:
-        """Drain in-flight jobs and release the adapter if this WM owns it.
+        """Drain in-flight jobs and shut down the pool if this WM owns it.
 
         Campaigns used to die with their process, leaking pool threads on
         abnormal exits; a service-hosted WM must instead shut down cleanly
@@ -532,8 +536,8 @@ class WorkflowManager:
         other tenants.
         """
         self._quiesce()
-        if self._owns_adapter:  # always the ThreadAdapter built in __init__
-            self.adapter.shutdown()
+        if self._own_pool is not None:
+            self._own_pool.shutdown()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (§4.4 resilience)
@@ -542,7 +546,7 @@ class WorkflowManager:
     def _quiesce(self) -> None:
         """Settle in-flight jobs and apply their outputs before a snapshot.
 
-        ``run(wait=False)`` leaves the last round's jobs in flight, their
+        A stalled chaos adapter leaves a round's jobs in flight, their
         patches already popped from the side tables; a checkpoint must
         not strand that work. ``adapter.flush()`` is the round barrier
         for thread-pool adapters, a drain that ignores stalls for the

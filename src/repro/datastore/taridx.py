@@ -54,7 +54,7 @@ class IndexedTar:
             raise StoreError(f"archive path must end with .tar: {path!r}")
         self.path = path
         self.index_path = path + ".idx"
-        # The WM's ThreadAdapter runs job bodies concurrently, so the
+        # The WM's thread pool runs job bodies concurrently, so the
         # shared reader/writer handles need seek+read / offset+append
         # atomicity — an unguarded seek is a corrupted payload.
         self._lock = threading.RLock()

@@ -32,7 +32,7 @@ from repro.sched.jobspec import JobSpec, JobState, JobRecord
 from repro.sched.matcher import Matcher, MatchPolicy, MatchStats
 from repro.sched.queue import QueueManager, QueueMode
 from repro.sched.flux import FluxInstance
-from repro.sched.adapter import SchedulerAdapter, FluxAdapter, ThreadAdapter
+from repro.sched.adapter import SchedulerAdapter, FluxAdapter
 from repro.sched.shares import FairShareAdapter, StrideScheduler, TenantAdapter
 from repro.sched.bundling import bundle_gpu_jobs, BundleExpander
 
@@ -53,7 +53,6 @@ __all__ = [
     "FluxInstance",
     "SchedulerAdapter",
     "FluxAdapter",
-    "ThreadAdapter",
     "FairShareAdapter",
     "StrideScheduler",
     "TenantAdapter",

@@ -115,13 +115,10 @@ class TenantExecutor:
             return fn(*args, **kwargs)
 
         def done(record: JobRecord) -> None:
-            # The future owns the result: the pool's record table, which
-            # lives as long as the pool, keeps none.
-            result, record.result = record.result, None
             if record.state is JobState.COMPLETED:
-                future.set_result(result)
-            elif isinstance(result, BaseException):
-                future.set_exception(result)
+                future.set_result(record.result)
+            elif isinstance(record.result, BaseException):
+                future.set_exception(record.result)
             else:
                 future.set_exception(
                     RuntimeError(f"offload job ended {record.state.name}")
@@ -162,9 +159,6 @@ class TenantAdapter(SchedulerAdapter):
             self._inflight.done()
             raise
 
-    def poll(self, job_id: int) -> JobState:
-        return self.shared.poll(job_id)
-
     def cancel(self, job_id: int) -> None:
         self.shared.cancel(job_id)
 
@@ -175,6 +169,11 @@ class TenantAdapter(SchedulerAdapter):
 
 class FairShareAdapter:
     """A shared thread pool arbitrated by stride scheduling.
+
+    The pool holds a job only while it is queued or running: once it
+    settles, the caller's :class:`JobRecord` (returned by
+    :meth:`submit_for`) is its only trace, so a long-running daemon's
+    memory follows its live work, not its history.
 
     Parameters
     ----------
@@ -195,7 +194,6 @@ class FairShareAdapter:
             self._stride.set_weight(tenant, weight)
         self._queues: Dict[str, Deque[_Queued]] = {}
         self._active = 0
-        self._records: Dict[int, JobRecord] = {}
         self._dispatched: Dict[str, int] = {}
         self._completed: Dict[str, int] = {}
         self._closed = False
@@ -221,7 +219,6 @@ class FairShareAdapter:
         with self._lock:
             if self._closed:
                 raise RuntimeError("FairShareAdapter is shut down")
-            self._records[record.job_id] = record
             self._queues.setdefault(tenant, deque()).append(
                 (record, fn, on_complete)
             )
@@ -263,9 +260,6 @@ class FairShareAdapter:
             self._dispatch()
 
     # --- SchedulerAdapter surface ----------------------------------------
-
-    def poll(self, job_id: int) -> JobState:
-        return self._records[job_id].state
 
     def cancel(self, job_id: int) -> None:
         """Best-effort: only jobs still queued can be cancelled.

@@ -1,5 +1,7 @@
 """Integration tests: the full three-scale application end to end."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,15 @@ class TestEncoderPretraining:
         pts = app.wm.patch_selector.queues["ras"].points() + \
             app.wm.patch_selector.queues["ras-raf"].points()
         assert all(p.dim == 9 for p in pts)
+
+
+class TestClose:
+    def test_close_stops_the_default_pool(self):
+        # With no adapter given, the WM builds and owns its pool, so
+        # close() must leave no worker thread behind.
+        before = set(threading.enumerate())
+        app = build_application(store_url="kv://2", seed=1)
+        app.wm.run(1)
+        assert set(threading.enumerate()) - before, "no pool thread started?"
+        app.wm.close()
+        assert [t.name for t in set(threading.enumerate()) - before] == []

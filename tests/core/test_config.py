@@ -207,7 +207,7 @@ class TestJobTypes:
         tracker = JobTracker(cfg, FluxAdapter(flux))
         tracker.launch("sim0")
         loop.run_until(3600.0)
-        assert len(tracker.completed) == 1
+        assert tracker.completed == 1
 
 
 class TestEndToEndFromFile:

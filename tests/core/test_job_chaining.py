@@ -38,8 +38,8 @@ class TestJobChaining:
         loop.run_until(50.0)
         assert sim.nactive() == 0  # prerequisite still running
         loop.run_until(500.0)
-        assert len(sim.completed) == 1
-        assert sim.completed[0].spec.tag == "sim-7"
+        assert sim.completed == 1
+        assert sim.take("sim-7") == (JobState.COMPLETED, None)
 
     def test_chain_of_three_stages(self):
         # createsim -> cg-sim -> (analysis epilogue hook)

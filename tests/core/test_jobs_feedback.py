@@ -6,7 +6,7 @@ import pytest
 from repro.core.feedback import FeedbackManager, StoreFeedbackMixin
 from repro.core.jobs import JobTracker, JobTypeConfig
 from repro.datastore import FSStore, TaridxStore, open_store
-from repro.sched.adapter import FluxAdapter, ThreadAdapter
+from repro.sched.adapter import FluxAdapter
 from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobState
 from repro.sched.resources import summit_like
@@ -50,7 +50,7 @@ class TestJobTrackerVirtual:
         assert tracker.nactive() == 1
         loop.run_until(500.0)
         assert tracker.nactive() == 0
-        assert len(tracker.completed) == 1
+        assert tracker.completed == 1
         assert done[0].spec.tag == "sim1"
 
     def test_counts_split_running_pending(self):
@@ -73,18 +73,6 @@ class TestJobTrackerVirtual:
 
 class TestJobTrackerRetries:
     def test_failed_jobs_are_retried_with_same_tag(self):
-        adapter = ThreadAdapter(max_workers=1)
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise RuntimeError("boom")
-            return "ok"
-
-        # fn is not re-attached on retry by the tracker (the retry path
-        # resubmits a virtual job), so use the flux adapter path for
-        # retry-count testing instead.
         loop = EventLoop()
         flux = FluxInstance(summit_like(1), loop)
         tracker = JobTracker(
@@ -98,7 +86,6 @@ class TestJobTrackerRetries:
         assert tracker.retries_used("simX") == 1
         # The retried job cannot run (node drained) but is tracked.
         assert tracker.nactive() == 1
-        adapter.shutdown()
 
     def test_abandon_after_max_retries(self):
         loop = EventLoop()

@@ -35,7 +35,7 @@ class TestCollect:
     def test_jobs_completed_matches_trackers(self, app):
         rep = collect_telemetry(app.wm)
         assert rep.jobs_completed() == sum(
-            len(t.completed) for t in app.wm.trackers.values()
+            t.completed for t in app.wm.trackers.values()
         )
         assert rep.jobs_completed() > 0
 

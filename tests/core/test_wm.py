@@ -10,7 +10,7 @@ from repro.core.wm import WorkflowConfig, WorkflowManager
 from repro.datastore import open_store
 from repro.datastore.netkv import key_slot
 from repro.ml.encoder import PatchEncoder
-from repro.sched.adapter import ThreadAdapter
+from repro.sched.shares import FairShareAdapter
 from repro.sims.cg.forcefield import martini_like
 from repro.sims.continuum import ContinuumConfig, ContinuumSim
 
@@ -30,7 +30,8 @@ def make_wm(store=None, adapter=None, **cfg_kwargs):
         encoder=encoder,
         forcefield=ff,
         store=store,
-        adapter=adapter if adapter is not None else ThreadAdapter(max_workers=1),
+        adapter=(adapter if adapter is not None
+                 else FairShareAdapter(max_workers=1).view("test")),
         config=config,
         patch_creator=PatchCreator(patch_grid=9, store=store),
     )
@@ -168,14 +169,15 @@ class TestLaunchSeeds:
                 return fn(*args, **kwargs)
             return record
 
-        pool = ThreadAdapter(max_workers=max_workers)
+        pool = FairShareAdapter(max_workers=max_workers)
         with monkeypatch.context() as patch:
             patch.setattr(wm_module, "createsim", recording(
                 wm_module.createsim, lambda *a, **k: k["patch_id"]))
             patch.setattr(wm_module, "backmap", recording(
                 wm_module.backmap, lambda *a, **k: k["frame_id"]))
             try:
-                wm, _ = make_wm(adapter=pool, cg_ready_target=4, max_cg_sims=4)
+                wm, _ = make_wm(adapter=pool.view("test"), cg_ready_target=4,
+                                max_cg_sims=4)
                 for name in ("_run_cg_sim", "_run_aa_sim"):
                     run = recording(getattr(wm, name), lambda system, sim_id, **k: sim_id)
                     setattr(wm, name, lambda system, sim_id, seed, run=run: run(
@@ -185,7 +187,7 @@ class TestLaunchSeeds:
                 for launch in (wm._fill_cg_buffer, wm._spawn_cg_sims,
                                wm._fill_aa_buffer, wm._spawn_aa_sims):
                     assert launch() > 0
-                    pool.wait_all(timeout=60)
+                    wm.adapter.wait_all(timeout=60)
                     wm._apply_settled()
             finally:
                 pool.shutdown()
@@ -205,10 +207,10 @@ class TestSameSeedSameRun:
 
     @staticmethod
     def outputs(max_workers):
-        pool = ThreadAdapter(max_workers=max_workers)
+        pool = FairShareAdapter(max_workers=max_workers)
         try:
             app = build_application(
-                store_url="kv://2", grid=12, adapter=pool, seed=3,
+                store_url="kv://2", grid=12, adapter=pool.view("test"), seed=3,
                 workflow=WorkflowConfig(beads_per_type=6, cg_chunks_per_job=2,
                                         cg_steps_per_chunk=8, aa_chunks_per_job=1,
                                         aa_steps_per_chunk=8, seed=3))
@@ -233,13 +235,13 @@ class TestSameSeedSameRun:
     def test_fill_cg_buffer_launches_up_to_the_target(self, max_workers):
         # Job bodies run ungated; one that finishes inside the launch
         # loop must not end it early (its output is not applied yet).
-        pool = ThreadAdapter(max_workers=max_workers)
+        pool = FairShareAdapter(max_workers=max_workers)
         try:
-            wm, _ = make_wm(adapter=pool, cg_ready_target=4)
+            wm, _ = make_wm(adapter=pool.view("test"), cg_ready_target=4)
             wm.task1_process_macro()
             wm.task1_process_macro()
             assert wm._fill_cg_buffer() == 4 - len(wm.cg_ready)
-            pool.wait_all(timeout=60)
+            wm.adapter.wait_all(timeout=60)
             assert wm._fill_cg_buffer() == 0  # settled, not yet applied
             wm._apply_settled()
             assert len(wm.cg_ready) == 4

@@ -9,7 +9,7 @@ contentions.
 import sys
 import threading
 
-from repro.sched.adapter import ThreadAdapter
+from repro.sched.shares import FairShareAdapter
 from tests.core.test_wm import make_wm
 
 
@@ -51,8 +51,8 @@ class TestOwnership:
             remove = noting(list.remove)
             __setitem__ = noting(list.__setitem__)
 
-        pool = ThreadAdapter(max_workers=4)
-        wm, _ = make_wm(adapter=pool)
+        pool = FairShareAdapter(max_workers=4)
+        wm, _ = make_wm(adapter=pool.view("writer"))
         wm.counters = NotedDict(wm.counters)
         wm.cg_ready, wm.aa_ready = NotedList(), NotedList()
         for selector in (wm.patch_selector, wm.frame_selector):
@@ -63,9 +63,9 @@ class TestOwnership:
         sys.setswitchinterval(1e-5)  # interleave the pool threads finely
         try:
             wm.run(nrounds=2)
-            wm.round(wait=False)
         finally:
             sys.setswitchinterval(interval)
             wm.close()
+            pool.shutdown()
         assert wm.counters["cg_finished"] > 0 and wm.counters["aa_finished"] > 0
         assert writers == {threading.get_ident()}

@@ -8,16 +8,17 @@ side tables those ids resolve against, so the first selection after
 
 import numpy as np
 
+from repro.chaos.harness import ChaosAdapter
 from repro.core.patches import PatchCreator
 from repro.core.wm import WorkflowConfig, WorkflowManager
 from repro.datastore import open_store
 from repro.ml.encoder import PatchEncoder
-from repro.sched.adapter import ThreadAdapter
+from repro.sched.shares import FairShareAdapter
 from repro.sims.cg.forcefield import martini_like
 from repro.sims.continuum import ContinuumConfig, ContinuumSim
 
 
-def make_wm(store=None, max_workers=1, **cfg_kwargs):
+def make_wm(store=None, adapter=None, **cfg_kwargs):
     macro = ContinuumSim(ContinuumConfig(grid=16, n_inner=2, n_outer=2,
                                          n_proteins=3, dt=0.25, seed=0))
     store = store if store is not None else open_store("kv://2")
@@ -32,7 +33,8 @@ def make_wm(store=None, max_workers=1, **cfg_kwargs):
         encoder=encoder,
         forcefield=ff,
         store=store,
-        adapter=ThreadAdapter(max_workers=max_workers),
+        adapter=(adapter if adapter is not None
+                 else FairShareAdapter(max_workers=1).view("test")),
         config=config,
         patch_creator=PatchCreator(patch_grid=9, store=store),
     )
@@ -87,19 +89,20 @@ class TestRestoreSideTables:
                 for k in store.keys("wm/checkpoint/patch-table/")}
         assert live == set(wm._patch_by_id)
 
-    def test_wait_false_run_then_checkpoint_strands_nothing(self):
-        # Production mode: jobs overlap rounds. A checkpoint taken right
-        # after run(wait=False) used to snapshot while setup jobs were
+    def test_stalled_run_then_checkpoint_strands_nothing(self):
+        # A stalled pool leaves jobs in flight across rounds. A
+        # checkpoint taken then used to snapshot while setup jobs were
         # still in flight, stranding their patches (popped from the
         # selector, present in no side table) and dropping the prepared
-        # ready buffers on restore. A ready target above the sim-slot
-        # count guarantees the buffer is non-empty at quiesce regardless
-        # of worker timing (with target == slots the sims can legally
-        # drain it, which made this test flaky).
-        wm, store = make_wm(max_workers=2, cg_ready_target=4, max_cg_sims=1)
-        wm.run(nrounds=2, wait=False)
+        # ready buffers on restore.
+        adapter = ChaosAdapter()
+        adapter.stalled = True
+        wm, store = make_wm(adapter=adapter, cg_ready_target=4, max_cg_sims=1)
+        wm.run(nrounds=2)
+        assert adapter.pending() > 0
         wm.checkpoint()
         # checkpoint() quiesced: nothing is in flight afterwards.
+        assert adapter.pending() == 0
         assert all(t.nactive() == 0 for t in wm.trackers.values())
         after = wm.counters_snapshot()
         assert len(wm.cg_ready) + len(wm.aa_ready) > 0

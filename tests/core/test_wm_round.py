@@ -1,11 +1,10 @@
 """The WM's one round and the barrier contract behind it.
 
 ``WorkflowManager.round`` is task1 → task3 → barrier → task3 → barrier →
-task4, and the barrier is ``adapter.wait_all()``. The thread-backed
-adapters (ThreadAdapter, and a FairShareAdapter's per-campaign
-TenantAdapter view) make it exact by counting each job from submit
-until its ``on_complete`` returns. Every barrier case here runs over
-both; the ChaosAdapter keeps its own inline, stallable drain.
+task4, and the barrier is ``adapter.wait_all()``. A FairShareAdapter's
+per-campaign TenantAdapter view makes it exact by counting each job
+from submit until its ``on_complete`` returns; the ChaosAdapter keeps
+its own inline, stallable drain.
 """
 
 from __future__ import annotations
@@ -17,22 +16,17 @@ import pytest
 
 from repro.chaos.harness import ChaosAdapter
 from repro.core.jobs import JobTracker, JobTypeConfig
-from repro.sched.adapter import ThreadAdapter
 from repro.sched.jobspec import JobSpec, JobState
 from repro.sched.shares import FairShareAdapter, TenantExecutor
 from tests.core.test_wm import make_wm
 
 
-@pytest.fixture(params=["thread", "tenant"])
-def make_adapter(request):
-    """Factory for either thread-backed adapter; pools shut down after."""
+@pytest.fixture
+def make_adapter():
+    """Factory for pool views; the pools shut down after the test."""
     pools = []
 
     def make(max_workers=2):
-        if request.param == "thread":
-            pool = ThreadAdapter(max_workers=max_workers)
-            pools.append(pool)
-            return pool
         pool = FairShareAdapter(max_workers=max_workers)
         pools.append(pool)
         return pool.view("acme")
@@ -58,7 +52,8 @@ class TestBarrier:
         tracker.launch("t1", fn=lambda: 42)
         adapter.wait_all(timeout=10)
         assert tracker.nactive() == 0
-        assert [r.result for r in tracker.completed] == [42]
+        assert tracker.completed == 1
+        assert tracker.take("t1") == (JobState.COMPLETED, 42)
 
     def test_covers_a_job_submitted_from_a_completion_callback(self, make_adapter):
         adapter = make_adapter()
@@ -91,7 +86,7 @@ class TestBarrier:
         # callback; the barrier held until the resubmission settled too.
         assert len(calls) == 2
         assert tracker.nactive() == 0
-        assert [(r.spec.tag, r.result) for r in tracker.completed] == [("t1", "second try")]
+        assert tracker.completed == 1
         assert tracker.abandoned == []
         assert tracker.take("t1") == (JobState.COMPLETED, "second try")
         assert tracker.take("t1") is None
@@ -108,7 +103,7 @@ class TestBarrier:
         tracker.launch("t1", fn=boom)
         adapter.wait_all(timeout=10)
         assert len(calls) == 3  # the first run and two retries
-        assert tracker.completed == []
+        assert tracker.completed == 0
         assert tracker.abandoned == ["t1"]
         state, error = tracker.take("t1")
         assert state is JobState.FAILED and isinstance(error, ValueError)
@@ -119,7 +114,7 @@ class TestBarrier:
         tracker.launch("t1", fn=_boom)
         adapter.wait_all(timeout=10)
         assert tracker.nactive() == 0
-        assert tracker.completed == []
+        assert tracker.completed == 0
         assert tracker.abandoned == ["t1"]
 
     def test_queued_cancel_releases_wait_all(self, make_adapter):
@@ -137,7 +132,9 @@ class TestBarrier:
             release.set()
         adapter.wait_all(timeout=10)
         assert tracker.nactive() == 0
-        assert [r.spec.tag for r in tracker.completed] == ["blocker"]
+        assert tracker.completed == 1
+        assert tracker.take("blocker")[0] is JobState.COMPLETED
+        assert tracker.take("t1") == (JobState.CANCELLED, None)
 
     def test_wait_all_times_out_on_a_blocked_job(self, make_adapter):
         adapter = make_adapter()
@@ -183,16 +180,6 @@ class TestRound:
             assert c["patches_selected"] > 0
             assert c["cg_finished"] > 0
             assert len(store.keys("rdf/live/")) > 0
-        finally:
-            wm.close()
-
-    def test_wait_false_skips_the_barrier(self, make_adapter):
-        wm, _ = make_wm(adapter=make_adapter())
-        try:
-            wm.round(wait=False)
-            assert wm.counters["snapshots"] == 1
-            wm.adapter.wait_all(timeout=30)
-            assert all(t.nactive() == 0 for t in wm.trackers.values())
         finally:
             wm.close()
 

@@ -81,7 +81,7 @@ class TestIndexedTar:
 
 class TestConcurrentAccess:
     def test_parallel_appends_and_reads_stay_intact(self, tmp_path):
-        """The WM's ThreadAdapter appends while feedback reads; the
+        """The WM's thread pool appends while feedback reads; the
         shared seek+read handle must never hand back another key's
         bytes (this raced before the archive grew its lock)."""
         import threading

@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.sched.adapter import FluxAdapter, ThreadAdapter
+import gc
+import weakref
+
+from repro.sched.adapter import FluxAdapter
 from repro.sched.bundling import BundleExpander, bundle_gpu_jobs, bundle_utilization
 from repro.sched.emulator import compare_policies, paper_job_mix, run_policy_emulation
 from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobSpec, JobState
 from repro.sched.matcher import MatchPolicy
 from repro.sched.resources import summit_like
+from repro.sched.shares import FairShareAdapter
 from repro.util.clock import EventLoop
 
 
@@ -17,24 +21,29 @@ class TestFluxAdapter:
         loop = EventLoop()
         adapter = FluxAdapter(FluxInstance(summit_like(1), loop))
         rec = adapter.submit(JobSpec(name="cg", ncores=1, ngpus=1, duration=10.0))
-        assert adapter.poll(rec.job_id) is JobState.PENDING
+        assert rec.state is JobState.PENDING
         loop.run_until(100.0)
-        assert adapter.poll(rec.job_id) is JobState.COMPLETED
+        assert rec.state is JobState.COMPLETED
         adapter.cancel(rec.job_id)  # no-op on terminal
 
 
-class TestThreadAdapter:
-    def test_runs_real_function(self):
-        adapter = ThreadAdapter(max_workers=2)
+class TestPoolView:
+    """A one-tenant view of the fair-share pool; the barrier cases live
+    in ``tests/core/test_wm_round.py::TestBarrier``."""
+
+    @pytest.fixture
+    def adapter(self):
+        pool = FairShareAdapter(max_workers=2)
+        yield pool.view("solo")
+        pool.shutdown()
+
+    def test_runs_real_function(self, adapter):
         rec = adapter.submit(JobSpec(name="calc", ncores=1), fn=lambda: 6 * 7)
         adapter.wait_all()
         assert rec.state is JobState.COMPLETED
         assert rec.result == 42
-        adapter.shutdown()
 
-    def test_failure_is_captured_not_raised(self):
-        adapter = ThreadAdapter()
-
+    def test_failure_is_captured_not_raised(self, adapter):
         def boom():
             raise RuntimeError("sim crashed")
 
@@ -42,22 +51,13 @@ class TestThreadAdapter:
         adapter.wait_all()
         assert rec.state is JobState.FAILED
         assert isinstance(rec.result, RuntimeError)
-        adapter.shutdown()
 
-    def test_on_complete_callback(self):
-        adapter = ThreadAdapter()
-        done = []
-        adapter.submit(JobSpec(name="x", ncores=1), fn=lambda: 1, on_complete=done.append)
+    def test_pool_forgets_a_settled_job(self, adapter):
+        ref = weakref.ref(adapter.submit(JobSpec(name="x", ncores=1),
+                                         fn=lambda: None))
         adapter.wait_all()
-        assert len(done) == 1
-        adapter.shutdown()
-
-    def test_poll(self):
-        adapter = ThreadAdapter()
-        rec = adapter.submit(JobSpec(name="x", ncores=1), fn=lambda: None)
-        adapter.wait_all()
-        assert adapter.poll(rec.job_id) is JobState.COMPLETED
-        adapter.shutdown()
+        gc.collect()
+        assert ref() is None
 
 
 class TestBundling:

@@ -5,7 +5,9 @@ daemon serves, driven directly. The HTTP surface is covered by
 ``test_server.py``; the doc-sync contract by ``test_api_doc.py``.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -222,6 +224,31 @@ class TestRegistryBookkeeping:
                 reg.get(handle.campaign_id)
         finally:
             reg.shutdown()
+
+    def test_deleted_campaigns_leave_no_job_record_behind(self, registry):
+        # The daemon holds only live work: once a campaign is deleted,
+        # no pool table, tracker or handle keeps its job records.
+        refs = []
+        submit_for = registry.adapter.submit_for
+
+        def spy(tenant, spec, *args, **kwargs):
+            record = submit_for(tenant, spec, *args, **kwargs)
+            refs.append(weakref.ref(record))
+            return record
+
+        registry.adapter.submit_for = spy
+        deleted = set()
+        for n in range(4):
+            handle = registry.submit({"tenant": "alice", "rounds": 2, "seed": n})
+            assert handle.wait(timeout=60.0) is CampaignState.DONE, handle.error
+            handle.join(timeout=30.0)
+            registry.delete(handle.campaign_id)
+            deleted.add(handle.campaign_id)
+            del handle
+            gc.collect()
+            assert refs, "no job went through the pool"
+            assert [r() for r in refs if r() is not None] == []
+            assert deleted.isdisjoint(row["id"] for row in registry.list())
 
     def test_tenants_report_shows_usage_and_quota(self, registry):
         a = registry.submit({"tenant": "alice", **TINY})
