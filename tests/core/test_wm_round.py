@@ -3,8 +3,10 @@
 ``WorkflowManager.round`` is task1 → task3 → barrier → task3 → barrier →
 task4, and the barrier is ``adapter.wait_all()``. A FairShareAdapter's
 per-campaign TenantAdapter view makes it exact by counting each job
-from submit until its ``on_complete`` returns; the ChaosAdapter keeps
-its own inline, stallable drain.
+from submit until its ``on_complete`` returns. Every barrier case here
+runs on a view of a pool of its own and on a view of a pool shared with
+a sibling tenant whose job holds a worker throughout; the ChaosAdapter
+keeps its own inline, stallable drain.
 """
 
 from __future__ import annotations
@@ -21,17 +23,31 @@ from repro.sched.shares import FairShareAdapter, TenantExecutor
 from tests.core.test_wm import make_wm
 
 
-@pytest.fixture
-def make_adapter():
-    """Factory for pool views; the pools shut down after the test."""
+@pytest.fixture(params=["tenant", "shared"])
+def make_adapter(request):
+    """Factory for pool views with ``max_workers`` slots free to them.
+
+    ``shared`` adds one worker to the pool and holds it with a sibling
+    tenant's job until the test ends, so the view's barrier must ignore
+    work it did not submit. The pools shut down after the test.
+    """
     pools = []
+    release = threading.Event()
 
     def make(max_workers=2):
-        pool = FairShareAdapter(max_workers=max_workers)
+        if request.param == "tenant":
+            pool = FairShareAdapter(max_workers=max_workers)
+            pools.append(pool)
+            return pool.view("acme")
+        pool = FairShareAdapter(max_workers=max_workers + 1)
         pools.append(pool)
+        # submit_for takes the free slot before it returns.
+        pool.view("sibling").submit(JobSpec(name="hog"),
+                                    fn=lambda: release.wait(30))
         return pool.view("acme")
 
     yield make
+    release.set()
     for pool in pools:
         pool.shutdown()
 
@@ -202,6 +218,21 @@ class TestRound:
         assert len(threads) == 2
         assert threading.current_thread() not in threads
 
+    def test_close_leaves_a_passed_pool_serving(self):
+        # The pool belongs to the caller (a service's shared substrate):
+        # closing one campaign's WM must not shut it down for the others.
+        shared = FairShareAdapter(max_workers=2)
+        try:
+            wm, _ = make_wm(adapter=shared.view("acme"))
+            wm.round()
+            wm.close()
+            other = shared.view("other")
+            rec = other.submit(JobSpec(name="after"), fn=lambda: 42)
+            other.wait_all(timeout=10)
+            assert (rec.state, rec.result) == (JobState.COMPLETED, 42)
+        finally:
+            shared.shutdown()
+
     def test_tenant_offloads_are_billed_as_wm_offload_jobs(self):
         shared = FairShareAdapter(max_workers=2)
         names = []
@@ -240,6 +271,39 @@ class TestChaosAdapterRound:
         adapter.flush()  # the checkpoint quiesce drains regardless
         assert adapter.pending() == 0
         assert all(t.nactive() == 0 for t in wm.trackers.values())
+
+    def test_counters_never_go_backwards_while_stalled(self):
+        adapter = ChaosAdapter()
+        adapter.stalled = True
+        wm, _ = make_wm(adapter=adapter)
+        prev = dict(wm.counters)
+        for _ in range(3):
+            now = wm.round()
+            for key in prev:
+                assert now[key] >= prev[key]
+            prev = now
+        adapter.flush()
+
+    def test_stalled_rounds_converge_after_a_flush(self):
+        # Jobs left in flight across stalled rounds settle at the next
+        # drain, and the next task3 applies what they produced: the
+        # createsims first, then the CG sims launched from their output.
+        adapter = ChaosAdapter()
+        adapter.stalled = True
+        wm, store = make_wm(adapter=adapter)
+        for _ in range(3):
+            wm.round()
+        assert adapter.pending() > 0
+        for _ in range(2):
+            adapter.flush()
+            wm.task3_manage_jobs()
+        adapter.flush()
+        assert all(t.nactive() == 0 for t in wm.trackers.values())
+        c = wm.counters
+        assert c["snapshots"] == 3
+        assert c["patches_selected"] > 0
+        assert c["cg_finished"] > 0
+        assert len(store.keys("rdf/live/")) + len(store.keys("rdf/done/")) > 0
 
 
 class TestTenantExecutor:

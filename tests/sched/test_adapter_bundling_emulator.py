@@ -3,6 +3,7 @@
 import pytest
 
 import gc
+import threading
 import weakref
 
 from repro.sched.adapter import FluxAdapter
@@ -51,6 +52,30 @@ class TestPoolView:
         adapter.wait_all()
         assert rec.state is JobState.FAILED
         assert isinstance(rec.result, RuntimeError)
+
+    def test_on_complete_callback(self, adapter):
+        done = []
+        rec = adapter.submit(JobSpec(name="x", ncores=1), fn=lambda: 1,
+                             on_complete=done.append)
+        adapter.wait_all()
+        assert done == [rec]
+
+    def test_record_state_follows_the_job(self, adapter):
+        # submit returns the live record: it is the job's only handle.
+        started, release = threading.Event(), threading.Event()
+
+        def body():
+            started.set()
+            release.wait(10)
+
+        try:
+            rec = adapter.submit(JobSpec(name="x", ncores=1), fn=body)
+            assert started.wait(10)
+            assert rec.state is JobState.RUNNING
+        finally:
+            release.set()
+        adapter.wait_all()
+        assert rec.state is JobState.COMPLETED
 
     def test_pool_forgets_a_settled_job(self, adapter):
         ref = weakref.ref(adapter.submit(JobSpec(name="x", ncores=1),
