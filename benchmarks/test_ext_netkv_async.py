@@ -1,6 +1,6 @@
 """Extension bench: the asyncio NetKV transport at scale.
 
-Two claims from the event-loop rewrite are measured here and recorded
+Two claims from the event-loop server are measured here and recorded
 to ``BENCH_netkv_cluster.json`` under ``async_transport``:
 
 1. **Connection scale** — one async shard holds 100 / 1k / 10k
@@ -16,10 +16,6 @@ to ``BENCH_netkv_cluster.json`` under ``async_transport``:
    client keeps a window of requests in flight per connection and the
    server answers each burst with one vectored write. That window is
    what multiplies GETs/s over the blocking baseline.
-3. **Coalescing telemetry** — many concurrent blocking callers through
-   one shared channel fold into MGET wire batches while a round trip
-   is in flight; the fold counters prove the facade pipelines even
-   when its callers can't.
 """
 
 from __future__ import annotations
@@ -35,8 +31,7 @@ import time
 import pytest
 from conftest import record_json, report
 
-from repro.datastore.aio import AsyncClientChannel
-from repro.datastore.netkv import NetKVClient, NetKVServer, TransportConfig
+from repro.datastore.netkv import NetKVClient, NetKVServer
 
 pytestmark = [pytest.mark.multi_server, pytest.mark.async_transport]
 
@@ -234,33 +229,3 @@ class TestSmallGetThroughput:
         # In-flight request windows must convert into a multiple of
         # the blocking request-per-response rate.
         assert speedup >= 2.0
-
-    def test_concurrent_callers_coalesce_into_wire_batches(self):
-        nthreads, total_ops = 32, 8_000
-        async_srv = NetKVServer().start()
-        chan = AsyncClientChannel(async_srv.address, TransportConfig())
-        try:
-            _preload(chan.set)
-            rate = _hammer(lambda tid, key: chan.get(key),
-                           nthreads, total_ops // nthreads)
-            folds = chan.stats.coalesced_requests
-            folded_keys = chan.stats.coalesced_keys
-        finally:
-            chan.close()
-            async_srv.stop()
-
-        report("ext_netkv_async_coalescing", [
-            f"facade rate          {rate:,.0f} GETs/s "
-            f"({nthreads} blocking callers)",
-            f"coalescing           {folds} folds absorbing "
-            f"{folded_keys} single-key GETs",
-        ])
-        record_json("BENCH_netkv_cluster.json", "async_transport_coalescing", {
-            "facade_gets_per_s": round(rate, 1),
-            "callers": nthreads,
-            "coalesced_requests": folds,
-            "coalesced_keys": folded_keys,
-            "ops": total_ops,
-        })
-        assert folds > 0
-        assert folded_keys >= 2 * folds

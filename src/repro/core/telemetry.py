@@ -216,11 +216,6 @@ def render_report(report: TelemetryReport) -> str:
                 f"carrying {tr['batched_keys']} keys "
                 f"(deepest {tr['max_batch_keys']})"
             )
-        if tr.get("coalesced_requests"):
-            lines.append(
-                f"  coalescing: {tr['coalesced_requests']} synthesized batches "
-                f"absorbing {tr['coalesced_keys']} single-key ops"
-            )
     if report.replicas:
         rh = report.replicas
         tr = report.transport

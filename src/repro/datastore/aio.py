@@ -1,8 +1,8 @@
 """NetKV's transport: framing, server, client channel, transport config.
 
-Everything that touches a socket lives here, on asyncio; the blocking
-API callers see is a thin layer over coroutines run on a
-:class:`LoopThread` (see DESIGN.md, "Event-loop transport"):
+Everything that touches a socket lives here. The shard server runs on
+asyncio; the client runs on its caller's thread (see DESIGN.md,
+"Event-loop transport"):
 
 - :class:`TransportConfig` — the client-side knobs (timeouts, retry
   budget, backoff, batch size; the ``[transport]`` config section).
@@ -25,12 +25,9 @@ API callers see is a thin layer over coroutines run on a
   buffer pauses the transport when a pipelining peer runs ahead of
   dispatch.
 - :class:`AsyncClientChannel` — the shard client (``netkv.NetKVClient``):
-  one coalescing connection per shard. Concurrent single-key
-  GET/SET/DEL ops from many caller threads are queued on the loop and
-  opportunistically folded into the existing MGET/MSET/MDEL wire
-  batches: while one round trip is in flight, every same-kind op that
-  piles up behind it ships as a single batch frame (the coalescing
-  window is the in-flight round trip — no added latency).
+  a small pool of blocking connections. The caller's thread sends the
+  request and reads its reply; concurrent callers each use their own
+  connection, so the channel starts no thread.
 
 Wire-protocol primitives (:class:`WireProtocolError`, key validation,
 batch payload packing) live here too and are re-exported by ``netkv``
@@ -45,11 +42,11 @@ import concurrent.futures
 import json
 import random
 import socket
+import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import trace
 from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
@@ -75,9 +72,9 @@ _MAX_HEADER = 4096
 # small frames in flight.
 _READ_SLACK = 1 << 18
 
-# Per-connection outbound high-water mark: the serve loop (and the
-# client channel) won't start another request while more than this many
-# response bytes sit unsent (bounded write queue).
+# Per-connection outbound high-water mark: the serve loop won't start
+# another request while more than this many response bytes sit unsent
+# (bounded write queue).
 _WRITE_HIGH_WATER = 1 << 20
 
 # The serve loop batches responses to a pipelined burst and writes them
@@ -90,14 +87,17 @@ _FLUSH_BYTES = 1 << 16
 class TransportConfig:
     """Client-side transport knobs (the ``[transport]`` config section).
 
-    ``op_timeout`` bounds every round trip; ``retries`` is how many
+    ``op_timeout`` bounds every round trip, from sending the request to
+    the last byte of its reply; ``retries`` is how many
     times a failed operation is re-attempted on a fresh connection
     before :class:`StoreUnavailable`; the backoff between attempts is
     ``min(backoff_max, backoff_base * 2**attempt)`` scaled by a uniform
     jitter factor in ``[1 - jitter, 1 + jitter]`` so a thousand clients
     recovering from one server blip don't reconnect in lockstep.
     ``batch_keys`` caps how many keys one MGET/MSET/MDEL round trip
-    carries (the pipeline depth); larger batches are chunked.
+    carries (the pipeline depth): the cluster chunks larger batches.
+    Only explicit batch calls make batch frames; single-key ops from
+    concurrent callers are never merged into one.
     ``route_refresh`` is how often (seconds) a cluster client re-reads
     the shared routing map published on the shards, which is what lets
     it observe slot migrations performed by *other* processes; ``0``
@@ -150,14 +150,6 @@ def _check_wire_key(key: str) -> str:
     if any(c in key for c in (" ", "\t", "\n", "\r", "\x00")):
         raise WireProtocolError(f"key contains bytes the wire protocol reserves: {key!r}")
     return key
-
-
-def _wire_key_ok(key: str) -> bool:
-    """True when ``key`` could pass :func:`_check_wire_key` — used to
-    decide whether a GET/DEL may fold into a batch frame (a reserved
-    byte would corrupt the NUL-joined batch payload, so such ops ship
-    as their original single-key frames)."""
-    return bool(key) and not any(c in key for c in (" ", "\t", "\n", "\r", "\x00"))
 
 
 # --- batch (MGET/MSET/MDEL) payload framing ------------------------------
@@ -503,6 +495,9 @@ def _payload_length(cmd: str, args: List[str], max_payload: int) -> Tuple[int, L
 _MUTATING = frozenset({"SET", "DEL", "RENAME", "MSET", "MSETNX", "MDEL",
                        "FLUSH"})
 
+# Both channels answer an empty batch of these without a round trip.
+_BATCH = frozenset({"MGET", "MSET", "MDEL", "MSETNX"})
+
 
 class KVServer:
     """One shard's key space. Not thread-safe on its own: every caller
@@ -690,6 +685,8 @@ class LocalShard:
             self.wal = None
 
     def _call(self, cmd: str, args: List[str] = (), payload: bytes = b""):
+        if cmd in _BATCH and not payload:
+            return b"0" if cmd == "MSET" else b""  # an empty batch: no dispatch
         if not self.up:
             raise StoreUnavailable(
                 f"{self.address[0]} shard {self.address[1]} is down")
@@ -702,7 +699,7 @@ class LocalShard:
 
     # --- the channel API ----------------------------------------------------
 
-    def _post(self, op: str, args: tuple = (), wakes=None):
+    def _post(self, op: str, args: tuple = ()):
         try:
             return getattr(self, op)(*args), None
         except StoreError as exc:
@@ -1157,87 +1154,164 @@ def _join_keys(keys: List[str]) -> bytes:
     return "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
 
 
-# Channel method -> (wire op, encoder of its arguments into the op's
-# ``arg``). Encoding runs on the calling thread, before the op is queued.
-_REQUESTS: Dict[str, Tuple[str, Callable]] = {
-    "ping": ("PING", lambda: None),
-    "set": ("SET", lambda key, value: (_check_wire_key(key), value)),
-    "get": ("GET", lambda key: key),
-    "delete": ("DEL", lambda key: key),
-    "keys": ("KEYS", lambda prefix="": prefix),
-    "rename": ("RENAME", lambda src, dst: (src, _check_wire_key(dst))),
-    "mget": ("MGET", lambda keys: (_join_keys(keys), len(keys))),
-    "mset": ("MSET", lambda items: (_pack_items(items), len(items))),
-    "mdelete": ("MDEL", lambda keys: (_join_keys(keys), len(keys))),
-    "msetnx": ("MSETNX", lambda items: (_pack_items(items), len(items))),
-    "snapshot": ("SNAPSHOT", lambda: None),
-    "len": ("LEN", lambda: None),
+def _batch(cmd: str, payload: bytes, n: int) -> Tuple[str, bytes, int]:
+    return f"{cmd} {len(payload)}", payload, n
+
+
+# Channel method -> encoder of its arguments into ``(header, payload,
+# aux)``; the header's first word is the wire op. ``aux`` is the key a
+# NF reply names, or the key count a batch reply must match. Encoding
+# runs in ``_post``, before a connection is taken; every key in a
+# header is checked, since a reserved byte would split the frame and
+# leave a second reply on the connection.
+_REQUESTS: Dict[str, Callable] = {
+    "ping": lambda: ("PING", b"", None),
+    "set": lambda key, value: (
+        f"SET {_check_wire_key(key)} {len(value)}", value, key),
+    "get": lambda key: (f"GET {_check_wire_key(key)}", b"", key),
+    "delete": lambda key: (f"DEL {_check_wire_key(key)}", b"", key),
+    "keys": lambda prefix="": (
+        f"KEYS {_check_wire_key(prefix)}" if prefix else "KEYS", b"", None),
+    "rename": lambda src, dst: (
+        f"RENAME {_check_wire_key(src)} {_check_wire_key(dst)}", b"", src),
+    "mget": lambda keys: _batch("MGET", _join_keys(keys), len(keys)),
+    "mset": lambda items: _batch("MSET", _pack_items(items), len(items)),
+    "mdelete": lambda keys: _batch("MDEL", _join_keys(keys), len(keys)),
+    "msetnx": lambda items: _batch("MSETNX", _pack_items(items), len(items)),
+    "snapshot": lambda: ("SNAPSHOT", b"", None),
+    "len": lambda: ("LEN", b"", None),
 }
-# Batch ops answer an empty batch without a round trip.
-_BATCH = frozenset({"MGET", "MSET", "MDEL", "MSETNX"})
+
+# Idle connections a channel keeps for reuse. A caller that finds none
+# idle opens another, so a channel holds one connection per caller that
+# overlaps with others and keeps at most this many once they are done.
+_POOL_IDLE = 16
+
+# Bytes one ``recv`` asks for: a small reply arrives in one call.
+_RECV_BYTES = 1 << 16
+
+# The first byte of Linux's TCP_INFO is the connection state; 1 is
+# ESTABLISHED. Without TCP_INFO an idle connection is taken on trust.
+_TCP_INFO = getattr(socket, "TCP_INFO", None)
+_ESTABLISHED = b"\x01"
 
 
-def wake(channels: List["AsyncClientChannel"]) -> None:
-    """Move the posted ops of ``channels`` onto their loop: one
-    ``call_soon_threadsafe`` per loop, however many channels share it."""
-    by_loop: Dict[LoopThread, List[AsyncClientChannel]] = {}
-    for channel in channels:
-        by_loop.setdefault(channel._lt, []).append(channel)
-    for lt, group in by_loop.items():
-        try:
-            lt.loop.call_soon_threadsafe(_pump_all, group)
-        except (RuntimeError, AttributeError):  # loop closed or gone
-            for channel in group:
-                channel._fail_pending(StoreUnavailable(
-                    f"transport loop for {channel.address} is gone"))
+def _timeval(deadline: float) -> bytes:
+    """The time left before ``deadline`` as a ``struct timeval``."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("op_timeout elapsed")
+    # An all-zero timeval would mean "no timeout".
+    return struct.pack("ll", int(left), int(left % 1 * 1e6) or 1)
 
 
-def _pump_all(channels: List["AsyncClientChannel"]) -> None:
-    for channel in channels:
-        channel._pump()
+class _Conn:
+    """One blocking connection to a shard: a socket and its read buffer.
 
-
-class _Op:
-    """One queued client operation awaiting its round trip.
-
-    ``span`` is the submitting thread's open trace span (or None): the
-    retry ladder runs on the loop thread where that span is not on the
-    thread-local stack, so retry/exhausted events are attached to the
-    captured span object directly — the store op that pays for a retry
-    records it.
+    The socket stays in blocking mode; the kernel bounds each ``send``
+    and ``recv`` by SO_SNDTIMEO/SO_RCVTIMEO, set to the time left before
+    the request's deadline. So ``op_timeout`` bounds the whole round
+    trip however many calls the reply needs, and the send and the
+    receive are the only calls of a request that release the GIL (a
+    Python-level timeout would add a ``poll`` and a mode switch to
+    each, and under a busy GIL every release can cost a switch
+    interval).
     """
 
-    __slots__ = ("kind", "arg", "fut", "span")
+    __slots__ = ("sock", "buf")
 
-    def __init__(self, kind: str, arg, fut: concurrent.futures.Future,
-                 span=None) -> None:
+    def __init__(self, sock: socket.socket) -> None:
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.buf = ReadBuffer()
+
+    def idle_ok(self) -> bool:
+        """Whether an idle connection is still usable: the shard has not
+        closed or reset it while it sat in the pool."""
+        if self.buf.pending():
+            return False
+        if _TCP_INFO is None:
+            return True
+        try:
+            return self.sock.getsockopt(
+                socket.IPPROTO_TCP, _TCP_INFO, 1) == _ESTABLISHED
+        except OSError:
+            return False
+
+    def _io(self, option: int, deadline: float, call: Callable, arg):
+        self.sock.setsockopt(socket.SOL_SOCKET, option, _timeval(deadline))
+        try:
+            return call(arg)
+        except BlockingIOError:  # the kernel timeout fired
+            raise TimeoutError("op_timeout elapsed") from None
+
+    def send(self, data: bytes, deadline: float) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[self._io(socket.SO_SNDTIMEO, deadline,
+                                 self.sock.send, view):]
+
+    def _fill(self, deadline: float, size: int = _RECV_BYTES) -> None:
+        chunk = self._io(socket.SO_RCVTIMEO, deadline, self.sock.recv, size)
+        if not chunk:
+            raise ConnectionError("connection closed mid-frame")
+        self.buf.feed(chunk)
+
+    def read_line(self, deadline: float) -> bytes:
+        while True:
+            line = self.buf.take_line()
+            if line is not None:
+                return line
+            self._fill(deadline)
+
+    def read_exact(self, n: int, deadline: float) -> bytes:
+        while True:
+            data = self.buf.take_exact(n)
+            if data is not None:
+                return data
+            self._fill(deadline, max(_RECV_BYTES, n - self.buf.pending()))
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+
+class _Request:
+    """One request between :meth:`AsyncClientChannel._post` and
+    :meth:`~AsyncClientChannel._wait`: its frame, and the connection it
+    went out on or the error its last attempt hit."""
+
+    __slots__ = ("kind", "aux", "frame", "conn", "t0", "deadline", "error",
+                 "result")
+
+    def __init__(self, kind: str, aux, frame: Optional[bytes],
+                 result=None) -> None:
         self.kind = kind
-        self.arg = arg
-        self.fut = fut
-        self.span = span
-
-
-def _note_event(spans, name: str, **attrs) -> None:
-    """Record a transport event on every waiting caller's span."""
-    for sp in spans:
-        if sp is not None:
-            sp.event(name, **attrs)
+        self.aux = aux
+        self.frame = frame  # None: answered without a round trip
+        self.conn: Optional[_Conn] = None
+        self.t0 = 0.0
+        self.deadline = 0.0
+        self.error: Optional[BaseException] = None
+        self.result = result
 
 
 class AsyncClientChannel:
-    """Coalescing blocking-API connection to one shard (``NetKVClient``).
+    """Blocking connection pool to one shard (``NetKVClient``).
 
-    Caller threads enqueue ops onto the channel's event loop and block
-    on a future; a drainer task executes the queue over one connection.
-    A call is two steps, :meth:`_post` then :meth:`_wait`, so a caller
-    can post to many channels, wake their shared loop once
-    (:func:`wake`) and only then wait (``NetKVCluster._gather``).
-    When several same-kind single-key GET/SET/DEL ops are queued (they
-    piled up while the previous round trip was in flight), the drainer
-    folds the longest same-kind prefix run into one MGET/MSET/MDEL
-    frame — concurrency converts into pipeline depth instead of
-    per-key round trips. FIFO order across kinds is preserved, and a
-    caller's program order is preserved because it blocks per op.
+    A call runs on the caller's thread in two steps, :meth:`_post` then
+    :meth:`_wait` (the same pair :class:`LocalShard` speaks): ``_post``
+    takes an idle connection from the channel's pool, or opens one, and
+    sends the request frame; ``_wait`` reads the reply on that
+    connection and puts it back. So a caller can send to many shards
+    before it waits for any (``NetKVCluster._gather``), and concurrent
+    callers each hold their own connection while their request is out.
+    A connection goes back to the pool only after a whole reply was
+    read from it; one that timed out, broke framing or lost its peer is
+    closed, so no late reply can reach the next request.
 
     Retry ladder: timeouts, connection failures, and protocol
     violations drop the connection, wait out a jittered
@@ -1249,352 +1323,154 @@ class AsyncClientChannel:
     :class:`KeyNotFound` on the re-attempt even though the key was
     removed (see DESIGN.md, "Transport failure semantics").
 
-    Without ``loop_thread`` the channel runs its own loop thread,
-    stopped by :meth:`close`.
+    The channel starts no thread; :meth:`close` closes its idle
+    connections, and any still out close as their replies come in.
     """
 
     def __init__(self, address: Tuple[str, int],
                  config: Optional[TransportConfig] = None,
                  stats: Optional[TransportStats] = None,
-                 loop_thread: Union[LoopThread, Callable[[], LoopThread], None] = None,
                  rng=None) -> None:
         self.address = (str(address[0]), int(address[1]))
         self.config = config if config is not None else TransportConfig()
         self.stats = stats if stats is not None else TransportStats()
-        self._loop_source = loop_thread
-        self._lt: Optional[LoopThread] = None
-        self._owns_loop = False
-        self._loop_lock = threading.Lock()
         self._rng = rng if rng is not None else random.Random(0x5EED)
-        # Cross-thread handoff: submitters append under a plain lock and
-        # only the append that finds no wakeup in flight pays the
-        # ``call_soon_threadsafe`` (one self-pipe write + handle); under
-        # concurrency one pump drains many submissions, which is most
-        # of the facade's per-op cost on a busy channel.
-        self._pending: deque = deque()
-        self._pending_lock = threading.Lock()
-        self._wake_scheduled = False
-        # Loop-thread-only state:
-        self._queue: deque = deque()
-        self._drainer: Optional[asyncio.Task] = None
-        self._conn: Optional[_BufferedProtocol] = None
-        self._ever_connected = False
+        self._lock = threading.Lock()
+        self._idle: List[_Conn] = []
+        # Connections dropped and not yet replaced: opening the next
+        # one counts as a reconnect.
+        self._lost = 0
         self._closed = False
-        self._spans: tuple = ()  # caller spans of the ops now on the wire
-        # An op can wait behind a full retry ladder; anything past this
-        # means the loop lost it — surface StoreUnavailable, not a hang.
-        cfg = self.config
-        self._deadline = (cfg.retries + 1) * (
-            cfg.op_timeout + cfg.connect_timeout + cfg.backoff_max) + 60.0
 
-    # --- loop + queue plumbing -------------------------------------------
+    # --- the connection pool ----------------------------------------------
 
-    def _ensure_loop(self) -> LoopThread:
-        with self._loop_lock:
-            if self._lt is not None and self._lt.is_alive():
-                return self._lt
-            source = self._loop_source
-            if callable(source):
-                self._lt = source()
-            elif source is not None:
-                self._lt = source
-            else:
-                self._lt = LoopThread(name=f"netkv-chan:{self.address[1]}")
-                self._owns_loop = True
-            return self._lt
+    def _connect(self) -> _Conn:
+        sock = socket.create_connection(self.address,
+                                        self.config.connect_timeout)
+        with self._lock:
+            replaces = self._lost > 0
+            if replaces:
+                self._lost -= 1
+        if replaces:
+            self.stats.note_reconnect()
+        return _Conn(sock)
+
+    def _checkout(self) -> _Conn:
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._connect()
+            if conn.idle_ok():
+                return conn
+            self._drop(conn)  # the shard closed it while it sat idle
+
+    def _checkin(self, conn: _Conn) -> None:
+        with self._lock:
+            if not self._closed and len(self._idle) < _POOL_IDLE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def _drop(self, conn: _Conn) -> None:
+        conn.close()
+        with self._lock:
+            self._lost += 1
+
+    # --- one call: post, then wait ------------------------------------------
 
     def _submit(self, name: str, args: tuple = ()):
         return self._wait(self._post(name, args))
 
-    def _post(self, name: str, args: tuple = (),
-              wakes: Optional[List["AsyncClientChannel"]] = None) -> _Op:
-        """First half of a call: queue ``name(*args)`` for the loop.
+    def _post(self, name: str, args: tuple = ()) -> _Request:
+        """First half of a call: send ``name(*args)`` to the shard.
 
-        The loop is woken here, unless ``wakes`` is given: then a channel
-        that needs a wakeup is appended to it instead, so a caller that
-        queues requests on many channels wakes them all with one
-        :func:`wake` (``NetKVCluster._gather``).
+        A failed send is kept on the request for :meth:`_wait` to
+        retry; only a closed channel or a key the wire cannot carry
+        raises here.
         """
-        kind, encode = _REQUESTS[name]
-        arg = encode(*args)
-        fut: concurrent.futures.Future = concurrent.futures.Future()
-        if kind in _BATCH and not arg[1]:
-            fut.set_result(0 if kind == "MSET" else [])  # nothing to send
-            return _Op(kind, arg, fut)
+        header, payload, aux = _REQUESTS[name](*args)
+        kind = header.split(" ", 1)[0]
+        if kind in _BATCH and not aux:
+            return _Request(kind, aux, None, 0 if kind == "MSET" else [])
         if self._closed:
             raise StoreUnavailable(f"channel to {self.address} is closed")
-        self._ensure_loop()
-        op = _Op(kind, arg, fut, span=trace.current_span())
-        with self._pending_lock:
-            self._pending.append(op)
-            wake_needed = not self._wake_scheduled
-            if wake_needed:
-                self._wake_scheduled = True
-        if wake_needed:
-            if wakes is None:
-                wake([self])
-            else:
-                wakes.append(self)
-        return op
+        req = _Request(kind, aux, header.encode("utf-8") + b"\n" + payload)
+        self._send(req, self._checkout)
+        return req
 
-    def _wait(self, op: _Op):
-        """Second half of a call: block for ``op``'s reply."""
+    def _send(self, req: _Request, connect: Callable[[], _Conn]) -> None:
+        req.conn = req.error = None
+        req.t0 = time.perf_counter()
         try:
-            return op.fut.result(timeout=self._deadline)
-        except concurrent.futures.TimeoutError:
-            raise StoreUnavailable(
-                f"{op.kind} against {self.address[0]}:{self.address[1]} "
-                f"stalled past {self._deadline:.1f}s") from None
+            req.conn = connect()
+            self.stats.note_request(len(req.frame))
+            req.deadline = time.monotonic() + self.config.op_timeout
+            req.conn.send(req.frame, req.deadline)
+        except (OSError, WireProtocolError) as exc:
+            req.error = exc
 
-    def _pump(self) -> None:
-        """Move pending submissions onto the loop-side queue (loop thread)."""
-        with self._pending_lock:
-            ops, self._pending = self._pending, deque()
-            self._wake_scheduled = False
-        for op in ops:
-            self._enqueue(op)
+    def _wait(self, req: _Request):
+        """Second half of a call: read ``req``'s reply on this thread,
+        retrying on a fresh connection while the budget lasts."""
+        if req.frame is None:
+            return req.result
+        attempts = self.config.retries + 1
+        for attempt in range(attempts):
+            if attempt:
+                self._backoff(attempt - 1)
+                if self._closed:
+                    raise StoreUnavailable(
+                        f"channel to {self.address} is closed")
+                self._send(req, self._connect)
+            if req.error is None:
+                try:
+                    raw = self._read_reply(req)
+                except (OSError, WireProtocolError) as exc:
+                    req.error = exc
+                else:
+                    return self._decode(req, raw)
+            self._note_failure(req, attempt)
+        self.stats.note_exhausted()
+        trace.event("exhausted", op=req.kind, attempts=attempts)
+        raise StoreUnavailable(
+            f"{req.kind} against {self.address[0]}:{self.address[1]} "
+            f"failed after {attempts} attempt(s): {req.error}"
+        ) from req.error
 
-    def _fail_pending(self, exc: BaseException) -> None:
-        with self._pending_lock:
-            stranded, self._pending = self._pending, deque()
-            self._wake_scheduled = False
-        for op in stranded:
-            if not op.fut.done():
-                op.fut.set_exception(exc)
-
-    def _enqueue(self, op: _Op) -> None:
-        """Loop side of :meth:`_post`: queue ``op`` for the drainer."""
-        if self._closed:
-            op.fut.set_exception(
-                StoreUnavailable(f"channel to {self.address} is closed"))
-            return
-        self._queue.append(op)
-        if self._drainer is None:
-            self._drainer = asyncio.get_running_loop().create_task(self._drain())
-
-    def _foldable(self, op: _Op) -> bool:
-        if op.kind == "SET":
-            return True  # keys were validated before enqueue
-        if op.kind in ("GET", "DEL"):
-            return _wire_key_ok(op.arg)
-        return False
-
-    async def _drain(self) -> None:
-        try:
-            while self._queue and not self._closed:
-                op = self._queue.popleft()
-                run = [op]
-                if self._foldable(op):
-                    limit = self.config.batch_keys
-                    queue = self._queue
-                    while (queue and len(run) < limit
-                           and queue[0].kind == op.kind
-                           and self._foldable(queue[0])):
-                        run.append(queue.popleft())
-                await self._execute(run)
-        finally:
-            self._drainer = None
-            if self._queue and not self._closed:
-                # An unexpected unwind must not strand queued ops.
-                self._drainer = asyncio.get_running_loop().create_task(self._drain())
-
-    async def _execute(self, run: List[_Op]) -> None:
-        if len(run) > 1:
-            try:
-                await self._run_fold(run[0].kind, run)
-            except Exception as exc:
-                for op in run:
-                    if not op.fut.done():
-                        op.fut.set_exception(exc)
+    def _note_failure(self, req: _Request, attempt: int) -> None:
+        if req.conn is not None:
+            self._drop(req.conn)
+            req.conn = None
+        exc = req.error
+        if isinstance(exc, TimeoutError):
+            kind = "timeout"
+            self.stats.note_retry(timed_out=True)
+        elif isinstance(exc, WireProtocolError):
+            # The peer sent something unframeable — desynced or
+            # garbage-injected. The connection is dead to us.
+            kind = "protocol"
+            self.stats.note_retry(timed_out=False, protocol=True)
         else:
-            op = run[0]
-            try:
-                result = await self._run_single(op)
-            except Exception as exc:
-                op.fut.set_exception(exc)
-            else:
-                op.fut.set_result(result)
+            kind = "connection"
+            self.stats.note_retry(timed_out=False)
+        trace.event("retry", kind=kind, op=req.kind, attempt=attempt)
 
-    # --- execution on the loop -------------------------------------------
-
-    async def _run_single(self, op: _Op):
-        kind, arg = op.kind, op.arg
-        self._spans = (op.span,)
-        if kind == "GET":
-            return await self._roundtrip(f"GET {arg}")
-        if kind == "SET":
-            key, value = arg
-            await self._roundtrip(f"SET {key} {len(value)}", value)
-            return None
-        if kind == "DEL":
-            await self._roundtrip(f"DEL {arg}")
-            return None
-        if kind == "PING":
-            return await self._roundtrip("PING") == b"PONG"
-        if kind == "KEYS":
-            raw = await self._roundtrip(f"KEYS {arg}" if arg else "KEYS")
-            return raw.decode("utf-8").split("\x00") if raw else []
-        if kind == "RENAME":
-            src, dst = arg
-            await self._roundtrip(f"RENAME {src} {dst}")
-            return None
-        if kind == "LEN":
-            return int(await self._roundtrip("LEN"))
-        if kind == "MGET":
-            payload, nkeys = arg
-            raw = await self._roundtrip(f"MGET {len(payload)}", payload)
-            values = _unpack_values(raw, nkeys)
-            self.stats.note_batch(nkeys)
-            return values
-        if kind == "MSET":
-            payload, nitems = arg
-            raw = await self._roundtrip(f"MSET {len(payload)}", payload)
-            try:
-                n = int(raw)
-            except ValueError:
-                raise WireProtocolError(f"malformed MSET response: {raw!r}") from None
-            self.stats.note_batch(nitems)
-            return n
-        if kind == "MDEL":
-            payload, nkeys = arg
-            raw = await self._roundtrip(f"MDEL {len(payload)}", payload)
-            if len(raw) != nkeys or raw.strip(b"01"):
-                raise WireProtocolError(f"malformed MDEL response: {raw[:64]!r}")
-            self.stats.note_batch(nkeys)
-            return [b == 0x31 for b in raw]
-        if kind == "MSETNX":
-            payload, nitems = arg
-            raw = await self._roundtrip(f"MSETNX {len(payload)}", payload)
-            if len(raw) != nitems or raw.strip(b"01"):
-                raise WireProtocolError(
-                    f"malformed MSETNX response: {raw[:64]!r}")
-            self.stats.note_batch(nitems)
-            return [b == 0x31 for b in raw]
-        if kind == "SNAPSHOT":
-            raw = await self._roundtrip("SNAPSHOT")
-            return json.loads(raw.decode("utf-8"))
-        raise StoreError(f"unknown channel op {kind!r}")
-
-    async def _run_fold(self, kind: str, run: List[_Op]) -> None:
-        n = len(run)
-        self._spans = tuple(op.span for op in run)
-        if kind == "GET":
-            keys = [op.arg for op in run]
-            payload = "\x00".join(keys).encode("utf-8")
-            raw = await self._roundtrip(f"MGET {len(payload)}", payload)
-            values = _unpack_values(raw, n)
-            self.stats.note_coalesced(n)
-            for op, value in zip(run, values):
-                if value is None:
-                    op.fut.set_exception(KeyNotFound(op.arg))
-                else:
-                    op.fut.set_result(value)
-        elif kind == "SET":
-            payload = _pack_items([op.arg for op in run])
-            await self._roundtrip(f"MSET {len(payload)}", payload)
-            self.stats.note_coalesced(n)
-            for op in run:
-                op.fut.set_result(None)
-        else:  # DEL
-            keys = [op.arg for op in run]
-            payload = "\x00".join(keys).encode("utf-8")
-            raw = await self._roundtrip(f"MDEL {len(payload)}", payload)
-            if len(raw) != n or raw.strip(b"01"):
-                raise WireProtocolError(f"malformed MDEL response: {raw[:64]!r}")
-            self.stats.note_coalesced(n)
-            for op, flag in zip(run, raw):
-                if flag == 0x31:
-                    op.fut.set_result(None)
-                else:
-                    op.fut.set_exception(KeyNotFound(op.arg))
-
-    # --- connection + retry ladder ---------------------------------------
-
-    async def _ensure_connected(self) -> _BufferedProtocol:
-        conn = self._conn
-        if (conn is not None and not conn._eof
-                and not conn.transport.is_closing()):
-            return conn
-        self._conn = None
-        loop = asyncio.get_running_loop()
-        _, proto = await asyncio.wait_for(
-            loop.create_connection(_BufferedProtocol, *self.address),
-            self.config.connect_timeout)
-        self._conn = proto
-        if self._ever_connected:
-            self.stats.note_reconnect()
-        self._ever_connected = True
-        return proto
-
-    def _drop_connection(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.transport.abort()
-            except Exception:
-                pass
-        self._conn = None
-
-    async def _backoff(self, attempt: int) -> None:
+    def _backoff(self, attempt: int) -> None:
         cfg = self.config
         base = min(cfg.backoff_max, cfg.backoff_base * (2.0 ** attempt))
         if base <= 0:
             return
         spread = cfg.jitter
-        factor = (1.0 if spread == 0
-                  else (1.0 - spread) + 2.0 * spread * float(self._rng.random()))
-        await asyncio.sleep(base * factor)
+        if spread:
+            with self._lock:  # callers share the channel's generator
+                draw = float(self._rng.random())
+            base *= (1.0 - spread) + 2.0 * spread * draw
+        time.sleep(base)
 
-    async def _roundtrip(self, header: str, payload: bytes = b"") -> bytes:
-        wire_header = header.encode("utf-8") + b"\n"
-        op = header.split(" ", 1)[0]
-        attempts = self.config.retries + 1
-        last_exc: Optional[BaseException] = None
-        for attempt in range(attempts):
-            if self._closed:
-                raise StoreUnavailable(f"channel to {self.address} is closed")
-            t0 = time.perf_counter()
-            try:
-                conn = await self._ensure_connected()
-                self.stats.note_request(len(wire_header) + len(payload))
-                if payload:
-                    conn.transport.writelines((wire_header, payload))
-                else:
-                    conn.transport.write(wire_header)
-                return await asyncio.wait_for(
-                    self._read_response(conn, header, t0),
-                    self.config.op_timeout)
-            except (asyncio.TimeoutError, TimeoutError) as exc:
-                last_exc = exc
-                self._drop_connection()
-                self.stats.note_retry(timed_out=True)
-                _note_event(self._spans, "retry", kind="timeout", op=op,
-                            attempt=attempt)
-            except WireProtocolError as exc:
-                # The peer sent something unframeable — desynced or
-                # garbage-injected. The connection is dead to us.
-                last_exc = exc
-                self._drop_connection()
-                self.stats.note_retry(timed_out=False, protocol=True)
-                _note_event(self._spans, "retry", kind="protocol", op=op,
-                            attempt=attempt)
-            except (ConnectionError, OSError) as exc:
-                last_exc = exc
-                self._drop_connection()
-                self.stats.note_retry(timed_out=False)
-                _note_event(self._spans, "retry", kind="connection", op=op,
-                            attempt=attempt)
-            if attempt < attempts - 1:
-                await self._backoff(attempt)
-        self.stats.note_exhausted()
-        _note_event(self._spans, "exhausted", op=op, attempts=attempts)
-        raise StoreUnavailable(
-            f"{op} against {self.address[0]}:{self.address[1]} "
-            f"failed after {attempts} attempt(s): {last_exc}"
-        ) from last_exc
-
-    async def _read_response(self, conn: _BufferedProtocol, header: str,
-                             t0: float) -> bytes:
-        status = (await conn.read_line()).decode("utf-8", "replace")
+    def _read_reply(self, req: _Request) -> bytes:
+        conn = req.conn
+        status = conn.read_line(req.deadline).decode("utf-8", "replace")
         if status.startswith("OK "):
             try:
                 n = int(status[3:])
@@ -1602,16 +1478,51 @@ class AsyncClientChannel:
                 raise WireProtocolError(f"malformed OK length: {status!r}") from None
             if n < 0 or n > self.config.max_payload:
                 raise WireProtocolError(f"OK length out of range: {n}")
-            body = await conn.read_exact(n)
-            self.stats.note_response(n, time.perf_counter() - t0)
+            body = conn.read_exact(n, req.deadline)
+        elif status == "NF" or status.startswith("ERR "):
+            body = None
+            n = 0
+        else:
+            raise WireProtocolError(f"unparseable response {status!r}")
+        # A whole reply was read: the connection is in step again.
+        req.conn = None
+        self._checkin(conn)
+        self.stats.note_response(n, time.perf_counter() - req.t0)
+        if body is not None:
             return body
         if status == "NF":
-            self.stats.note_response(0, time.perf_counter() - t0)
-            raise KeyNotFound(header.split()[1] if " " in header else "?")
-        if status.startswith("ERR "):
-            self.stats.note_response(0, time.perf_counter() - t0)
-            raise StoreError(status[4:])
-        raise WireProtocolError(f"unparseable response {status!r}")
+            raise KeyNotFound(req.aux if req.aux is not None else "?")
+        raise StoreError(status[4:])
+
+    def _decode(self, req: _Request, raw: bytes):
+        kind = req.kind
+        if kind == "GET":
+            return raw
+        if kind in ("SET", "DEL", "RENAME"):
+            return None
+        if kind == "PING":
+            return raw == b"PONG"
+        if kind == "KEYS":
+            return raw.decode("utf-8").split("\x00") if raw else []
+        if kind == "LEN":
+            return int(raw)
+        if kind == "SNAPSHOT":
+            return json.loads(raw.decode("utf-8"))
+        n = req.aux
+        if kind == "MGET":
+            out = _unpack_values(raw, n)
+        elif kind == "MSET":
+            try:
+                out = int(raw)
+            except ValueError:
+                raise WireProtocolError(f"malformed MSET response: {raw!r}") from None
+        else:  # MDEL, MSETNX: one '1'/'0' flag per key
+            if len(raw) != n or raw.strip(b"01"):
+                raise WireProtocolError(
+                    f"malformed {kind} response: {raw[:64]!r}")
+            out = [b == 0x31 for b in raw]
+        self.stats.note_batch(n)
+        return out
 
     # --- public blocking surface ------------------------------------------
 
@@ -1657,29 +1568,8 @@ class AsyncClientChannel:
         return self._submit("len")
 
     def close(self) -> None:
-        lt = self._lt
-        self._closed = True
-        if lt is not None and lt.is_alive():
-            try:
-                lt.loop.call_soon_threadsafe(self._close_on_loop)
-            except RuntimeError:
-                pass
-            if self._owns_loop:
-                lt.stop()
-        self._lt = None
-
-    def _close_on_loop(self) -> None:
-        self._closed = True
-        self._fail_pending(
-            StoreUnavailable(f"channel to {self.address} is closed"))
-        while self._queue:
-            op = self._queue.popleft()
-            if not op.fut.done():
-                op.fut.set_exception(
-                    StoreUnavailable(f"channel to {self.address} is closed"))
-        if self._conn is not None:
-            try:
-                self._conn.transport.abort()
-            except Exception:
-                pass
-            self._conn = None
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()

@@ -38,10 +38,10 @@ to every replica at once, reads fail over to the first healthy copy,
 and the slice of the keyspace a shard owns only becomes unavailable
 when *all* of its replicas are down. Every op sends all of its
 per-shard requests (replicas, batch windows and chunks, listing
-shards) in one hop of the shared event loop, then waits for the
-replies. Per-shard health is tracked continuously (fail-over marks a
-shard down; a cooldown-gated probe fails it back), and a read-repair
-pass re-synchronizes replicas after a recovery. A rename within one
+shards) before it waits for any reply. Per-shard health is tracked
+continuously (fail-over marks a shard down; a cooldown-gated probe
+fails it back), and a read-repair pass re-synchronizes replicas after
+a recovery. A rename within one
 slot (keys sharing a ``{hash tag}``, as the WM's feedback keys do) is
 one native RENAME per replica; a cross-slot rename is two-phase: the
 destination copy is fully acknowledged before the source delete, so a
@@ -87,10 +87,8 @@ from repro.datastore.base import (
 from repro.datastore.aio import (
     AsyncClientChannel,
     AsyncNetKVServer,
-    LoopThread,
     TransportConfig,
     WireProtocolError,
-    wake,
 )
 from repro.datastore.stats import TransportStats
 
@@ -104,8 +102,8 @@ __all__ = [
     "key_slot",
 ]
 
-# The shard server and the single-shard client are the event-loop
-# transport's classes under their public names.
+# The shard server and the single-shard client are the transport's
+# classes under their public names.
 NetKVServer = AsyncNetKVServer
 NetKVClient = AsyncClientChannel
 
@@ -238,10 +236,10 @@ class NetKVCluster:
     when no replica that can answer for it is up.
 
     An op that touches several shards sends all of its per-shard
-    requests through :meth:`_gather`: they are posted to their channels
-    with one wakeup of the shared loop before any reply is awaited, so
-    the replicas of a write, the windows and chunks of a batch and the
-    shards of a listing cost one round trip together, not one each.
+    requests through :meth:`_gather`: every request is sent before any
+    reply is awaited, so the replicas of a write, the windows and
+    chunks of a batch and the shards of a listing cost one round trip
+    together, not one each.
     Only failover (the next replica after a miss) is sequential.
 
     Per-shard health is tracked continuously: an operation that
@@ -255,13 +253,13 @@ class NetKVCluster:
     it holds. Until that pass has reached every peer it shares a window
     with, the shard takes writes but answers nothing for that window.
 
-    Each shard gets one coalescing :class:`NetKVClient` channel for
-    operations and one single-attempt channel for health probes, all on
-    one event loop owned by the cluster. Every channel shares one
-    :class:`TransportStats` and one :class:`TransportConfig`, so the
-    cluster reports transport health for the store as a whole. With
-    ``replication=1`` the behavior is exactly the old single-copy
-    cluster.
+    Each shard gets one :class:`NetKVClient` channel for operations and
+    one single-attempt channel for health probes; a channel sends and
+    reads on the calling thread, so the cluster starts no thread. Every
+    channel shares one :class:`TransportStats` and one
+    :class:`TransportConfig`, so the cluster reports transport health
+    for the store as a whole. With ``replication=1`` the behavior is
+    exactly the old single-copy cluster.
 
     ``channels`` replaces the socket channels with given objects that
     speak the same ``_post``/``_wait`` pair (one per address; they also
@@ -292,22 +290,16 @@ class NetKVCluster:
         self.probe_cooldown = float(probe_cooldown)
         self._rng = rng if rng is not None else np.random.default_rng()
         self._rng_lock = threading.Lock()
-        # One event loop per cluster, created lazily on the first op so
-        # never-connected clusters (routing-only tests) stay threadless.
-        self._loop_thread: Optional[LoopThread] = None
-        self._loop_lock = threading.Lock()
         if channels is not None:
             if len(channels) != len(self.addresses):
                 raise StoreError("need exactly one channel per address")
             self._channels = list(channels)
             self._probers = self._channels
         else:
-            # Concurrent callers share one channel per shard: they
-            # become queue depth (and fold into batch frames), not
-            # parallel sockets.
+            # One channel per shard; concurrent callers each use one of
+            # its pooled connections while their request is out.
             self._channels = [
                 NetKVClient(addr, self.config, stats=self.stats,
-                            loop_thread=self._get_loop,
                             rng=self._spawn_rng())
                 for addr in self.addresses
             ]
@@ -316,7 +308,6 @@ class NetKVCluster:
             probe_cfg = dataclasses.replace(self.config, retries=0)
             self._probers = [
                 NetKVClient(addr, probe_cfg, stats=self.stats,
-                            loop_thread=self._get_loop,
                             rng=self._spawn_rng())
                 for addr in self.addresses
             ]
@@ -370,12 +361,6 @@ class NetKVCluster:
         with self._rng_lock:
             seed = int(self._rng.integers(0, 2 ** 63))
         return np.random.default_rng(seed)
-
-    def _get_loop(self) -> LoopThread:
-        with self._loop_lock:
-            if self._loop_thread is None or not self._loop_thread.is_alive():
-                self._loop_thread = LoopThread(name="netkv-cluster")
-            return self._loop_thread
 
     # --- placement and health --------------------------------------------
 
@@ -601,25 +586,20 @@ class NetKVCluster:
                 channels: Optional[List[Any]] = None) -> List[Any]:
         """Run the per-shard requests ``(shard, op, args)`` together.
 
-        Every request is queued on its channel before any reply is
-        awaited, with one loop wakeup for them all; then each reply is
-        waited for. Each outcome, the reply or the :class:`StoreError`
-        it raised, is folded into its shard's health in request order
-        (StoreUnavailable marks the shard down; any answer, an error
-        included, marks it up) and returned in that order.
+        Every request is sent on its channel before any reply is
+        awaited; then each reply is read. Each outcome, the reply or
+        the :class:`StoreError` it raised, is folded into its shard's
+        health in request order (StoreUnavailable marks the shard down;
+        any answer, an error included, marks it up) and returned in
+        that order.
         """
         chans = self._channels if channels is None else channels
-        wakes: List[Any] = []
         handles: List[Any] = []
-        try:
-            for idx, op, args in reqs:
-                try:
-                    handles.append(chans[idx]._post(op, args, wakes))
-                except StoreError as exc:
-                    handles.append(exc)
-        finally:
-            if wakes:
-                wake(wakes)
+        for idx, op, args in reqs:
+            try:
+                handles.append(chans[idx]._post(op, args))
+            except StoreError as exc:
+                handles.append(exc)
         out: List[Any] = []
         for (idx, _, _), handle in zip(reqs, handles):
             if isinstance(handle, StoreError):
@@ -1664,10 +1644,6 @@ class NetKVCluster:
     def close(self) -> None:
         for channel in self._channels + self._probers:
             channel.close()
-        with self._loop_lock:
-            lt, self._loop_thread = self._loop_thread, None
-        if lt is not None:
-            lt.stop()
 
 
 class NetKVStore(DataStore):

@@ -173,12 +173,10 @@ class TransportStats:
     MGET/MSET/MDEL round trips; ``batched_keys`` — keys carried by
     those round trips; ``max_batch_keys`` — the deepest single batch
     (pipeline-depth high-water mark, a count not a cumulative sum).
-    Coalescing counters (async transport): ``coalesced_requests`` —
-    count of batch round trips the client channel synthesized by
-    folding concurrent single-key GET/SET/DEL ops into one
-    MGET/MSET/MDEL frame; ``coalesced_keys`` — cumulative count of
-    single-key ops absorbed by those folds (each fold saves
-    ``keys - 1`` round trips).
+    ``coalesced_requests`` / ``coalesced_keys`` are always 0: the
+    client channel sends each single-key op as its own frame and
+    merges none into a batch. They stay so that tools that read them
+    (perfbench, older ledgers) keep working.
     Slot-migration counters: ``migrated_slots`` / ``migrated_keys`` —
     hash slots cut over and keys copied by ``migrate_slots``;
     ``dual_writes`` — writes mirrored to both the old and new replica
@@ -263,13 +261,6 @@ class TransportStats:
         with self._lock:
             self.batched_requests += 1
             self.batched_keys += nkeys
-            if nkeys > self.max_batch_keys:
-                self.max_batch_keys = nkeys
-
-    def note_coalesced(self, nkeys: int) -> None:
-        with self._lock:
-            self.coalesced_requests += 1
-            self.coalesced_keys += nkeys
             if nkeys > self.max_batch_keys:
                 self.max_batch_keys = nkeys
 

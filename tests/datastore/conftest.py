@@ -1,37 +1,48 @@
 """Datastore-suite fixtures: every NetKV client a test opens is closed.
 
-A client channel or cluster runs its own event-loop thread
-(``netkv-chan:<port>`` / ``netkv-cluster``) until ``close()``. The
-autouse fixture below fails a test that leaves one of those threads
-alive once its function-scoped fixtures have torn down.
+A client channel holds its connections as sockets of this process until
+``close()``. The autouse fixture below fails a test that leaves a socket
+open once its function-scoped fixtures (the servers they start
+included) have torn down, by comparing the socket descriptors under
+``/proc/self/fd`` before and after the test.
 """
 
 from __future__ import annotations
 
-import threading
+import os
 import time
 
 import pytest
 
-_CLIENT_LOOP_PREFIXES = ("netkv-chan:", "netkv-cluster")
+_FD_DIR = "/proc/self/fd"
 _GRACE_SECONDS = 1.0
 
 
-def _client_loops():
-    return {t for t in threading.enumerate()
-            if t.name.startswith(_CLIENT_LOOP_PREFIXES)}
+def _open_sockets():
+    """``(fd, "socket:[inode]")`` of every socket this process holds."""
+    found = set()
+    for fd in os.listdir(_FD_DIR):
+        try:
+            target = os.readlink(os.path.join(_FD_DIR, fd))
+        except OSError:  # closed while we looked
+            continue
+        if target.startswith("socket:"):
+            found.add((fd, target))
+    return found
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_client_loops():
-    before = _client_loops()
+def no_leaked_client_sockets():
+    if not os.path.isdir(_FD_DIR):
+        yield
+        return
+    before = _open_sockets()
     yield
     deadline = time.monotonic() + _GRACE_SECONDS
-    leaked = _client_loops() - before
+    leaked = _open_sockets() - before
     while leaked and time.monotonic() < deadline:
         time.sleep(0.01)
-        leaked = {t for t in leaked if t.is_alive()}
+        leaked = _open_sockets() - before
     if leaked:
-        pytest.fail("test left NetKV client loop threads running "
-                    f"(close every client it opens): "
-                    f"{sorted(t.name for t in leaked)}")
+        pytest.fail("test left sockets open (close every client and "
+                    f"server it opens): {sorted(t for _, t in leaked)}")

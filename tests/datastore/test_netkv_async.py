@@ -1,23 +1,23 @@
-"""Event-loop transport unit tests: coalescing, connection bounds and caps.
+"""Transport unit tests: the channel contract, connection bounds, caps.
 
 The protocol/cluster/resilience suites exercise the transport through
-the client and store surface; this file targets the channel's
-opportunistic request coalescer, the one-connection-per-shard bound on
+the client and store surface; this file targets the contract both
+channels (the socket channel and the in-process ``LocalShard``) keep
+for ``NetKVCluster``, the socket channel's connection pool under
 concurrent callers, the server's ``max_connections`` accept cap, the
-loop thread's shutdown, and the single transport's public names.
+server loop thread's shutdown, and the single transport's public names.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
 import time
 
 import pytest
 
 from repro.datastore import aio, netkv
-from repro.datastore.aio import AsyncClientChannel, LoopThread, _Op
-from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
+from repro.datastore.aio import AsyncClientChannel, LocalShard, LoopThread
+from repro.datastore.base import KeyNotFound, StoreUnavailable
 from repro.datastore.netkv import (
     NetKVClient,
     NetKVCluster,
@@ -28,6 +28,8 @@ from repro.datastore.netkv import (
 
 pytestmark = pytest.mark.async_transport
 
+ONE_TRY = TransportConfig(op_timeout=0.5, connect_timeout=0.5, retries=0)
+
 
 @pytest.fixture()
 def server():
@@ -36,95 +38,74 @@ def server():
     srv.stop()
 
 
-@pytest.fixture()
-def channel(server):
-    chan = AsyncClientChannel(server.address, TransportConfig())
-    yield chan
-    chan.close()
+@pytest.fixture(params=["local", "socket"])
+def shard_channel(request):
+    """``(channel, take_down)``: a channel of either kind, and a function
+    that takes its shard down."""
+    if request.param == "local":
+        shard = LocalShard(("local", 0))
+        yield shard, shard.close
+        shard.close()
+    else:
+        srv = NetKVServer().start()
+        chan = AsyncClientChannel(srv.address, ONE_TRY)
+        yield chan, srv.stop
+        chan.close()
+        srv.stop()
 
 
-def _enqueue_batch(chan, ops):
-    """Queue ops in one loop callback so the drainer sees them together.
+class TestChannelContract:
+    """What ``NetKVCluster`` relies on from any channel it is given."""
 
-    The first ``_enqueue`` creates the drainer task, but the loop only
-    runs it after this callback returns — by then the whole batch is
-    queued, making the fold deterministic instead of timing-dependent.
-    """
-    chan.ping()  # force loop + connection up before going behind the API
-    lt = chan._ensure_loop()
+    def test_replies_come_back_in_call_order(self, shard_channel):
+        chan, _ = shard_channel
+        for key in ("a", "b", "c"):
+            chan.set(key, key.upper().encode())
+        calls = [("get", ("c",)), ("get", ("a",)), ("mget", (["b", "x", "a"],)),
+                 ("keys", ()), ("len", ()), ("get", ("b",))]
+        handles = [chan._post(op, args) for op, args in calls]
+        assert [chan._wait(h) for h in handles] == [
+            b"C", b"A", [b"B", None, b"A"], ["a", "b", "c"], 3, b"B"]
 
-    def put():
-        for op in ops:
-            chan._enqueue(op)
+    def test_gather_returns_errors_as_values(self, shard_channel):
+        chan, take_down = shard_channel
+        cluster = NetKVCluster([chan.address], channels=[chan],
+                               route_refresh=0)
+        chan.set("k", b"v")
+        missing, value, renamed = cluster._gather([
+            (0, "get", ("nope",)), (0, "get", ("k",)),
+            (0, "rename", ("nope", "x"))])
+        assert isinstance(missing, KeyNotFound)
+        assert value == b"v"
+        assert isinstance(renamed, KeyNotFound)
+        take_down()
+        [down] = cluster._gather([(0, "get", ("k",))])
+        assert isinstance(down, StoreUnavailable)
 
-    lt.loop.call_soon_threadsafe(put)
-    return [op.fut for op in ops]
+    def test_empty_batches_need_no_round_trip(self, shard_channel):
+        chan, take_down = shard_channel
+        take_down()  # an answer now cannot have come from the shard
+        assert chan.mget([]) == []
+        assert chan.mset([]) == 0
+        assert chan.mdelete([]) == []
+        assert chan.msetnx([]) == []
+        with pytest.raises(StoreUnavailable):
+            chan.get("k")
+
+    def test_nf_maps_to_key_not_found(self, shard_channel):
+        chan, _ = shard_channel
+        for op, args, key in (("get", ("gone",), "gone"),
+                              ("delete", ("gone",), "gone"),
+                              ("rename", ("gone", "dst"), "gone")):
+            with pytest.raises(KeyNotFound) as info:
+                getattr(chan, op)(*args)
+            assert info.value.args[0] == key
+        chan.set("here", b"1")
+        assert chan.get("here") == b"1"  # a miss leaves the channel serving
 
 
-def _op(kind, arg):
-    return _Op(kind, arg, concurrent.futures.Future())
-
-
-class TestCoalescing:
-    def test_queued_gets_fold_into_one_mget(self, channel):
-        for i in range(8):
-            channel.set(f"k{i}", b"v%d" % i)
-        channel.stats.reset()
-        ops = [_op("GET", f"k{i}") for i in range(8)]
-        futs = _enqueue_batch(channel, ops)
-        assert [f.result(10) for f in futs] == [b"v%d" % i for i in range(8)]
-        assert channel.stats.coalesced_requests == 1
-        assert channel.stats.coalesced_keys == 8
-        assert channel.stats.max_batch_keys >= 8
-
-    def test_fold_stops_at_kind_boundary_and_preserves_fifo(self, channel):
-        channel.set("a", b"1")
-        channel.set("b", b"2")
-        channel.stats.reset()
-        ops = [
-            _op("GET", "a"),
-            _op("GET", "b"),
-            _op("SET", ("c", b"3")),
-            _op("SET", ("d", b"4")),
-            _op("DEL", "a"),
-            _op("DEL", "b"),
-        ]
-        futs = _enqueue_batch(channel, ops)
-        assert futs[0].result(10) == b"1"
-        assert futs[1].result(10) == b"2"
-        for f in futs[2:]:
-            assert f.result(10) is None
-        # Three same-kind runs of two: MGET, MSET, MDEL — never a mix.
-        assert channel.stats.coalesced_requests == 3
-        assert channel.stats.coalesced_keys == 6
-        # FIFO held: the DELs ran after the SETs, so c and d survive.
-        assert channel.get("c") == b"3"
-        with pytest.raises(KeyNotFound):
-            channel.get("a")
-
-    def test_folded_miss_maps_back_to_the_one_caller(self, channel):
-        channel.set("hit", b"x")
-        ops = [_op("GET", "hit"), _op("GET", "miss"), _op("GET", "hit")]
-        futs = _enqueue_batch(channel, ops)
-        assert futs[0].result(10) == b"x"
-        with pytest.raises(KeyNotFound):
-            futs[1].result(10)
-        assert futs[2].result(10) == b"x"
-
-    def test_unfoldable_key_ships_alone(self, channel):
-        channel.set("good", b"g")
-        channel.stats.reset()
-        # "bad key" can't ride in an MGET frame (the wire uses NUL/space
-        # framing), so it must break the run and ship as a single GET.
-        ops = [_op("GET", "good"), _op("GET", "bad key"), _op("GET", "good")]
-        futs = _enqueue_batch(channel, ops)
-        assert futs[0].result(10) == b"g"
-        with pytest.raises(StoreError):
-            futs[1].result(10)
-        assert futs[2].result(10) == b"g"
-        assert channel.stats.coalesced_requests == 0
-
-    def test_concurrent_callers_coalesce_and_stay_correct(self, server):
+class TestConcurrentCallers:
+    def test_concurrent_callers_get_their_own_replies(self, server):
         chan = AsyncClientChannel(server.address, TransportConfig())
         try:
             for i in range(16):
@@ -145,11 +126,7 @@ class TestCoalescing:
             for t in threads:
                 t.join()
             assert not errors
-            # 16 callers blocked behind one wire: while one round trip
-            # is in flight the rest pile up and fold. Over 400 gets the
-            # coalescer cannot plausibly stay idle.
-            assert chan.stats.coalesced_requests > 0
-            assert chan.stats.coalesced_keys >= 2 * chan.stats.coalesced_requests
+            assert chan.stats.coalesced_requests == 0  # nothing is folded
         finally:
             chan.close()
 
@@ -183,28 +160,51 @@ def _hammer(server, op, threads=16, rounds=30):
 
 class TestConnectionBounds:
     """Regression: bursty fan-out once opened one short-lived connection
-    per concurrent caller. Concurrent callers must become queue depth on
-    one connection per shard, however many of them overlap."""
-
-    def test_concurrent_callers_share_one_connection(self, server, channel):
-        peak = _hammer(server, lambda i: channel.ping())
-        assert peak == 1
-        assert server.connection_count() == 1
-        assert channel.stats.reconnects == 0
+    per concurrent caller and op. A channel opens a connection only when
+    every one it holds is out with a request, and keeps what it opened
+    for the next burst."""
 
     def test_cluster_churn_is_bounded(self, server):
         cluster = NetKVCluster([server.address])
-        try:
-            def op(i):
-                cluster.set(f"k{i}", b"v")
-                assert cluster.get(f"k{i}") == b"v"
+        chan = cluster._channels[0]
+        opened = []
+        connect = chan._connect
 
-            peak = _hammer(server, op)
-            # One operation channel; the health prober only connects
-            # once a shard has failed, which never happens here.
-            assert peak == 1
+        def counting_connect():
+            opened.append(1)
+            return connect()
+
+        chan._connect = counting_connect
+        try:
+            peaks = []
+            for burst in range(5):
+                def op(i, burst=burst):
+                    key = f"k{burst}-{i}"
+                    cluster.set(key, b"v")
+                    assert cluster.get(key) == b"v"
+
+                peaks.append(_hammer(server, op, threads=16, rounds=10))
+            # One connection per caller at most, and reused across
+            # bursts; the health prober only connects once a shard has
+            # failed, which never happens here.
+            assert max(peaks) <= 16
+            assert 1 <= len(opened) <= 16
+            assert len(chan._idle) <= aio._POOL_IDLE
+            assert server.connection_count() <= aio._POOL_IDLE
             assert cluster.stats.reconnects == 0
-            assert len(cluster.keys()) == 16 * 30
+            assert len(cluster.keys()) == 5 * 16 * 10
+        finally:
+            cluster.close()
+
+    def test_tcp_cluster_starts_no_thread(self, server):
+        before = set(threading.enumerate())
+        cluster = NetKVCluster([server.address])
+        try:
+            cluster.set("k", b"v")
+            assert cluster.get("k") == b"v"
+            assert cluster.mget(["k", "x"]) == [b"v", None]
+            assert cluster.keys() == ["k"]
+            assert set(threading.enumerate()) == before
         finally:
             cluster.close()
 

@@ -135,6 +135,10 @@ class TestReservedKeyBytes:
             client.set("bad key", b"v")
         with pytest.raises(WireProtocolError):
             client.rename("ok", "bad key")
+        # A space would split a GET/DEL header and answer for "bad".
+        for op in (client.get, client.delete):
+            with pytest.raises(WireProtocolError):
+                op("bad key")
         client.close()
 
     def test_server_rejects_nul_key_from_raw_peer(self, server):

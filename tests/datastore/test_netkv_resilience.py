@@ -133,6 +133,120 @@ class TestDeadPeerTimeouts:
                 client.close()
 
 
+class OneDelay(NetworkFaultInjector):
+    """Delays only the request after :meth:`arm`, by exactly
+    ``delay_seconds``."""
+
+    def arm(self) -> None:
+        self.rates["delay"] = 1.0
+
+    def request_fate(self):
+        fate = super().request_fate()
+        self.rates["delay"] = 0.0
+        return fate
+
+    def delay_duration(self) -> float:
+        return self.delay_seconds
+
+
+@contextlib.contextmanager
+def stalling_server(values, stall):
+    """A shard that answers ``GET key`` from ``values``, except that the
+    first reply stops halfway through its body for ``stall`` seconds
+    before the rest follows."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    listener.settimeout(0.1)
+    stop = threading.Event()
+    first = [True]
+    lock = threading.Lock()
+
+    def serve(conn):
+        buf = b""
+        with contextlib.suppress(OSError), conn:
+            while True:
+                while b"\n" not in buf:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        return
+                    buf += chunk
+                line, buf = buf.split(b"\n", 1)
+                value = values[line.split()[1].decode()]
+                reply = b"OK %d\n" % len(value) + value
+                with lock:
+                    cut, first[0] = first[0], False
+                if cut:
+                    half = len(reply) - len(value) // 2
+                    conn.sendall(reply[:half])
+                    time.sleep(stall)
+                    reply = reply[half:]
+                conn.sendall(reply)
+
+    def accept_loop():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    thread = threading.Thread(target=accept_loop, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        stop.set()
+        listener.close()
+        thread.join(timeout=2)
+
+
+class TestStaleReplies:
+    """A connection whose reply did not fully arrive is closed, never
+    pooled: the late reply must not answer the next request."""
+
+    def test_late_reply_does_not_answer_the_next_get(self):
+        injector = OneDelay(delay_seconds=1.6 * NO_RETRY.op_timeout)
+        server = NetKVServer(fault_injector=injector).start()
+        client = NetKVClient(server.address, config=NO_RETRY)
+        try:
+            client.set("a", b"A")
+            client.set("b", b"B")
+            injector.arm()
+            with pytest.raises(StoreUnavailable):
+                client.get("a")  # times out; its reply comes later
+            # Sent before the late reply lands: on the timed-out
+            # connection it would read b"A".
+            assert client.get("b") == b"B"
+            time.sleep(injector.delay_seconds - NO_RETRY.op_timeout)
+            assert client.get("a") == b"A"
+            assert client.get("b") == b"B"
+            assert client.stats.timeouts == 1
+            assert injector.injected["delay"] == 1
+        finally:
+            client.close()
+            server.stop()
+
+    def test_reply_cut_mid_body_does_not_desync_the_next_op(self):
+        values = {"a": b"A" * 64, "b": b"B" * 8}
+        stall = 1.6 * NO_RETRY.op_timeout
+        with stalling_server(values, stall) as address:
+            client = NetKVClient(address, config=NO_RETRY)
+            try:
+                with pytest.raises(StoreUnavailable):
+                    client.get("a")  # half the body, then a stall
+                assert client.get("b") == values["b"]
+                time.sleep(stall - NO_RETRY.op_timeout)
+                assert client.get("a") == values["a"]
+                assert client.get("b") == values["b"]
+                assert client.stats.timeouts == 1
+                assert client.stats.protocol_errors == 0
+            finally:
+                client.close()
+
+
 class TestKillServerMidStream:
     def test_stop_during_session_raises_not_hangs(self):
         server = NetKVServer().start()
