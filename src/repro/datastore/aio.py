@@ -88,7 +88,9 @@ class TransportConfig:
     """Client-side transport knobs (the ``[transport]`` config section).
 
     ``op_timeout`` bounds every round trip, from sending the request to
-    the last byte of its reply; ``retries`` is how many
+    the last byte of its reply (a reply whose first bytes are already
+    in when a gather's caller reaches it late is read to its end under
+    a fresh ``op_timeout``); ``retries`` is how many
     times a failed operation is re-attempted on a fresh connection
     before :class:`StoreUnavailable`; the backoff between attempts is
     ``min(backoff_max, backoff_base * 2**attempt)`` scaled by a uniform
@@ -376,100 +378,6 @@ class LoopThread:
             self._thread.join(join_timeout)
 
 
-class _BufferedProtocol(asyncio.Protocol):
-    """Shared connection machinery: buffered reads + flow-control gates.
-
-    Read side: chunks land in a :class:`ReadBuffer`; ``read_line`` /
-    ``read_exact`` await a wake event until a full frame is buffered.
-    When a peer pipelines far ahead of consumption the transport pauses
-    reading (``_READ_SLACK`` beyond the frame currently awaited).
-
-    Write side: the transport's write-buffer high-water mark drives
-    ``pause_writing``/``resume_writing`` into a ``_writable`` event the
-    owner awaits before starting more work — the bounded per-connection
-    write queue.
-    """
-
-    def __init__(self) -> None:
-        self.buf = ReadBuffer()
-        self.transport: Any = None
-        self._eof = False
-        self._paused_reading = False
-        self._need = 0
-        self._wake = asyncio.Event()
-        self._writable = asyncio.Event()
-        self._writable.set()
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        try:
-            transport.set_write_buffer_limits(high=_WRITE_HIGH_WATER)
-        except (AttributeError, RuntimeError):
-            pass
-
-    def data_received(self, data: bytes) -> None:
-        self.buf.feed(data)
-        if not self._paused_reading and self.buf.pending() > self._need + _READ_SLACK:
-            try:
-                self.transport.pause_reading()
-                self._paused_reading = True
-            except RuntimeError:
-                pass
-        self._wake.set()
-
-    def eof_received(self) -> Optional[bool]:
-        self._eof = True
-        self._wake.set()
-        return False  # close our side too
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._eof = True
-        self._wake.set()
-        self._writable.set()  # unblock a serve loop parked on backpressure
-
-    def pause_writing(self) -> None:
-        self._writable.clear()
-
-    def resume_writing(self) -> None:
-        self._writable.set()
-
-    def _resume_if_starved(self) -> None:
-        if self._paused_reading and self.buf.pending() <= self._need + _READ_SLACK:
-            self._paused_reading = False
-            try:
-                self.transport.resume_reading()
-            except RuntimeError:
-                pass
-
-    async def read_line(self, limit: int = _MAX_HEADER) -> bytes:
-        while True:
-            line = self.buf.take_line(limit)
-            if line is not None:
-                self._resume_if_starved()
-                return line
-            if self._eof:
-                raise ConnectionError("connection closed mid-frame")
-            self._resume_if_starved()
-            self._wake.clear()
-            await self._wake.wait()
-
-    async def read_exact(self, n: int) -> bytes:
-        self._need = n
-        try:
-            while True:
-                data = self.buf.take_exact(n)
-                if data is not None:
-                    return data
-                if self._eof:
-                    raise ConnectionError("connection closed mid-frame")
-                self._resume_if_starved()
-                self._wake.clear()
-                await self._wake.wait()
-        finally:
-            self._need = 0
-            self._resume_if_starved()
-
-
 # --- server side ----------------------------------------------------------
 
 
@@ -712,6 +620,10 @@ class LocalShard:
             raise exc
         return value
 
+    @staticmethod
+    def _discard(handle) -> None:
+        """An unread outcome holds nothing to release."""
+
     def ping(self) -> bool:
         return self._call("PING") == b"PONG"
 
@@ -758,8 +670,18 @@ class LocalShard:
         return dict(self.wal.info(), keys=keys)
 
 
-class _ServerConnection(_BufferedProtocol):
+class _ServerConnection(asyncio.Protocol):
     """One accepted connection: a serve task looping request→response.
+
+    Read side: chunks land in a :class:`ReadBuffer`; ``read_line`` /
+    ``read_exact`` await a wake event until a full frame is buffered.
+    When a client pipelines far ahead of dispatch the transport pauses
+    reading (``_READ_SLACK`` beyond the frame currently awaited).
+
+    Write side: the transport's write-buffer high-water mark drives
+    ``pause_writing``/``resume_writing`` into a ``_writable`` event the
+    serve loop awaits before it starts more work — the bounded
+    per-connection write queue.
 
     Error discipline: framing violations get one ERR frame and a close
     (after a malformed SET header the payload boundary is unknowable —
@@ -769,12 +691,23 @@ class _ServerConnection(_BufferedProtocol):
     """
 
     def __init__(self, owner: "AsyncNetKVServer") -> None:
-        super().__init__()
         self.owner = owner
         self.task: Optional[asyncio.Task] = None
+        self.buf = ReadBuffer()
+        self.transport: Any = None
+        self._eof = False
+        self._paused_reading = False
+        self._need = 0
+        self._wake = asyncio.Event()
+        self._writable = asyncio.Event()
+        self._writable.set()
 
     def connection_made(self, transport) -> None:
-        super().connection_made(transport)
+        self.transport = transport
+        try:
+            transport.set_write_buffer_limits(high=_WRITE_HIGH_WATER)
+        except (AttributeError, RuntimeError):
+            pass
         injector = self.owner.fault_injector
         if injector is not None and injector.connection_fate() == "drop":
             transport.close()  # close before reading anything
@@ -785,8 +718,67 @@ class _ServerConnection(_BufferedProtocol):
         self.task = asyncio.get_running_loop().create_task(self._serve())
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        super().connection_lost(exc)
+        self._eof = True
+        self._wake.set()
+        self._writable.set()  # unblock a serve loop parked on backpressure
         self.owner._unregister(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buf.feed(data)
+        if not self._paused_reading and self.buf.pending() > self._need + _READ_SLACK:
+            try:
+                self.transport.pause_reading()
+                self._paused_reading = True
+            except RuntimeError:
+                pass
+        self._wake.set()
+
+    def eof_received(self) -> Optional[bool]:
+        self._eof = True
+        self._wake.set()
+        return False  # close our side too
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    def _resume_if_starved(self) -> None:
+        if self._paused_reading and self.buf.pending() <= self._need + _READ_SLACK:
+            self._paused_reading = False
+            try:
+                self.transport.resume_reading()
+            except RuntimeError:
+                pass
+
+    async def read_line(self, limit: int = _MAX_HEADER) -> bytes:
+        while True:
+            line = self.buf.take_line(limit)
+            if line is not None:
+                self._resume_if_starved()
+                return line
+            if self._eof:
+                raise ConnectionError("connection closed mid-frame")
+            self._resume_if_starved()
+            self._wake.clear()
+            await self._wake.wait()
+
+    async def read_exact(self, n: int) -> bytes:
+        self._need = n
+        try:
+            while True:
+                data = self.buf.take_exact(n)
+                if data is not None:
+                    return data
+                if self._eof:
+                    raise ConnectionError("connection closed mid-frame")
+                self._resume_if_starved()
+                self._wake.clear()
+                await self._wake.wait()
+        finally:
+            self._need = 0
+            self._resume_if_starved()
 
     def _err_close(self, msg: str) -> None:
         try:
@@ -1239,6 +1231,19 @@ class _Conn:
         except OSError:
             return False
 
+    def arrived(self) -> bool:
+        """Whether reply bytes, or the peer's close, are already here
+        (a peek that does not block)."""
+        if self.buf.pending():
+            return True
+        try:
+            self.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return False
+        except OSError:
+            return True  # the read that follows raises it
+        return True
+
     def _io(self, option: int, deadline: float, call: Callable, arg):
         self.sock.setsockopt(socket.SOL_SOCKET, option, _timeval(deadline))
         try:
@@ -1438,6 +1443,14 @@ class AsyncClientChannel:
             f"failed after {attempts} attempt(s): {req.error}"
         ) from req.error
 
+    @staticmethod
+    def _discard(req: _Request) -> None:
+        """Give up on ``req`` unread: close the connection its reply
+        would come in on."""
+        if req.conn is not None:
+            req.conn.close()
+            req.conn = None
+
     def _note_failure(self, req: _Request, attempt: int) -> None:
         if req.conn is not None:
             self._drop(req.conn)
@@ -1470,7 +1483,13 @@ class AsyncClientChannel:
 
     def _read_reply(self, req: _Request) -> bytes:
         conn = req.conn
-        status = conn.read_line(req.deadline).decode("utf-8", "replace")
+        deadline = req.deadline
+        if time.monotonic() >= deadline and conn.arrived():
+            # The caller came late to this reply (a gather read others
+            # first), but the shard's answer is already here: the rest
+            # of it gets a fresh op_timeout.
+            deadline = time.monotonic() + self.config.op_timeout
+        status = conn.read_line(deadline).decode("utf-8", "replace")
         if status.startswith("OK "):
             try:
                 n = int(status[3:])
@@ -1478,7 +1497,7 @@ class AsyncClientChannel:
                 raise WireProtocolError(f"malformed OK length: {status!r}") from None
             if n < 0 or n > self.config.max_payload:
                 raise WireProtocolError(f"OK length out of range: {n}")
-            body = conn.read_exact(n, req.deadline)
+            body = conn.read_exact(n, deadline)
         elif status == "NF" or status.startswith("ERR "):
             body = None
             n = 0
@@ -1495,6 +1514,16 @@ class AsyncClientChannel:
         raise StoreError(status[4:])
 
     def _decode(self, req: _Request, raw: bytes):
+        """The value of an OK body; a body that does not parse for its
+        op (bad UTF-8, a non-integer count, broken JSON) is a
+        :class:`WireProtocolError`."""
+        try:
+            return self._parse(req, raw)
+        except ValueError as exc:
+            raise WireProtocolError(
+                f"malformed {req.kind} response: {exc}") from None
+
+    def _parse(self, req: _Request, raw: bytes):
         kind = req.kind
         if kind == "GET":
             return raw
@@ -1512,10 +1541,7 @@ class AsyncClientChannel:
         if kind == "MGET":
             out = _unpack_values(raw, n)
         elif kind == "MSET":
-            try:
-                out = int(raw)
-            except ValueError:
-                raise WireProtocolError(f"malformed MSET response: {raw!r}") from None
+            out = int(raw)
         else:  # MDEL, MSETNX: one '1'/'0' flag per key
             if len(raw) != n or raw.strip(b"01"):
                 raise WireProtocolError(

@@ -262,8 +262,8 @@ class NetKVCluster:
     exactly the old single-copy cluster.
 
     ``channels`` replaces the socket channels with given objects that
-    speak the same ``_post``/``_wait`` pair (one per address; they also
-    answer the health probes), such as
+    speak the same ``_post``/``_wait``/``_discard`` calls (one per
+    address; they also answer the health probes), such as
     :class:`~repro.datastore.aio.LocalShard`: ``kv://`` is this class
     over in-process shards, and the chaos harness runs it that way too,
     with ``clock`` replacing ``time.monotonic`` by virtual time.
@@ -591,29 +591,36 @@ class NetKVCluster:
         the :class:`StoreError` it raised, is folded into its shard's
         health in request order (StoreUnavailable marks the shard down;
         any answer, an error included, marks it up) and returned in
-        that order.
+        that order. Any other exception releases the requests still
+        unread (``_discard``) before it propagates.
         """
         chans = self._channels if channels is None else channels
         handles: List[Any] = []
-        for idx, op, args in reqs:
-            try:
-                handles.append(chans[idx]._post(op, args))
-            except StoreError as exc:
-                handles.append(exc)
         out: List[Any] = []
-        for (idx, _, _), handle in zip(reqs, handles):
-            if isinstance(handle, StoreError):
-                outcome = handle
-            else:
+        try:
+            for idx, op, args in reqs:
                 try:
-                    outcome = chans[idx]._wait(handle)
+                    handles.append(chans[idx]._post(op, args))
                 except StoreError as exc:
-                    outcome = exc
-            if isinstance(outcome, StoreUnavailable):
-                self._mark_down(idx)
-            else:
-                self._mark_up(idx)
-            out.append(outcome)
+                    handles.append(exc)
+            for (idx, _, _), handle in zip(reqs, handles):
+                if isinstance(handle, StoreError):
+                    outcome = handle
+                else:
+                    try:
+                        outcome = chans[idx]._wait(handle)
+                    except StoreError as exc:
+                        outcome = exc
+                if isinstance(outcome, StoreUnavailable):
+                    self._mark_down(idx)
+                else:
+                    self._mark_up(idx)
+                out.append(outcome)
+        finally:
+            for (idx, _, _), handle in zip(reqs[len(out):],
+                                           handles[len(out):]):
+                if not isinstance(handle, StoreError):
+                    chans[idx]._discard(handle)
         return out
 
     def _shard_op(self, idx: int, op: str, *args):

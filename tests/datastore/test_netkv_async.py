@@ -31,6 +31,10 @@ pytestmark = pytest.mark.async_transport
 ONE_TRY = TransportConfig(op_timeout=0.5, connect_timeout=0.5, retries=0)
 
 
+class Interrupted(Exception):
+    """Not a StoreError: what ``_gather`` does not turn into a value."""
+
+
 @pytest.fixture()
 def server():
     srv = NetKVServer().start()
@@ -82,6 +86,31 @@ class TestChannelContract:
         [down] = cluster._gather([(0, "get", ("k",))])
         assert isinstance(down, StoreUnavailable)
 
+    def test_gather_releases_unread_requests_on_other_errors(
+            self, shard_channel, monkeypatch):
+        chan, _ = shard_channel
+        cluster = NetKVCluster([chan.address], channels=[chan],
+                               route_refresh=0)
+        chan.set("k", b"v")
+        discarded = []
+        discard = chan._discard
+
+        def wait(handle):
+            raise Interrupted
+
+        def record(handle):
+            discarded.append(handle)
+            discard(handle)
+
+        monkeypatch.setattr(chan, "_wait", wait)
+        monkeypatch.setattr(chan, "_discard", record)
+        with pytest.raises(Interrupted):
+            cluster._gather([(0, "get", ("k",)), (0, "get", ("k",))])
+        assert len(discarded) == 2  # the one being read and the unread one
+        assert all(getattr(h, "conn", None) is None for h in discarded)
+        monkeypatch.undo()
+        assert chan.get("k") == b"v"
+
     def test_empty_batches_need_no_round_trip(self, shard_channel):
         chan, take_down = shard_channel
         take_down()  # an answer now cannot have come from the shard
@@ -102,6 +131,18 @@ class TestChannelContract:
             assert info.value.args[0] == key
         chan.set("here", b"1")
         assert chan.get("here") == b"1"  # a miss leaves the channel serving
+
+
+class TestMalformedReplyBodies:
+    def test_unparseable_bodies_are_protocol_errors(self):
+        """A StoreError, so ``_gather`` returns it as a value."""
+        chan = AsyncClientChannel(("127.0.0.1", 1), ONE_TRY)  # never dials
+        for kind, aux, raw in (("LEN", None, b"3x"),
+                               ("SNAPSHOT", None, b"{"),
+                               ("KEYS", None, b"\xff"),
+                               ("MSET", 1, b"one")):
+            with pytest.raises(aio.WireProtocolError):
+                chan._decode(aio._Request(kind, aux, b""), raw)
 
 
 class TestConcurrentCallers:

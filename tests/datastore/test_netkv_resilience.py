@@ -247,6 +247,39 @@ class TestStaleReplies:
                 client.close()
 
 
+class TestHungReplicaInGather:
+    """A gather reads its replies one after another, so a hung replica's
+    retries run before a healthy replica's reply is read. That reply
+    arrived in time and must count: dropping it and sending the request
+    again would answer a repeated DEL or RENAME with NF."""
+
+    def test_healthy_replica_reply_survives_a_hung_peer(self):
+        injectors = [OneDelay(delay_seconds=1.6 * FAST.op_timeout)
+                     for _ in range(2)]
+        servers = [NetKVServer(fault_injector=inj).start()
+                   for inj in injectors]
+        cluster = NetKVCluster([s.address for s in servers], config=FAST,
+                               replication=2, route_refresh=0)
+        try:
+            cluster.set("gone", b"1")
+            cluster.set("{t}src", b"2")
+            injectors[cluster._replicas_for("gone")[0]].arm()
+            cluster.delete("gone")  # the first replica times out once
+            assert cluster.stats.timeouts == 1  # and the healthy one not
+            injectors[cluster._replicas_for("{t}src")[0]].arm()
+            cluster.rename("{t}src", "{t}dst")
+            assert cluster.stats.timeouts == 2
+            assert cluster.stats.retries == 2
+            assert cluster.stats.exhausted == 0
+            for server in servers:
+                assert sorted(server.backend.scan("")) == ["{t}dst"]
+            assert sum(inj.injected["delay"] for inj in injectors) == 2
+        finally:
+            cluster.close()
+            for s in servers:
+                s.stop()
+
+
 class TestKillServerMidStream:
     def test_stop_during_session_raises_not_hangs(self):
         server = NetKVServer().start()
