@@ -9,10 +9,15 @@ and their markers come from the repo-root ``conftest.py``.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import os
-from typing import Any, Dict, Iterable
+import re
+import signal
+import subprocess
+import sys
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 import pytest
 
@@ -61,6 +66,35 @@ def record_json(filename: str, key: str, payload: Dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def shard_child(nshards: int) -> Iterator[List[Tuple[str, int]]]:
+    """``nshards`` in-memory NetKV shards served by a child process
+    (``python -m repro netkv --serve N``, as perfbench's ``ShardChild``
+    runs them); yields their addresses. Clients timed against them
+    measure the wire, not GIL hand-offs with a shard loop thread in
+    their own process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "netkv", "--serve", str(nshards)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        line = proc.stdout.readline()
+        match = re.search(r"netkv://(\S+)", line)
+        if match is None:
+            raise RuntimeError(f"shard child did not start: {line!r}")
+        yield [(host, int(port)) for host, port in
+               (a.rsplit(":", 1) for a in match.group(1).split(","))]
+    finally:
+        proc.send_signal(signal.SIGINT)  # the CLI's clean shutdown
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=30)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 @pytest.fixture(scope="session")

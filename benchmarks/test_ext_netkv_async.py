@@ -15,7 +15,8 @@ to ``BENCH_netkv_cluster.json`` under ``async_transport``:
    ``NetKVClient``, doing request-per-response, while an event-loop
    client keeps a window of requests in flight per connection and the
    server answers each burst with one vectored write. That window is
-   what multiplies GETs/s over the blocking baseline.
+   what multiplies GETs/s over the blocking baseline. The shard runs in
+   a child process, so neither client shares a GIL with the shard.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 import time
 
 import pytest
-from conftest import record_json, report
+from conftest import record_json, report, shard_child
 
 from repro.datastore.netkv import NetKVClient, NetKVServer
 
@@ -190,9 +191,8 @@ class TestSmallGetThroughput:
         nthreads_blocking = 8
         total_ops = 16_000
 
-        server = NetKVServer().start()
-        try:
-            clients = [NetKVClient(server.address)
+        with shard_child(1) as (address,):
+            clients = [NetKVClient(address)
                        for _ in range(nthreads_blocking)]
             try:
                 _preload(clients[0].set)
@@ -204,11 +204,9 @@ class TestSmallGetThroughput:
                     c.close()
             rungs = {}
             for nconn, depth in ((16, 64), (8, 128)):
-                rate = _pipelined_gets(server.address, nconn, depth,
+                rate = _pipelined_gets(address, nconn, depth,
                                        per_conn=total_ops // nconn * 4)
                 rungs[f"{nconn}conns_x{depth}deep"] = round(rate, 1)
-        finally:
-            server.stop()
 
         async_rate = max(rungs.values())
         speedup = async_rate / blocking_rate

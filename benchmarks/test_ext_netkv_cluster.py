@@ -5,16 +5,18 @@ per iteration (§4.4, Fig. 7/8). Against a networked store each per-key
 call pays a full round trip; the cluster's mset/mget pack a shard's
 whole batch into one MSET/MGET exchange. This bench measures that win
 on loopback TCP — the most pessimistic setting for pipelining, since
-round trips are already as cheap as they get — and records it to the
-repo-root ledger ``BENCH_netkv_cluster.json``.
+round trips are already as cheap as they get — against shards in a
+child process (so the per-key loops measure the wire, not GIL
+hand-offs with a shard loop thread), and records it to the repo-root
+ledger ``BENCH_netkv_cluster.json``.
 """
 
 import time
 
 import pytest
-from conftest import record_json, report
+from conftest import record_json, report, shard_child
 
-from repro.datastore.netkv import NetKVCluster, NetKVServer, TransportConfig
+from repro.datastore.netkv import NetKVCluster, TransportConfig
 
 BENCH_JSON = "BENCH_netkv_cluster.json"
 NKEYS = 600
@@ -24,9 +26,11 @@ PAYLOAD = b"x" * 64
 @pytest.mark.multi_server
 class TestPipeliningWin:
     def test_batched_ops_beat_per_key_loops(self):
-        servers = [NetKVServer().start() for _ in range(2)]
-        cluster = NetKVCluster([s.address for s in servers],
-                               config=TransportConfig())
+        with shard_child(2) as addresses:
+            self._batched_vs_loops(
+                NetKVCluster(addresses, config=TransportConfig()))
+
+    def _batched_vs_loops(self, cluster):
         items = [(f"bench/{i:04d}", PAYLOAD) for i in range(NKEYS)]
         keys = [k for k, _ in items]
         try:
@@ -85,19 +89,16 @@ class TestPipeliningWin:
             assert read_speedup >= 5.0
         finally:
             cluster.close()
-            for s in servers:
-                s.stop()
 
     def test_replication_write_amplification_is_bounded(self):
         """Replicated batch writes pay one extra exchange per extra
         copy, not one per key: replication=2 mset should cost well
         under the 2x of naively doubled per-key writes."""
-        servers = [NetKVServer().start() for _ in range(3)]
         items = [(f"amp/{i:04d}", PAYLOAD) for i in range(NKEYS)]
         timings = {}
-        try:
+        with shard_child(3) as addresses:
             for repl in (1, 2):
-                cluster = NetKVCluster([s.address for s in servers],
+                cluster = NetKVCluster(addresses,
                                        config=TransportConfig(),
                                        replication=repl)
                 t0 = time.perf_counter()
@@ -105,19 +106,16 @@ class TestPipeliningWin:
                 timings[repl] = time.perf_counter() - t0
                 cluster.mdelete([k for k, _ in items])
                 cluster.close()
-            amplification = timings[2] / timings[1]
-            report("ext_netkv_cluster_replication_cost", [
-                f"mset {NKEYS} keys, replication=1: {timings[1]:.3f} s",
-                f"mset {NKEYS} keys, replication=2: {timings[2]:.3f} s",
-                f"write amplification: {amplification:.2f}x (2 copies)",
-            ])
-            record_json(BENCH_JSON, "replication_write_amplification", {
-                "nkeys": NKEYS,
-                "mset_r1_s": timings[1],
-                "mset_r2_s": timings[2],
-                "amplification": amplification,
-            })
-            assert amplification < 4.0  # sanity: batches stay batched
-        finally:
-            for s in servers:
-                s.stop()
+        amplification = timings[2] / timings[1]
+        report("ext_netkv_cluster_replication_cost", [
+            f"mset {NKEYS} keys, replication=1: {timings[1]:.3f} s",
+            f"mset {NKEYS} keys, replication=2: {timings[2]:.3f} s",
+            f"write amplification: {amplification:.2f}x (2 copies)",
+        ])
+        record_json(BENCH_JSON, "replication_write_amplification", {
+            "nkeys": NKEYS,
+            "mset_r1_s": timings[1],
+            "mset_r2_s": timings[2],
+            "amplification": amplification,
+        })
+        assert amplification < 4.0  # sanity: batches stay batched

@@ -194,7 +194,7 @@ class ChaosStore(DataStore):
             replay = ShardWAL(shard.directory, shard.durability)
             replay.close()
             replayed = replay.recovered
-            held = dict(shard.backend.items())
+            held = dict(shard.data)
             for key in sorted(replayed.keys() | held.keys()):
                 if replayed.get(key) != held.get(key):
                     problems.append(

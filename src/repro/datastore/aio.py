@@ -12,8 +12,11 @@ asyncio; the client runs on its caller's thread (see DESIGN.md,
   consumed-offset cursor and lazy compaction.
 - :class:`LoopThread` — a dedicated event loop on a daemon thread;
   blocking callers submit coroutines via ``run_coroutine_threadsafe``.
-- :class:`KVServer` — one shard's key space: a dict plus the operation
-  set :func:`_dispatch` serves (the backend of every shard below).
+- ``_COMMANDS`` — the wire command table: per command its channel
+  method, wire word, header arity, payload, mutating and batch flags,
+  client encoder, server handler (which changes the shard's dict and
+  appends the WAL record) and reply parser. The server's dispatch and
+  both channels' methods are derived from it.
 - :class:`LocalShard` — a shard in the caller's process: the channel
   API ``NetKVCluster`` calls, answered through :func:`_dispatch` with no
   socket and no thread (``kv://`` and the chaos harness run on it).
@@ -58,7 +61,6 @@ __all__ = [
     "WireProtocolError",
     "ReadBuffer",
     "LoopThread",
-    "KVServer",
     "LocalShard",
     "AsyncNetKVServer",
     "AsyncClientChannel",
@@ -172,6 +174,11 @@ def _split_key_payload(payload: bytes) -> List[str]:
     return [_check_wire_key(k) for k in keys]
 
 
+def _join_keys(keys: List[str]) -> bytes:
+    """An MGET/MDEL payload: the keys joined by NUL."""
+    return "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
+
+
 def _pack_values(values: List[Optional[bytes]]) -> bytes:
     """MGET response payload: "<n>\\n<bytes>" per value, -1 for missing."""
     parts: List[bytes] = []
@@ -219,7 +226,7 @@ def _pack_items(items: List[Tuple[str, bytes]]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_items(data: bytes, max_payload: int) -> List[Tuple[str, bytes]]:
+def _unpack_items(data: bytes) -> List[Tuple[str, bytes]]:
     """Inverse of :func:`_pack_items`, bounds-checking every block."""
     items: List[Tuple[str, bytes]] = []
     pos = 0
@@ -237,7 +244,7 @@ def _unpack_items(data: bytes, max_payload: int) -> List[Tuple[str, bytes]]:
         except ValueError:
             raise WireProtocolError(
                 f"batch item length is not an integer: {length_text!r}") from None
-        if not sep or n < 0 or n > max_payload:
+        if not sep or n < 0:
             raise WireProtocolError(f"malformed batch item header: {head!r}")
         pos = nl + 1
         if pos + n > len(data):
@@ -378,192 +385,288 @@ class LoopThread:
             self._thread.join(join_timeout)
 
 
-# --- server side ----------------------------------------------------------
+# --- the command table (see DESIGN.md, "Wire protocol") -------------------
 
 
-def _payload_length(cmd: str, args: List[str], max_payload: int) -> Tuple[int, List[str]]:
-    """Parse a payload-carrying command's byte length (the last header
-    arg) or raise :class:`WireProtocolError`."""
-    min_args = 2 if cmd == "SET" else 1  # SET also carries its key
-    if len(args) < min_args:
-        raise WireProtocolError(f"{cmd} header is missing arguments")
+@dataclass(frozen=True)
+class _Command:
+    """One wire command: channel method ``name``, header word ``word``.
+
+    ``arity``: the header argument counts accepted, a payload's length
+    field not counted; ``payload``: a length-prefixed payload follows.
+    A ``mutating`` command's ack waits on its WAL records. ``empty``
+    marks a batch command: the reply body an empty batch stands for,
+    which both channels answer without a round trip.
+    ``encode(*args) -> (header args, payload, aux)``, with ``aux`` the
+    key an NF reply names or the key count a batch reply must match;
+    every key put in a header is checked. ``handle(shard, args,
+    payload)`` changes ``shard.data``, appends the WAL records and
+    returns the reply body (None: the server's awaited path).
+    ``parse(body, aux)`` is the channel method's return value.
+    """
+
+    name: str
+    word: str
+    arity: Tuple[int, ...]
+    payload: bool
+    encode: Callable
+    handle: Optional[Callable]
+    parse: Callable
+    mutating: bool = False
+    empty: Optional[bytes] = None
+
+
+def _no_args():
+    return (), b"", None
+
+
+def _one_key(key: str):
+    return (_check_wire_key(key),), b"", key
+
+
+def _key_batch(keys: List[str]):
+    return (), _join_keys(keys), len(keys)
+
+
+def _item_batch(items: List[Tuple[str, bytes]]):
+    return (), _pack_items(items), len(items)
+
+
+def _set_key(shard, args, payload) -> bytes:
+    key = _check_wire_key(args[0])
+    shard.data[key] = payload
+    if shard.wal is not None:
+        shard.wal.append_set(key, payload)
+    return b""
+
+
+def _get_key(shard, args, payload) -> bytes:
     try:
-        length = int(args[-1])
+        return shard.data[args[0]]
+    except KeyError:
+        raise KeyNotFound(args[0]) from None
+
+
+def _delete_key(shard, args, payload) -> bytes:
+    if shard.data.pop(args[0], None) is None:
+        raise KeyNotFound(args[0])
+    if shard.wal is not None:
+        # Deletes are logged too: a replayed shard must not resurrect a
+        # key whose removal was acked.
+        shard.wal.append_delete(args[0])
+    return b""
+
+
+def _list_keys(shard, args, payload) -> bytes:
+    prefix = args[0] if args else ""
+    return "\x00".join(sorted(
+        k for k in shard.data if k.startswith(prefix))).encode("utf-8")
+
+
+def _rename_key(shard, args, payload) -> bytes:
+    src, dst = args[0], _check_wire_key(args[1])
+    try:
+        shard.data[dst] = shard.data.pop(src)
+    except KeyError:
+        raise KeyNotFound(src) from None
+    if shard.wal is not None:
+        shard.wal.append_rename(src, dst)
+    return b""
+
+
+def _get_many(shard, args, payload) -> bytes:
+    """Values in key order; a missing key is a -1 entry (the pipelined
+    read never aborts a whole batch over one absent key)."""
+    return _pack_values([shard.data.get(k) for k in _split_key_payload(payload)])
+
+
+def _set_many(shard, args, payload) -> bytes:
+    items = _unpack_items(payload)
+    shard.data.update(items)
+    if shard.wal is not None:
+        for key, value in items:
+            shard.wal.append_set(key, value)
+    return b"%d" % len(items)
+
+
+def _set_absent(shard, args, payload) -> bytes:
+    """Set each pair only where the key is absent; one '1'/'0' flag per
+    pair says which were stored. The slot-migration copier leans on
+    this so a source-side copy can never overwrite a fresher value that
+    was dual-written to the destination mid-copy."""
+    data, wal = shard.data, shard.wal
+    flags = bytearray()
+    for key, value in _unpack_items(payload):
+        stored = key not in data
+        if stored:
+            data[key] = value
+            if wal is not None:
+                wal.append_set(key, value)
+        flags += b"1" if stored else b"0"
+    return bytes(flags)
+
+
+def _delete_many(shard, args, payload) -> bytes:
+    """Delete the keys; one '1'/'0' flag per key says which existed (a
+    replicated caller ORs the flags across copies)."""
+    data, wal = shard.data, shard.wal
+    flags = bytearray()
+    for key in _split_key_payload(payload):
+        existed = data.pop(key, None) is not None
+        if existed and wal is not None:
+            wal.append_delete(key)
+        flags += b"1" if existed else b"0"
+    return bytes(flags)
+
+
+def _none(body: bytes, aux) -> None:
+    return None
+
+
+def _count(body: bytes, aux) -> int:
+    return int(body)
+
+
+def _key_list(body: bytes, aux) -> List[str]:
+    return body.decode("utf-8").split("\x00") if body else []
+
+
+def _flags(body: bytes, n: int) -> List[bool]:
+    if len(body) != n or body.strip(b"01"):
+        raise WireProtocolError(f"malformed flag reply: {body[:64]!r}")
+    return [b == 0x31 for b in body]
+
+
+_COMMANDS: Tuple[_Command, ...] = (
+    # name, word, arity, payload, encode, handle, parse
+    _Command("ping", "PING", (0,), False, _no_args,
+             lambda shard, args, payload: b"PONG",
+             lambda body, aux: body == b"PONG"),
+    _Command("set", "SET", (1,), True,
+             lambda key, value: ((_check_wire_key(key),), value, key),
+             _set_key, _none, mutating=True),
+    _Command("get", "GET", (1,), False, _one_key, _get_key,
+             lambda body, aux: body),
+    _Command("delete", "DEL", (1,), False, _one_key, _delete_key, _none,
+             mutating=True),
+    _Command("keys", "KEYS", (0, 1), False,
+             lambda prefix="": (
+                 (_check_wire_key(prefix),) if prefix else (), b"", None),
+             _list_keys, _key_list),
+    _Command("rename", "RENAME", (2,), False,
+             lambda src, dst: (
+                 (_check_wire_key(src), _check_wire_key(dst)), b"", src),
+             _rename_key, _none, mutating=True),
+    _Command("mget", "MGET", (0,), True, _key_batch, _get_many,
+             _unpack_values, empty=b""),
+    _Command("mset", "MSET", (0,), True, _item_batch, _set_many, _count,
+             mutating=True, empty=b"0"),
+    _Command("mdelete", "MDEL", (0,), True, _key_batch, _delete_many,
+             _flags, mutating=True, empty=b""),
+    _Command("msetnx", "MSETNX", (0,), True, _item_batch, _set_absent,
+             _flags, mutating=True, empty=b""),
+    _Command("len", "LEN", (0,), False, _no_args,
+             lambda shard, args, payload: b"%d" % len(shard.data), _count),
+    # The server snapshots on its awaited path (``_serve``), LocalShard
+    # on the caller's thread.
+    _Command("snapshot", "SNAPSHOT", (0,), False, _no_args, None,
+             lambda body, aux: json.loads(body.decode("utf-8"))),
+)
+
+_BY_NAME = {c.name: c for c in _COMMANDS}
+_BY_WORD = {c.word: c for c in _COMMANDS}
+
+
+def _header_error(cmd: str, command: Optional[_Command]) -> str:
+    """Why a header names no command or has the wrong arity."""
+    if command is None:
+        return f"unknown command {cmd!r}"
+    takes = " or ".join(str(n) for n in command.arity)
+    length = " and a payload length" if command.payload else ""
+    return f"{cmd} takes {takes} argument(s){length}"
+
+
+def _err_frame(msg: str) -> bytes:
+    """An ERR reply: one line, the message cut to 500 characters."""
+    line = msg.replace("\n", " ")[:500]
+    return f"ERR {line}\n".encode("utf-8", "replace")
+
+
+def _payload_length(cmd: str, text: str, max_payload: int) -> int:
+    """A payload-carrying command's byte length (its last header arg),
+    or :class:`WireProtocolError`."""
+    try:
+        length = int(text)
     except ValueError:
         raise WireProtocolError(
-            f"{cmd} length is not an integer: {args[-1]!r}") from None
+            f"{cmd} length is not an integer: {text!r}") from None
     if length < 0 or length > max_payload:
         raise WireProtocolError(f"{cmd} length out of range: {length}")
-    return length, args[:-1]
+    return length
 
 
-# Commands whose responses must wait on the WAL group commit before
-# they reach the wire (ack-after-fsync). GET-family commands are absent:
-# a read-only burst never waits on another connection's fsync.
-_MUTATING = frozenset({"SET", "DEL", "RENAME", "MSET", "MSETNX", "MDEL",
-                       "FLUSH"})
-
-# Both channels answer an empty batch of these without a round trip.
-_BATCH = frozenset({"MGET", "MSET", "MDEL", "MSETNX"})
-
-
-class KVServer:
-    """One shard's key space. Not thread-safe on its own: every caller
-    goes through :func:`_dispatch`, which holds the shard's lock."""
-
-    def __init__(self) -> None:
-        self._data: Dict[str, bytes] = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def set(self, key: str, value: bytes) -> None:
-        self._data[key] = value
-
-    def get(self, key: str) -> bytes:
-        try:
-            return self._data[key]
-        except KeyError:
-            raise KeyNotFound(key) from None
-
-    def delete(self, key: str) -> None:
-        if self._data.pop(key, None) is None:
-            raise KeyNotFound(key)
-
-    def rename(self, src: str, dst: str) -> None:
-        try:
-            self._data[dst] = self._data.pop(src)
-        except KeyError:
-            raise KeyNotFound(src) from None
-
-    def scan(self, prefix: str = "") -> List[str]:
-        return [k for k in self._data if k.startswith(prefix)]
-
-    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
-        """Values for ``keys`` in order; missing keys yield None (the
-        pipelined read never aborts a whole batch over one absent key)."""
-        return [self._data.get(k) for k in keys]
-
-    def mset(self, items: List[Tuple[str, bytes]]) -> int:
-        for key, value in items:
-            self._data[key] = value
-        return len(items)
-
-    def msetnx(self, items: List[Tuple[str, bytes]]) -> List[bool]:
-        """Set each pair only where the key is absent; per-key flags say
-        which were stored. The slot-migration copier leans on this so a
-        source-side copy can never overwrite a fresher value that was
-        dual-written to the destination mid-copy."""
-        flags = []
-        for key, value in items:
-            absent = key not in self._data
-            if absent:
-                self._data[key] = value
-            flags.append(absent)
-        return flags
-
-    def mdelete(self, keys: List[str]) -> List[bool]:
-        """Delete ``keys``; per-key flags say which actually existed
-        (a replicated caller ORs the flags across copies)."""
-        return [self._data.pop(k, None) is not None for k in keys]
-
-    def flush(self) -> None:
-        self._data.clear()
-
-    def items(self) -> List[Tuple[str, bytes]]:
-        """A stable copy of the key space (snapshot writers iterate it
-        outside the lock held while taking the copy)."""
-        return list(self._data.items())
+# --- server side ----------------------------------------------------------
 
 
 def open_shard(persist_dir: Optional[str],
                durability: Optional[DurabilityConfig] = None
-               ) -> Tuple[KVServer, Optional[ShardWAL]]:
-    """A shard's key space and WAL: empty and memory-only without
-    ``persist_dir``, else recovered from it (snapshot load + WAL replay,
-    torn tail truncated) so it already holds every acked write."""
-    backend = KVServer()
+               ) -> Tuple[Dict[str, bytes], Optional[ShardWAL]]:
+    """A shard's key space (a dict) and WAL: empty and memory-only
+    without ``persist_dir``, else recovered from it (snapshot load + WAL
+    replay, torn tail truncated) so it already holds every acked write."""
     if persist_dir is None:
-        return backend, None
+        return {}, None
     wal = ShardWAL(persist_dir, durability)
-    backend._data.update(wal.recovered)
-    return backend, wal
+    return dict(wal.recovered), wal
 
 
-def _dispatch(server: "AsyncNetKVServer", cmd: str, args: List[str],
-              payload: bytes) -> bytes:
-    store = server.backend
-    wal = server.wal
-    with server.lock:
-        if cmd == "PING":
-            return b"PONG"
-        if cmd == "SET":
-            key = _check_wire_key(args[0])
-            store.set(key, payload)
-            if wal is not None:
-                wal.append_set(key, payload)
-            return b""
-        if cmd == "GET":
-            return store.get(args[0])
-        if cmd == "DEL":
-            store.delete(args[0])
-            if wal is not None:
-                # Deletes are logged too: a replayed shard must not
-                # resurrect a key whose removal was acked.
-                wal.append_delete(args[0])
-            return b""
-        if cmd == "KEYS":
-            prefix = args[0] if args else ""
-            return "\x00".join(sorted(store.scan(prefix))).encode("utf-8")
-        if cmd == "RENAME":
-            dst = _check_wire_key(args[1])
-            store.rename(args[0], dst)
-            if wal is not None:
-                wal.append_rename(args[0], dst)
-            return b""
-        if cmd == "MGET":
-            return _pack_values(store.mget(_split_key_payload(payload)))
-        if cmd == "MSET":
-            items = _unpack_items(payload, server.max_payload)
-            n = store.mset(items)
-            if wal is not None:
-                for key, value in items:
-                    wal.append_set(key, value)
-            return str(n).encode("utf-8")
-        if cmd == "MSETNX":
-            items = _unpack_items(payload, server.max_payload)
-            flags = store.msetnx(items)
-            if wal is not None:
-                for (key, value), stored in zip(items, flags):
-                    if stored:
-                        wal.append_set(key, value)
-            return b"".join(b"1" if f else b"0" for f in flags)
-        if cmd == "MDEL":
-            keys = _split_key_payload(payload)
-            flags = store.mdelete(keys)
-            if wal is not None:
-                for key, existed in zip(keys, flags):
-                    if existed:
-                        wal.append_delete(key)
-            return b"".join(b"1" if f else b"0" for f in flags)
-        if cmd == "LEN":
-            return str(len(store)).encode("utf-8")
-        if cmd == "FLUSH":
-            store.flush()
-            if wal is not None:
-                wal.append_flush()
-            return b""
-        raise StoreError(f"unknown command {cmd!r}")
+def _dispatch(shard, cmd: str, args, payload: bytes) -> bytes:
+    """Serve one well-formed request on ``shard`` (its ``data``, ``wal``
+    and ``lock``) under the shard's lock: the reply body, or
+    :class:`KeyNotFound` for an NF reply."""
+    handle = _BY_WORD[cmd].handle
+    with shard.lock:
+        return handle(shard, args, payload)
 
 
-class LocalShard:
+class _Channel:
+    """The channel API ``NetKVCluster`` calls, shared by
+    :class:`LocalShard` and :class:`AsyncClientChannel`: ``_post(name,
+    args)`` sends a command, ``_wait(handle)`` returns its parsed reply
+    or raises its error, ``_discard(handle)`` gives up on it unread.
+    Each table command is a method ``name(*args)``, generated below."""
+
+    def _submit(self, name: str, args: tuple = ()):
+        return self._wait(self._post(name, args))
+
+    def __len__(self) -> int:
+        return self._submit("len")
+
+
+def _channel_method(name: str) -> Callable:
+    def method(self, *args):
+        return self._submit(name, args)
+
+    method.__name__ = name
+    method.__qualname__ = f"_Channel.{name}"
+    return method
+
+
+for _command in _COMMANDS:
+    setattr(_Channel, _command.name, _channel_method(_command.name))
+del _command
+
+
+class LocalShard(_Channel):
     """One shard in the caller's process, behind the channel API
     ``NetKVCluster`` calls, with the attributes :func:`_dispatch` reads
     from a server.
 
     ``_post`` answers at once, in call order, and ``_wait`` hands the
     outcome over (the socket channel's post/wait pair), so a cluster
-    over these shards starts no thread and opens no socket. Concurrent
+    over these shards starts no thread and opens no socket. A request
+    runs through the same table entry as on the socket, minus the
+    frame. Concurrent
     callers are serialized by :func:`_dispatch`'s shard lock, as the
     server's loop serializes its connections. With a WAL ``directory``
     every mutation is logged and the ack waits for the record. The log
@@ -571,7 +674,6 @@ class LocalShard:
     so the page cache survives and a restart sees the same records.
     """
 
-    max_payload = 256 * 1024 * 1024
     durability = DurabilityConfig(fsync=False)
 
     def __init__(self, address: Tuple[str, int],
@@ -583,7 +685,7 @@ class LocalShard:
 
     def start(self) -> None:
         """Start from the WAL directory (empty when memory-only)."""
-        self.backend, self.wal = open_shard(self.directory, self.durability)
+        self.data, self.wal = open_shard(self.directory, self.durability)
         self.up = True
 
     def close(self) -> None:
@@ -592,24 +694,15 @@ class LocalShard:
             self.wal.close()
             self.wal = None
 
-    def _call(self, cmd: str, args: List[str] = (), payload: bytes = b""):
-        if cmd in _BATCH and not payload:
-            return b"0" if cmd == "MSET" else b""  # an empty batch: no dispatch
-        if not self.up:
-            raise StoreUnavailable(
-                f"{self.address[0]} shard {self.address[1]} is down")
-        reply = _dispatch(self, cmd, list(args), payload)
-        if self.wal is not None and cmd in _MUTATING:
-            self.wal._write_and_sync()  # the ack waits for the record
-            if self.wal.needs_compaction():
-                self.snapshot()
-        return reply
-
-    # --- the channel API ----------------------------------------------------
-
-    def _post(self, op: str, args: tuple = ()):
+    def _post(self, name: str, args: tuple = ()):
+        command = _BY_NAME[name]
         try:
-            return getattr(self, op)(*args), None
+            header, payload, aux = command.encode(*args)
+            if command.empty is not None and not aux:
+                body = command.empty  # an empty batch: no dispatch
+            else:
+                body = self._call(command, header, payload)
+            return command.parse(body, aux), None
         except StoreError as exc:
             return None, exc
 
@@ -624,47 +717,24 @@ class LocalShard:
     def _discard(handle) -> None:
         """An unread outcome holds nothing to release."""
 
-    def ping(self) -> bool:
-        return self._call("PING") == b"PONG"
+    def _call(self, command: _Command, args, payload: bytes) -> bytes:
+        if not self.up:
+            raise StoreUnavailable(
+                f"{self.address[0]} shard {self.address[1]} is down")
+        if command.handle is None:  # SNAPSHOT
+            return json.dumps(self._snapshot(), sort_keys=True).encode("utf-8")
+        body = _dispatch(self, command.word, args, payload)
+        if self.wal is not None and command.mutating:
+            self.wal._write_and_sync()  # the ack waits for the record
+            if self.wal.needs_compaction():
+                self._snapshot()
+        return body
 
-    def set(self, key: str, value: bytes) -> None:
-        self._call("SET", [key], value)
-
-    def get(self, key: str) -> bytes:
-        return self._call("GET", [key])
-
-    def delete(self, key: str) -> None:
-        self._call("DEL", [key])
-
-    def keys(self, prefix: str = "") -> List[str]:
-        raw = self._call("KEYS", [prefix] if prefix else [])
-        return raw.decode("utf-8").split("\x00") if raw else []
-
-    def rename(self, src: str, dst: str) -> None:
-        self._call("RENAME", [src, dst])
-
-    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
-        return _unpack_values(self._call("MGET", payload=_join_keys(keys)),
-                              len(keys))
-
-    def mset(self, items) -> int:
-        return int(self._call("MSET", payload=_pack_items(items)))
-
-    def mdelete(self, keys: List[str]) -> List[bool]:
-        return [b == 0x31 for b in self._call("MDEL", payload=_join_keys(keys))]
-
-    def msetnx(self, items) -> List[bool]:
-        return [b == 0x31 for b in self._call("MSETNX",
-                                              payload=_pack_items(items))]
-
-    def len(self) -> int:
-        return int(self._call("LEN"))
-
-    def snapshot(self) -> dict:
+    def _snapshot(self) -> dict:
         if self.wal is None:
             raise StoreError("shard has no persistence configured")
         with self.lock:
-            items = self.backend.items()
+            items = list(self.data.items())
             self.wal.begin_snapshot()
         keys = self.wal.write_snapshot(items)["keys"]
         return dict(self.wal.info(), keys=keys)
@@ -684,10 +754,11 @@ class _ServerConnection(asyncio.Protocol):
     per-connection write queue.
 
     Error discipline: framing violations get one ERR frame and a close
-    (after a malformed SET header the payload boundary is unknowable —
-    continuing would parse payload bytes as the next header);
-    application errors get an ERR frame and the connection continues;
-    KeyNotFound is ``NF``.
+    (after a payload-carrying header with a bad length or the wrong
+    arity the payload boundary is unknowable — continuing would parse
+    payload bytes as the next header); application errors, unknown
+    commands and a payload-less command's wrong arity get an ERR frame
+    and the connection continues; KeyNotFound is ``NF``.
     """
 
     def __init__(self, owner: "AsyncNetKVServer") -> None:
@@ -782,7 +853,7 @@ class _ServerConnection(asyncio.Protocol):
 
     def _err_close(self, msg: str) -> None:
         try:
-            self.transport.write(f"ERR {msg}\n".encode("utf-8", "replace"))
+            self.transport.write(_err_frame(msg))
             self.transport.close()
         except Exception:
             pass
@@ -873,25 +944,37 @@ class _ServerConnection(asyncio.Protocol):
                     self._err_close("header is not UTF-8")
                     return
                 cmd, args = parts[0].upper(), parts[1:]
+                command = _BY_WORD.get(cmd)
+                # A payload's length is the header's last argument.
+                if command is None or len(args) - command.payload not in command.arity:
+                    msg = _header_error(cmd, command)
+                    if command is not None and command.payload:
+                        # Where the payload ends is unknown: the bytes
+                        # that follow cannot be trusted as a header.
+                        await flush()
+                        self._err_close(msg)
+                        return
+                    out.append(_err_frame(msg))
+                    out_bytes += len(out[-1])
+                    continue
                 payload = b""
-                try:
-                    if cmd in ("SET", "MGET", "MSET", "MSETNX", "MDEL"):
-                        length, args = _payload_length(cmd, args, owner.max_payload)
-                        body = self.buf.take_exact(length)
-                        if body is None:
+                if command.payload:
+                    try:
+                        length = _payload_length(cmd, args.pop(), owner.max_payload)
+                        payload = self.buf.take_exact(length)
+                        if payload is None:
                             await flush()
-                            body = await self.read_exact(length)
-                        payload = body
-                except WireProtocolError as exc:
-                    # Framing is broken (bad length field, oversized
-                    # payload): the bytes that follow cannot be trusted
-                    # as a header.
-                    await flush()
-                    self._err_close(str(exc))
-                    return
-                except ConnectionError:
-                    return
-                if cmd == "SNAPSHOT":
+                            payload = await self.read_exact(length)
+                    except WireProtocolError as exc:
+                        # Framing is broken (bad length field, oversized
+                        # payload): the bytes that follow cannot be
+                        # trusted as a header.
+                        await flush()
+                        self._err_close(str(exc))
+                        return
+                    except ConnectionError:
+                        return
+                if command.handle is None:  # SNAPSHOT
                     # Needs awaits (items copy + freeze under the
                     # dispatch lock, file write on an executor), so it
                     # cannot run inside _dispatch or the span below.
@@ -906,8 +989,7 @@ class _ServerConnection(asyncio.Protocol):
                         out.append(response)
                         out_bytes += len(hdr) + len(response)
                     except Exception as exc:
-                        msg = str(exc).replace("\n", " ")[:500]
-                        out.append(f"ERR {msg}\n".encode("utf-8"))
+                        out.append(_err_frame(str(exc)))
                         out_bytes += len(out[-1])
                     if out_bytes >= _FLUSH_BYTES:
                         await flush()
@@ -931,8 +1013,7 @@ class _ServerConnection(asyncio.Protocol):
                         self._err_close(str(exc))
                         return
                     except Exception as exc:  # application errors → ERR frames
-                        msg = str(exc).replace("\n", " ")[:500]
-                        out.append(f"ERR {msg}\n".encode("utf-8"))
+                        out.append(_err_frame(str(exc)))
                         out_bytes += len(out[-1])
                         continue
                     hdr = b"OK %d\n" % len(response)
@@ -940,7 +1021,7 @@ class _ServerConnection(asyncio.Protocol):
                     out.append(response)
                     out_bytes += len(hdr) + len(response)
                     compact_due = False
-                    if wal is not None and cmd in _MUTATING:
+                    if wal is not None and command.mutating:
                         # The burst's responses now depend on the log
                         # up to here; flush() will group-commit first.
                         wal_need = wal.seq
@@ -966,8 +1047,8 @@ class _ServerConnection(asyncio.Protocol):
 
 
 class AsyncNetKVServer:
-    """One networked shard (``NetKVServer``): an in-memory
-    :class:`KVServer` served from a dedicated event loop.
+    """One networked shard (``NetKVServer``): an in-memory key space
+    (``data``, a dict) served from a dedicated event loop.
 
     The listening socket is bound in the constructor so ``address`` is
     available before ``start()`` (and a restart can rebind the same
@@ -992,7 +1073,7 @@ class AsyncNetKVServer:
                  durability: Optional[DurabilityConfig] = None) -> None:
         # Recovery happens here, before the port accepts anything, so
         # the first request already sees every previously acked write.
-        self.backend, self.wal = open_shard(persist_dir, durability)
+        self.data, self.wal = open_shard(persist_dir, durability)
         self.lock = threading.Lock()
         self.fault_injector = fault_injector
         self.max_payload = max_payload
@@ -1070,10 +1151,10 @@ class AsyncNetKVServer:
         async with self._snap_lock:
             with self.lock:
                 if not force and not self.wal.needs_compaction():
-                    return {"keys": len(self.backend),
+                    return {"keys": len(self.data),
                             "snapshots": self.wal.snapshots,
                             "wal_bytes": self.wal.wal_bytes}
-                items = list(self.backend.items())
+                items = list(self.data.items())
                 self.wal.begin_snapshot()
             return await asyncio.get_running_loop().run_in_executor(
                 None, self.wal.write_snapshot, items)
@@ -1142,37 +1223,13 @@ class AsyncNetKVServer:
 # --- client side ----------------------------------------------------------
 
 
-def _join_keys(keys: List[str]) -> bytes:
-    return "\x00".join(_check_wire_key(k) for k in keys).encode("utf-8")
+def _frame(command: _Command, args, payload: bytes) -> bytes:
+    """One request frame: the header line, then the payload."""
+    header = " ".join((command.word, *args))
+    if command.payload:
+        header += " %d" % len(payload)
+    return header.encode("utf-8") + b"\n" + payload
 
-
-def _batch(cmd: str, payload: bytes, n: int) -> Tuple[str, bytes, int]:
-    return f"{cmd} {len(payload)}", payload, n
-
-
-# Channel method -> encoder of its arguments into ``(header, payload,
-# aux)``; the header's first word is the wire op. ``aux`` is the key a
-# NF reply names, or the key count a batch reply must match. Encoding
-# runs in ``_post``, before a connection is taken; every key in a
-# header is checked, since a reserved byte would split the frame and
-# leave a second reply on the connection.
-_REQUESTS: Dict[str, Callable] = {
-    "ping": lambda: ("PING", b"", None),
-    "set": lambda key, value: (
-        f"SET {_check_wire_key(key)} {len(value)}", value, key),
-    "get": lambda key: (f"GET {_check_wire_key(key)}", b"", key),
-    "delete": lambda key: (f"DEL {_check_wire_key(key)}", b"", key),
-    "keys": lambda prefix="": (
-        f"KEYS {_check_wire_key(prefix)}" if prefix else "KEYS", b"", None),
-    "rename": lambda src, dst: (
-        f"RENAME {_check_wire_key(src)} {_check_wire_key(dst)}", b"", src),
-    "mget": lambda keys: _batch("MGET", _join_keys(keys), len(keys)),
-    "mset": lambda items: _batch("MSET", _pack_items(items), len(items)),
-    "mdelete": lambda keys: _batch("MDEL", _join_keys(keys), len(keys)),
-    "msetnx": lambda items: _batch("MSETNX", _pack_items(items), len(items)),
-    "snapshot": lambda: ("SNAPSHOT", b"", None),
-    "len": lambda: ("LEN", b"", None),
-}
 
 # Idle connections a channel keeps for reuse. A caller that finds none
 # idle opens another, so a channel holds one connection per caller that
@@ -1304,7 +1361,7 @@ class _Request:
         self.result = result
 
 
-class AsyncClientChannel:
+class AsyncClientChannel(_Channel):
     """Blocking connection pool to one shard (``NetKVClient``).
 
     A call runs on the caller's thread in two steps, :meth:`_post` then
@@ -1384,9 +1441,6 @@ class AsyncClientChannel:
 
     # --- one call: post, then wait ------------------------------------------
 
-    def _submit(self, name: str, args: tuple = ()):
-        return self._wait(self._post(name, args))
-
     def _post(self, name: str, args: tuple = ()) -> _Request:
         """First half of a call: send ``name(*args)`` to the shard.
 
@@ -1394,13 +1448,14 @@ class AsyncClientChannel:
         retry; only a closed channel or a key the wire cannot carry
         raises here.
         """
-        header, payload, aux = _REQUESTS[name](*args)
-        kind = header.split(" ", 1)[0]
-        if kind in _BATCH and not aux:
-            return _Request(kind, aux, None, 0 if kind == "MSET" else [])
+        command = _BY_NAME[name]
+        header, payload, aux = command.encode(*args)
+        if command.empty is not None and not aux:
+            return _Request(command.word, aux, None,
+                            command.parse(command.empty, aux))
         if self._closed:
             raise StoreUnavailable(f"channel to {self.address} is closed")
-        req = _Request(kind, aux, header.encode("utf-8") + b"\n" + payload)
+        req = _Request(command.word, aux, _frame(command, header, payload))
         self._send(req, self._checkout)
         return req
 
@@ -1517,81 +1572,15 @@ class AsyncClientChannel:
         """The value of an OK body; a body that does not parse for its
         op (bad UTF-8, a non-integer count, broken JSON) is a
         :class:`WireProtocolError`."""
+        command = _BY_WORD[req.kind]
         try:
-            return self._parse(req, raw)
+            value = command.parse(raw, req.aux)
         except ValueError as exc:
             raise WireProtocolError(
                 f"malformed {req.kind} response: {exc}") from None
-
-    def _parse(self, req: _Request, raw: bytes):
-        kind = req.kind
-        if kind == "GET":
-            return raw
-        if kind in ("SET", "DEL", "RENAME"):
-            return None
-        if kind == "PING":
-            return raw == b"PONG"
-        if kind == "KEYS":
-            return raw.decode("utf-8").split("\x00") if raw else []
-        if kind == "LEN":
-            return int(raw)
-        if kind == "SNAPSHOT":
-            return json.loads(raw.decode("utf-8"))
-        n = req.aux
-        if kind == "MGET":
-            out = _unpack_values(raw, n)
-        elif kind == "MSET":
-            out = int(raw)
-        else:  # MDEL, MSETNX: one '1'/'0' flag per key
-            if len(raw) != n or raw.strip(b"01"):
-                raise WireProtocolError(
-                    f"malformed {kind} response: {raw[:64]!r}")
-            out = [b == 0x31 for b in raw]
-        self.stats.note_batch(n)
-        return out
-
-    # --- public blocking surface ------------------------------------------
-
-    def ping(self) -> bool:
-        return self._submit("ping")
-
-    def set(self, key: str, value: bytes) -> None:
-        self._submit("set", (key, value))
-
-    def get(self, key: str) -> bytes:
-        return self._submit("get", (key,))
-
-    def delete(self, key: str) -> None:
-        self._submit("delete", (key,))
-
-    def keys(self, prefix: str = "") -> List[str]:
-        return self._submit("keys", (prefix,))
-
-    def rename(self, src: str, dst: str) -> None:
-        self._submit("rename", (src, dst))
-
-    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
-        """Values for ``keys`` in order; None where the key is missing."""
-        return self._submit("mget", (keys,))
-
-    def mset(self, items: List[Tuple[str, bytes]]) -> int:
-        return self._submit("mset", (items,))
-
-    def mdelete(self, keys: List[str]) -> List[bool]:
-        """Delete ``keys``; per-key flags say which existed."""
-        return self._submit("mdelete", (keys,))
-
-    def msetnx(self, items: List[Tuple[str, bytes]]) -> List[bool]:
-        """Set each pair only where the key is absent; per-key flags say
-        which were stored (the migration copier's no-overwrite write)."""
-        return self._submit("msetnx", (items,))
-
-    def snapshot(self) -> dict:
-        """Ask the shard to write a snapshot and compact its WAL."""
-        return self._submit("snapshot")
-
-    def __len__(self) -> int:
-        return self._submit("len")
+        if command.empty is not None:
+            self.stats.note_batch(req.aux)
+        return value
 
     def close(self) -> None:
         with self._lock:

@@ -14,22 +14,16 @@ server, client channel, framing — lives in :mod:`repro.datastore.aio`;
 
 Protocol (text header + raw payload, one request per round trip)::
 
-    request : <CMD> [args...] <payload_len>\\n<payload bytes>
+    request : <CMD> [args...] [<payload_len>]\\n<payload bytes>
     response: OK <len>\\n<payload>   |   NF\\n   |   ERR <message>\\n
 
-Commands: PING, SET key, GET key, DEL key, KEYS prefix, RENAME src dst,
-LEN, FLUSH, SNAPSHOT — plus the pipelined batch commands MGET, MSET,
+Commands: PING, SET key, GET key, DEL key, KEYS [prefix], RENAME src
+dst, LEN, SNAPSHOT — plus the pipelined batch commands MGET, MSET,
 MSETNX and MDEL, which carry many keys (and values) in a single round
-trip::
-
-    MGET <payload_len>\\n<keys joined by NUL>
-        -> OK frame whose payload is, per key in order,
-           "<n>\\n<value bytes>" (n = -1 and no bytes for a missing key)
-    MSET <payload_len>\\n<repeated "<key> <n>\\n<value bytes>" blocks>
-        -> OK frame whose payload is the decimal count stored
-    MDEL <payload_len>\\n<keys joined by NUL>
-        -> OK frame whose payload is one '1'/'0' flag byte per key
-           ('1' = the key existed and was deleted)
+trip. Each is one entry of ``aio._COMMANDS``, the table both ends
+derive from; DESIGN.md, "Wire protocol", lists their payloads and
+replies. A header with the wrong number of arguments is an ``ERR``,
+and for a payload-carrying command also a close.
 
 A :class:`NetKVCluster` client routes keys over several servers by
 Redis Cluster's hash-slot rule (:func:`key_slot`), and can replicate

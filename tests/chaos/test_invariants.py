@@ -64,7 +64,7 @@ def test_stale_read_maps_to_invariant_name(campaign):
 def test_durability_maps_to_invariant_name(campaign):
     suite = InvariantSuite()
     shard = campaign.store.shards[0]
-    shard.backend.set("never-logged", b"x")  # memory ahead of the WAL
+    shard.data["never-logged"] = b"x"  # memory ahead of the WAL
     out = suite.check_round(campaign, 2)
     assert [v.invariant for v in out] == ["durability_after_crash"]
 

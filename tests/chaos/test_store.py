@@ -219,7 +219,7 @@ def test_verify_durable_catches_memory_ahead_of_the_wal(quiet_store):
     store = quiet_store()
     store.write("k", b"v")
     shard = store.shards[holders(store, "k")[0]]
-    shard.backend.set("k", b"never logged")  # behind the WAL's back
+    shard.data["k"] = b"never logged"  # behind the WAL's back
     assert store.verify_durable() == [
         f"shard {shard.address[1]} memory differs from its WAL replay: k"]
 

@@ -1,6 +1,6 @@
 """``kv://``: the NetKV cluster over in-process shards.
 
-Slotting (``netkv.key_slot``), the shard backend (``aio.KVServer``) and
+Slotting (``netkv.key_slot``), one in-process shard (``aio.LocalShard``) and
 the in-process cluster ``open_store("kv://N")`` builds: N
 ``aio.LocalShard`` channels under the production ``NetKVCluster``.
 """
@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.datastore import NetKVStore, StoreUnavailable, open_store
-from repro.datastore.aio import KVServer
+from repro.datastore.aio import LocalShard
 from repro.datastore.base import KeyNotFound
 from repro.datastore.netkv import key_slot
 
@@ -33,18 +33,21 @@ class TestKeySlot:
         assert key_slot("123456789") == 12739 % 16384
 
 
-class TestKVServer:
+class TestLocalShard:
+    """One in-process shard through its channel methods: the same table
+    entries (encoder, handler, reply parser) the socket channel uses."""
+
     def test_set_get(self):
-        s = KVServer()
+        s = LocalShard(("local", 0))
         s.set("k", b"v")
         assert s.get("k") == b"v"
 
     def test_get_missing(self):
         with pytest.raises(KeyNotFound):
-            KVServer().get("k")
+            LocalShard(("local", 0)).get("k")
 
     def test_delete(self):
-        s = KVServer()
+        s = LocalShard(("local", 0))
         s.set("k", b"v")
         s.delete("k")
         assert len(s) == 0
@@ -52,7 +55,7 @@ class TestKVServer:
             s.delete("k")
 
     def test_rename(self):
-        s = KVServer()
+        s = LocalShard(("local", 0))
         s.set("a", b"v")
         s.rename("a", "b")
         assert s.get("b") == b"v"
@@ -60,17 +63,12 @@ class TestKVServer:
             s.rename("nope", "x")
 
     def test_scan_prefix(self):
-        s = KVServer()
+        s = LocalShard(("local", 0))
         s.set("rdf/1", b"")
         s.set("rdf/2", b"")
         s.set("other", b"")
-        assert sorted(s.scan("rdf/")) == ["rdf/1", "rdf/2"]
-
-    def test_flush(self):
-        s = KVServer()
-        s.set("k", b"12345")
-        s.flush()
-        assert len(s) == 0
+        assert s.keys("rdf/") == ["rdf/1", "rdf/2"]
+        assert s.data == {"rdf/1": b"", "rdf/2": b"", "other": b""}
 
 
 def _shard_sizes(store):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.datastore import aio, netkv
 from repro.datastore.aio import AsyncClientChannel, LocalShard, LoopThread
-from repro.datastore.base import KeyNotFound, StoreUnavailable
+from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
 from repro.datastore.netkv import (
     NetKVClient,
     NetKVCluster,
@@ -58,8 +58,45 @@ def shard_channel(request):
         srv.stop()
 
 
+# One case per wire command, run on a shard holding a=A and b=B:
+# ``(args, reply, key space after)``; a reply that is an exception
+# class is the error the call raises.
+COMMAND_CASES = {
+    "ping": ((), True, {"a": b"A", "b": b"B"}),
+    "set": (("c", b"C"), None, {"a": b"A", "b": b"B", "c": b"C"}),
+    "get": (("a",), b"A", {"a": b"A", "b": b"B"}),
+    "delete": (("a",), None, {"b": b"B"}),
+    "keys": (("a",), ["a"], {"a": b"A", "b": b"B"}),
+    "rename": (("a", "z"), None, {"b": b"B", "z": b"A"}),
+    "mget": ((["a", "x", "a"],), [b"A", None, b"A"], {"a": b"A", "b": b"B"}),
+    "mset": (([("c", b"1"), ("c", b"2")],), 2,
+             {"a": b"A", "b": b"B", "c": b"2"}),
+    "mdelete": ((["a", "x", "a"],), [True, False, False], {"b": b"B"}),
+    "msetnx": (([("a", b"no"), ("n", b"N"), ("n", b"M")],),
+               [False, True, False], {"a": b"A", "b": b"B", "n": b"N"}),
+    "len": ((), 2, {"a": b"A", "b": b"B"}),
+    # A memory-only shard has nothing to snapshot.
+    "snapshot": ((), StoreError, {"a": b"A", "b": b"B"}),
+}
+
+
 class TestChannelContract:
     """What ``NetKVCluster`` relies on from any channel it is given."""
+
+    @pytest.mark.parametrize("name", [c.name for c in aio._COMMANDS])
+    def test_every_command_has_the_same_answer(self, shard_channel, name):
+        """Each table command, through its generated channel method; a
+        command added to the table without a case here fails."""
+        chan, _ = shard_channel
+        args, reply, after = COMMAND_CASES[name]
+        chan.mset([("a", b"A"), ("b", b"B")])
+        if isinstance(reply, type):
+            with pytest.raises(reply):
+                getattr(chan, name)(*args)
+        else:
+            assert getattr(chan, name)(*args) == reply
+        keys = chan.keys()
+        assert dict(zip(keys, chan.mget(keys))) == after
 
     def test_replies_come_back_in_call_order(self, shard_channel):
         chan, _ = shard_channel

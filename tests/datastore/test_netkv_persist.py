@@ -27,7 +27,6 @@ from repro.datastore.netkv import (
     key_slot,
 )
 from repro.datastore.wal import DurabilityConfig
-from tests.datastore.test_netkv_protocol import raw_exchange
 
 pytestmark = [pytest.mark.persist, pytest.mark.async_transport]
 
@@ -97,24 +96,19 @@ def test_restart_does_not_resurrect_deletes(tmp_path):
             srv.stop()
 
 
-def test_restart_preserves_rename_and_flush(tmp_path):
+def test_restart_preserves_rename(tmp_path):
     srv = durable_server(tmp_path, "shard0")
     with client_for(srv) as c:
         c.set("old", b"x")
         c.rename("old", "new")
-        c.set("pre-flush", b"y")
-        # No client wrapper for FLUSH; send the wire frame itself.
-        assert raw_exchange(srv.address, b"FLUSH\n") == (b"OK 0\n", False)
-        c.set("post-flush", b"z")
     srv.stop()
 
     srv = durable_server(tmp_path, "shard0")
     try:
         with client_for(srv) as c:
-            assert c.get("post-flush") == b"z"
-            for missing in ("old", "new", "pre-flush"):
-                with pytest.raises(KeyNotFound):
-                    c.get(missing)
+            assert c.get("new") == b"x"
+            with pytest.raises(KeyNotFound):
+                c.get("old")
     finally:
         srv.stop()
 

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.datastore import aio
 from repro.datastore.base import StoreError
 from repro.datastore.netkv import NetKVClient, NetKVServer, WireProtocolError
 
@@ -19,6 +20,13 @@ def server():
     srv = NetKVServer().start()
     yield srv
     srv.stop()
+
+
+@pytest.fixture
+def client(server):
+    c = NetKVClient(server.address)
+    yield c
+    c.close()
 
 
 def raw_exchange(address, data, timeout=2.0):
@@ -44,39 +52,53 @@ def raw_exchange(address, data, timeout=2.0):
         return b"".join(chunks), closed
 
 
-class TestSetHeaderDesync:
-    def test_non_integer_length_errs_and_closes(self, server):
+PAYLOAD_COMMANDS = [c for c in aio._COMMANDS if c.payload]
+
+
+def _header(command, length):
+    """A header for a payload-carrying command with the given length
+    field (None: the field left out)."""
+    words = [command.word] + ["k"] * command.arity[0]
+    if length is not None:
+        words.append(length)
+    return " ".join(words).encode() + b"\n"
+
+
+@pytest.mark.parametrize("command", PAYLOAD_COMMANDS, ids=lambda c: c.word)
+class TestPayloadHeaderDesync:
+    """The length field of every payload-carrying command is checked
+    before a byte of payload is read."""
+
+    def test_non_integer_length_errs_and_closes(self, server, command):
         # Before the fix the payload bytes were parsed as the next
         # header; now the connection gets one ERR and is closed.
         resp, closed = raw_exchange(server.address,
-                                    b"SET k notanint\nPAYLOADBYTES")
+                                    _header(command, "notanint") + b"PAYLOADBYTES")
         assert resp.startswith(b"ERR ")
         assert resp.count(b"ERR") == 1  # payload was NOT parsed as a header
         assert closed
 
-    def test_negative_length_errs_and_closes(self, server):
-        resp, closed = raw_exchange(server.address, b"SET k -5\n")
+    def test_negative_length_errs_and_closes(self, server, command):
+        resp, closed = raw_exchange(server.address, _header(command, "-5"))
         assert resp.startswith(b"ERR ")
         assert closed
 
-    def test_absurd_length_errs_and_closes(self, server):
+    def test_absurd_length_errs_and_closes(self, server, command):
         resp, closed = raw_exchange(server.address,
-                                    b"SET k 999999999999999\n")
+                                    _header(command, "999999999999999"))
         assert resp.startswith(b"ERR ")
         assert closed
 
-    def test_missing_length_errs_and_closes(self, server):
-        resp, closed = raw_exchange(server.address, b"SET keyonly\n")
+    def test_missing_length_errs_and_closes(self, server, command):
+        resp, closed = raw_exchange(server.address, _header(command, None))
         assert resp.startswith(b"ERR ")
         assert closed
 
-    def test_server_survives_malformed_set(self, server):
-        raw_exchange(server.address, b"SET k notanint\nJUNK")
-        client = NetKVClient(server.address)
+    def test_server_survives_malformed_header(self, server, client, command):
+        raw_exchange(server.address, _header(command, "notanint") + b"JUNK")
         client.set("k", b"clean")
         assert client.get("k") == b"clean"
         assert len(client) == 1  # no junk keys leaked into the backend
-        client.close()
 
 
 class TestEmptyHeader:
@@ -192,3 +214,69 @@ class TestConcurrentClientsOneShard:
         probe = NetKVClient(server.address)
         assert len(probe) == 160
         probe.close()
+
+
+def _arity_message(command):
+    takes = " or ".join(str(n) for n in command.arity)
+    length = " and a payload length" if command.payload else ""
+    return f"ERR {command.word} takes {takes} argument(s){length}\n".encode()
+
+
+def _wrong_arity_headers(command):
+    """Headers for ``command`` with one argument too many and, where it
+    takes any, one too few (a payload's length field kept)."""
+    counts = [max(command.arity) + 1]
+    if min(command.arity) > 0:
+        counts.append(min(command.arity) - 1)
+    for n in counts:
+        words = [command.word] + [f"k{i}" for i in range(n)]
+        if command.payload:
+            words.append("0")
+        yield " ".join(words).encode() + b"\n"
+
+
+@pytest.mark.parametrize("command", aio._COMMANDS, ids=lambda c: c.word)
+class TestWrongArity:
+    """A header with the wrong number of arguments is an error, never a
+    partial op: the shard once ignored extra arguments (``DEL a b``
+    deleted only ``a``) and indexed missing ones."""
+
+    def test_wrong_arity_is_an_error(self, server, client, command):
+        client.set("k0", b"v")
+        for header in _wrong_arity_headers(command):
+            resp, closed = raw_exchange(server.address, header + b"PING\n")
+            if command.payload:
+                # Where the payload ends is unknown: ERR, then close.
+                assert (resp, closed) == (_arity_message(command), True)
+            else:
+                # One ERR, and the connection keeps serving.
+                assert (resp, closed) == (
+                    _arity_message(command) + b"OK 4\nPONG", False)
+        assert client.keys() == ["k0"]
+        assert client.get("k0") == b"v"
+
+
+class TestWireCommandsByExample:
+    def test_del_with_two_keys_deletes_neither(self, server, client):
+        client.set("a", b"1")
+        client.set("b", b"2")
+        resp, closed = raw_exchange(server.address, b"DEL a b\n")
+        assert (resp, closed) == (b"ERR DEL takes 1 argument(s)\n", False)
+        assert client.keys() == ["a", "b"]
+
+    def test_set_with_two_keys_stores_nothing(self, server, client):
+        resp, closed = raw_exchange(server.address, b"SET x y 1\nz")
+        assert resp == b"ERR SET takes 1 argument(s) and a payload length\n"
+        assert closed
+        assert client.keys() == []
+
+    def test_get_without_a_key_names_its_arity(self, server):
+        resp, closed = raw_exchange(server.address, b"GET\nPING\n")
+        assert (resp, closed) == (
+            b"ERR GET takes 1 argument(s)\nOK 4\nPONG", False)
+
+    def test_flush_is_not_a_wire_command(self, server, client):
+        client.set("k", b"v")
+        resp, closed = raw_exchange(server.address, b"FLUSH\n")
+        assert (resp, closed) == (b"ERR unknown command 'FLUSH'\n", False)
+        assert client.get("k") == b"v"

@@ -272,7 +272,7 @@ class TestHungReplicaInGather:
             assert cluster.stats.retries == 2
             assert cluster.stats.exhausted == 0
             for server in servers:
-                assert sorted(server.backend.scan("")) == ["{t}dst"]
+                assert sorted(server.data) == ["{t}dst"]
             assert sum(inj.injected["delay"] for inj in injectors) == 2
         finally:
             cluster.close()
