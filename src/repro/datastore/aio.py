@@ -394,7 +394,8 @@ class _Command:
 
     ``arity``: the header argument counts accepted, a payload's length
     field not counted; ``payload``: a length-prefixed payload follows.
-    A ``mutating`` command's ack waits on its WAL records. ``empty``
+    A ``mutating`` command's ack waits on its WAL records (so a read
+    never waits on another connection's fsync). ``empty``
     marks a batch command: the reply body an empty batch stands for,
     which both channels answer without a round trip.
     ``encode(*args) -> (header args, payload, aux)``, with ``aux`` the
@@ -942,6 +943,10 @@ class _ServerConnection(asyncio.Protocol):
                     parts = header.decode("utf-8").split()
                 except UnicodeDecodeError:
                     self._err_close("header is not UTF-8")
+                    return
+                if not parts:  # whitespace only
+                    await flush()
+                    self._err_close("empty header")
                     return
                 cmd, args = parts[0].upper(), parts[1:]
                 command = _BY_WORD.get(cmd)

@@ -109,6 +109,11 @@ class TestEmptyHeader:
         assert resp.startswith(b"ERR ")
         assert closed
 
+    def test_whitespace_only_header_is_a_protocol_error(self, server):
+        # It once closed the connection with no ERR frame.
+        resp, closed = raw_exchange(server.address, b"  \t \nPING\n")
+        assert (resp, closed) == (b"ERR empty header\n", True)
+
     def test_server_usable_after_blank_line_peer(self, server):
         raw_exchange(server.address, b"\n")
         client = NetKVClient(server.address)
