@@ -26,7 +26,7 @@ GATES = [
      "exercises durable shards (WAL fsync, crash recovery, snapshots, "
      "migration)"),
     ("REPRO_SKIP_MATCHER_SCALE", "matcher_scale",
-     "builds 10k-40k-node resource graphs for the partitioned-matcher "
+     "builds 10k-40k-node resource graphs for the matcher scale "
      "sweeps"),
 ]
 

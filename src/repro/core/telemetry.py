@@ -57,10 +57,10 @@ class TelemetryReport:
       ``spans`` and ``dropped`` (counts) and per-stage ``count`` /
       ``total_ms`` (milliseconds); empty when tracing is off.
     - ``scheduler``: matcher and queue counters when the WM drives a
-      Flux-backed adapter — ``policy``, ``partitioned`` flag, match
-      ``calls`` / ``matched`` / ``failed``, traversal cost
-      (``vertices_visited``, ``partitions_skipped``), gang accounting
-      (``gang_calls`` / ``gang_matched`` / ``gang_rollbacks``), and
+      Flux-backed adapter — ``policy``, then every
+      :class:`~repro.sched.matcher.MatchStats` field (match ``calls`` /
+      ``matched`` / ``failed``, traversal cost ``vertices_visited`` /
+      ``partitions_skipped``, gang and preemption accounting), then
       queue-level ``backfilled`` / ``preempted`` / ``gangs_placed``
       (all counts); empty for non-Flux adapters.
     """
@@ -149,20 +149,9 @@ def collect_telemetry(wm: WorkflowManager) -> TelemetryReport:
     scheduler: Dict[str, Any] = {}
     flux = getattr(wm.adapter, "flux", None)
     if flux is not None:
-        st = flux.matcher.stats
         scheduler = {
             "policy": flux.matcher.policy.value,
-            "partitioned": flux.matcher.partitioned,
-            "calls": st.calls,
-            "matched": st.matched,
-            "failed": st.failed,
-            "vertices_visited": st.vertices_visited,
-            "partitions_skipped": st.partitions_skipped,
-            "gang_calls": st.gang_calls,
-            "gang_matched": st.gang_matched,
-            "gang_rollbacks": st.gang_rollbacks,
-            "preempt_calls": st.preempt_calls,
-            "preempt_evictions": st.preempt_evictions,
+            **dataclasses.asdict(flux.matcher.stats),
             "backfilled": flux.queue.backfilled,
             "preempted": flux.queue.preempted,
             "gangs_placed": flux.queue.gangs_placed,
@@ -230,8 +219,7 @@ def render_report(report: TelemetryReport) -> str:
     if report.scheduler:
         sc = report.scheduler
         lines.append(
-            f"  scheduler: {sc['policy']} "
-            f"({'partitioned' if sc['partitioned'] else 'flat'}), "
+            f"  scheduler: {sc['policy']}, "
             f"{sc['matched']}/{sc['calls']} matches, "
             f"{sc['vertices_visited']} vertices visited, "
             f"{sc['partitions_skipped']} partitions skipped; "

@@ -59,12 +59,11 @@ def paper_job_mix(scale: float = 1.0) -> List[JobSpec]:
     return mix
 
 
-def run_policy_emulation(policy: MatchPolicy, scale: float = 1.0,
-                         partitioned: bool = True) -> EmulationResult:
+def run_policy_emulation(policy: MatchPolicy, scale: float = 1.0) -> EmulationResult:
     """Match the full job mix under one policy on a scaled Summit graph."""
     nnodes = max(2, int(4000 * scale))
     graph = summit_like(nnodes)
-    matcher = Matcher(graph, policy, partitioned=partitioned)
+    matcher = Matcher(graph, policy)
     mix = paper_job_mix(scale)
     t0 = time.perf_counter()
     matched = 0
@@ -94,18 +93,16 @@ def compare_policies(scale: float = 1.0) -> Dict[str, EmulationResult]:
 class ScaleProbeResult:
     """Per-call matcher cost on a nearly-full machine of ``nnodes``.
 
-    This is the regime where the flat greedy scan degrades to O(nodes):
-    the rotating cursor is usually far from the few free nodes, so every
-    call walks most of the machine. The partitioned scan dismisses full
-    partitions with one watermark check each, which is what keeps the
-    cost sublinear in machine size.
+    This is the regime where a greedy scan that walks node by node
+    degrades to O(nodes): the rotating cursor is usually far from the
+    few free nodes, so every call walks most of the machine. The
+    watermark scan dismisses full partitions with one summary check
+    each, which is what keeps the cost sublinear in machine size.
     """
 
     nnodes: int
     policy: str
-    partitioned: bool
     probes: int
-    holes: int
     mean_call_seconds: float
     visits_per_call: float
     partitions_skipped: int
@@ -123,27 +120,14 @@ def make_nearly_full_graph(nnodes: int, holes: int = 8) -> ResourceGraph:
     return graph
 
 
-def run_matcher_scale_probe(
-    nnodes: int,
-    policy: MatchPolicy,
-    partitioned: bool,
-    probes: int = 200,
-    holes: int = 8,
-    graph: Optional[ResourceGraph] = None,
-) -> ScaleProbeResult:
-    """Measure per-call match cost at ``nnodes`` with the machine nearly full.
+def run_matcher_scale_probe(matcher: Matcher, probes: int = 200) -> ScaleProbeResult:
+    """Measure per-call match cost of ``matcher`` on its graph.
 
-    Every node except ``holes`` evenly spaced ones is claimed whole-node;
-    each probe matches one GPU job (which can only land in a hole) and
-    releases it again, so the graph state is identical for every probe
-    and for every (policy, partitioned) variant being compared. Passing
-    a prebuilt ``graph`` (from :func:`make_nearly_full_graph`) lets a
-    sweep share one backdrop across variants — the probe leaves it
-    exactly as found.
+    Each probe matches one GPU job and releases it again. On a graph
+    from :func:`make_nearly_full_graph` the job can only land in a
+    hole, and the probe leaves the graph exactly as found, so one
+    backdrop serves every matcher being compared.
     """
-    if graph is None:
-        graph = make_nearly_full_graph(nnodes, holes)
-    matcher = Matcher(graph, policy, partitioned=partitioned)
     spec = JobSpec(name="probe", ncores=3, ngpus=1)
     t0 = time.perf_counter()
     for _ in range(probes):
@@ -152,11 +136,9 @@ def run_matcher_scale_probe(
         matcher.release(alloc)
     wall = time.perf_counter() - t0
     return ScaleProbeResult(
-        nnodes=nnodes,
-        policy=policy.value,
-        partitioned=partitioned,
+        nnodes=len(matcher.graph),
+        policy=matcher.policy.value,
         probes=probes,
-        holes=holes,
         mean_call_seconds=wall / probes,
         visits_per_call=matcher.stats.visits_per_call(),
         partitions_skipped=matcher.stats.partitions_skipped,

@@ -48,7 +48,6 @@ class FluxInstance:
         mode: QueueMode = QueueMode.SYNC,
         costs: Optional[QueueCosts] = None,
         cycle_interval: float = 5.0,
-        partitioned: bool = True,
         backfill_window: int = 0,
         preemption: bool = False,
     ) -> None:
@@ -56,7 +55,7 @@ class FluxInstance:
             raise ValueError("cycle_interval must be positive")
         self.graph = graph
         self.loop = loop if loop is not None else EventLoop()
-        self.matcher = Matcher(graph, policy, partitioned=partitioned)
+        self.matcher = Matcher(graph, policy)
         self.queue = QueueManager(self.matcher, mode=mode, costs=costs,
                                   backfill_window=backfill_window,
                                   preemption=preemption)

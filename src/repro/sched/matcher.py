@@ -20,12 +20,13 @@ greedy scan (PAPERS.md: "Three Practical Workflow Schedulers",
   ensemble of specs via :meth:`Matcher.match_gang`, with reservation and
   rollback on partial failure.
 
-All policies run on the *partitioned* scan paths by default: the graph
-keeps per-partition free-resource watermarks, and partitions whose
-watermark cannot satisfy the request are skipped at the cost of one
-summary check each (:attr:`MatchStats.partitions_skipped`). Pass
-``partitioned=False`` to get the flat full-array scans — the oracle the
-property suite compares against.
+Each policy has one node scan, and both consult the graph's
+per-partition free-resource watermarks: a partition whose watermark
+cannot satisfy the request costs one summary check
+(:attr:`MatchStats.partitions_skipped`), never its members. The flat
+walks that ignore the watermarks live on as test oracles
+(``tests/sched/oracles.py``), which the property suite and the scale
+bench compare against.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class MatchPolicy(enum.Enum):
     ``gang_id`` place all-or-nothing (reservation + rollback)."""
 
 
-#: Policies whose node scan is the greedy rotating-cursor first-match walk.
-GREEDY_POLICIES = (MatchPolicy.FIRST_MATCH, MatchPolicy.BACKFILL, MatchPolicy.GANG)
-
-
 @dataclass
 class MatchStats:
     """Traversal-cost accounting across match calls."""
@@ -97,19 +94,12 @@ class Matcher:
     placement proposal and the caller (the queue manager) claims it.
     That split mirrors Flux's Q/R separation and lets the queue model
     synchronous vs asynchronous communication between the two.
-
-    ``partitioned`` selects the scan implementation: watermark-skipping
-    partitioned scans (default, the 40k-node fast path) or the flat
-    full-array scans (the reference oracle). Both return identical
-    placements for identical call sequences; only the traversal cost
-    differs.
     """
 
-    def __init__(self, graph: ResourceGraph, policy: MatchPolicy = MatchPolicy.LOW_ID_FIRST,
-                 partitioned: bool = True) -> None:
+    def __init__(self, graph: ResourceGraph,
+                 policy: MatchPolicy = MatchPolicy.LOW_ID_FIRST) -> None:
         self.graph = graph
         self.policy = policy
-        self.partitioned = partitioned
         self.stats = MatchStats()
         self._rr_cursor = 0  # first-match rotating start
 
@@ -210,10 +200,8 @@ class Matcher:
         self.stats.calls += 1
         if spec.exclusive:
             placement = self._match_exclusive(spec)
-        elif spec.nnodes > 1:
-            placement = self._match_multi_node(spec)
         else:
-            placement = self._match_single_node(spec)
+            placement = self._match_shared(spec)
         if placement is None:
             self.stats.failed += 1
             return None
@@ -232,39 +220,30 @@ class Matcher:
     def _candidate_nodes(self, spec: JobSpec) -> List[Node]:
         """Feasible nodes under the current policy's traversal rule.
 
-        Feasibility is computed vectorized for speed, but the visit
-        counter charges exactly what the equivalent graph walk would:
-        the exhaustive policy inspects every node vertex it cannot
-        watermark-skip and ranks the full subtree of every feasible one
-        ("too many choices"); the greedy policies inspect node vertices
-        only up to their last hit. A watermark-skipped partition charges
-        one vertex (the summary check), never its members.
+        Feasibility is computed from the graph's free counts, but the
+        visit counter charges exactly what the equivalent graph walk
+        would: the exhaustive policy inspects every node vertex of each
+        partition its watermark admits and ranks the full subtree of
+        every feasible node ("too many choices"); the greedy policies
+        inspect node vertices only up to their last hit. A
+        watermark-skipped partition charges one vertex (the summary
+        check), never its members.
         """
         graph = self.graph
-        subtree = graph.node_subtree_size
+        stats = self.stats
         if self.policy is MatchPolicy.LOW_ID_FIRST:
-            if self.partitioned:
-                ids, examined, skipped = graph.feasible_ids_partitioned(
-                    spec.ncores, spec.ngpus, spec.exclusive
-                )
-                self.stats.vertices_visited += examined + skipped
-                self.stats.partitions_skipped += skipped
-            else:
-                ids = graph.feasible_ids(spec.ncores, spec.ngpus, spec.exclusive)
-                self.stats.vertices_visited += len(graph.nodes)  # every node checked
-            self.stats.vertices_visited += len(ids) * (subtree - 1)  # rank feasible subtrees
+            ids = graph.feasible_ids(spec.ncores, spec.ngpus, spec.exclusive)
+            examined, skipped = graph.watermark_admits(spec.ncores, spec.ngpus, spec.exclusive)
+            # Examine, then rank the subtree of every feasible node.
+            stats.vertices_visited += (examined + skipped
+                                       + len(ids) * (graph.node_subtree_size - 1))
+            stats.partitions_skipped += skipped
             return [graph.nodes[i] for i in ids]
-        if self.partitioned:
-            ids, scanned, skipped = graph.first_feasible_partitioned(
-                self._rr_cursor, spec.nnodes, spec.ncores, spec.ngpus, spec.exclusive
-            )
-            self.stats.vertices_visited += scanned + skipped
-            self.stats.partitions_skipped += skipped
-        else:
-            ids, scanned = graph.first_feasible(
-                self._rr_cursor, spec.nnodes, spec.ncores, spec.ngpus, spec.exclusive
-            )
-            self.stats.vertices_visited += scanned
+        ids, scanned, skipped = graph.first_feasible(
+            self._rr_cursor, spec.nnodes, spec.ncores, spec.ngpus, spec.exclusive
+        )
+        stats.vertices_visited += scanned + skipped
+        stats.partitions_skipped += skipped
         if len(ids) >= spec.nnodes:
             # Advance only when the request can actually place. A partial
             # multi-node hit must not rotate the cursor, or a string of
@@ -273,16 +252,7 @@ class Matcher:
             self._rr_cursor = (ids[-1] + 1) % len(graph.nodes)
         return [graph.nodes[i] for i in ids]
 
-    def _match_single_node(self, spec: JobSpec) -> Optional[List[Tuple[int, List[int], List[int]]]]:
-        candidates = self._candidate_nodes(spec)
-        if not candidates:
-            return None
-        node = candidates[0]
-        cores, gpus = node.pick(spec.ncores, spec.ngpus)
-        self._pick_cost(node, len(cores), len(gpus))
-        return [(node.node_id, cores, gpus)]
-
-    def _match_multi_node(self, spec: JobSpec) -> Optional[List[Tuple[int, List[int], List[int]]]]:
+    def _match_shared(self, spec: JobSpec) -> Optional[List[Tuple[int, List[int], List[int]]]]:
         candidates = self._candidate_nodes(spec)
         if len(candidates) < spec.nnodes:
             return None

@@ -180,10 +180,10 @@ class ResourceGraph:
     and each partition carries a max-free-core/max-free-GPU watermark
     plus a count of vacant (exclusive-feasible) nodes. A request that
     exceeds a partition's watermark cannot place anywhere inside it, so
-    the partitioned scan paths (:meth:`first_feasible_partitioned`,
-    :meth:`feasible_ids_partitioned`) skip the whole partition at the
-    cost of one summary check — what keeps first-match sublinear at
-    40k-node scale. The watermarks are read off per-partition
+    :meth:`first_feasible` skips the whole partition at the cost of one
+    summary check — what keeps first-match sublinear at 40k-node scale —
+    and :meth:`watermark_admits` gives the low-id policy the same
+    per-partition charge. The watermarks are read off per-partition
     histograms of undrained nodes by free-core and free-GPU count:
     claim/release move each touched node between buckets, so their
     upkeep costs O(nodes touched), not O(partition_size). A watermark
@@ -392,61 +392,18 @@ class ResourceGraph:
         ncores: int,
         ngpus: int,
         exclusive: bool = False,
-        chunk: int = 64,
-    ) -> Tuple[List[int], int]:
+    ) -> Tuple[List[int], int, int]:
         """First ``need`` feasible nodes scanning circularly from ``start``.
 
-        Returns (node ids, nodes scanned). The scan proceeds in chunks
-        and stops as soon as enough nodes are found, which is exactly
+        Walks the circular node order from ``start`` in partition-aligned
+        segments and stops as soon as enough nodes are found, which is
         what makes the first-match policy cheap on a lightly loaded
-        machine.
-        """
-        n = len(self.nodes)
-        if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
-            return [], 0
-        found: List[int] = []
-        scanned = 0
-        pos = start % n
-        while scanned < n and len(found) < need:
-            width = min(chunk, n - scanned)
-            idx = (pos + np.arange(width)) % n
-            if exclusive:
-                ok = (self._fc[idx] == self.cores_per_node) & (
-                    self._fg[idx] == self.gpus_per_node
-                )
-            else:
-                ok = (self._fc[idx] >= ncores) & (self._fg[idx] >= ngpus)
-            ok &= ~self._drained_mask[idx]
-            hits = idx[ok]
-            for h in hits:
-                found.append(int(h))
-                if len(found) >= need:
-                    # Count only the positions actually inspected up to the hit.
-                    offset = int(np.nonzero(idx == h)[0][0]) + 1
-                    return found, scanned + offset
-            scanned += width
-            pos = (pos + width) % n
-        return found, scanned
-
-    # --- partitioned feasibility (the 40k-node fast path) ------------------
-
-    def first_feasible_partitioned(
-        self,
-        start: int,
-        need: int,
-        ncores: int,
-        ngpus: int,
-        exclusive: bool = False,
-    ) -> Tuple[List[int], int, int]:
-        """Like :meth:`first_feasible`, but watermark-skipping.
-
-        Walks the same circular node order from ``start`` but in
-        partition-aligned segments: a segment whose partition watermark
-        cannot satisfy the request is skipped wholesale (its nodes are
-        never inspected). Returns ``(node ids, nodes scanned,
-        partitions skipped)`` — the ids are identical to what the flat
-        scan would return, because the skip rule only drops partitions
-        with no feasible node at all.
+        machine. A segment whose partition watermark cannot satisfy the
+        request is skipped wholesale (its nodes are never inspected),
+        which keeps it cheap on a nearly full one. Returns ``(node ids,
+        nodes scanned, partitions skipped)``; the skip rule only drops
+        partitions with no feasible node, so the ids are those a
+        node-by-node walk would find.
         """
         n = len(self.nodes)
         if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
@@ -482,27 +439,27 @@ class ResourceGraph:
             scanned += hi - lo
         return found, scanned, skipped
 
-    def feasible_ids_partitioned(
-        self, ncores: int, ngpus: int, exclusive: bool = False
-    ) -> Tuple[np.ndarray, int, int]:
-        """Ascending feasible node ids, examining only partitions whose
-        watermark can satisfy the request.
+    def watermark_admits(self, ncores: int, ngpus: int,
+                         exclusive: bool = False) -> Tuple[int, int]:
+        """``(nodes in admitting partitions, partitions skipped)``.
 
-        Returns ``(ids, nodes examined, partitions skipped)``; the ids
-        equal :meth:`feasible_ids` output exactly.
+        A partition admits the request when its watermark says some
+        node in it could host one unit. This is what a low-id walk that
+        checks each partition summary first would examine: every node
+        of an admitting partition, and only the summary of the others.
         """
-        if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
-            return np.empty(0, dtype=np.int64), 0, 0
         if exclusive:
+            if ncores > self.cores_per_node or ngpus > self.gpus_per_node:
+                return 0, 0
             admit = np.frombuffer(self._part_nvacant, dtype=np.intc) > 0
         else:
             admit = ((np.frombuffer(self._part_max_fc, dtype=np.intc) >= ncores)
                      & (np.frombuffer(self._part_max_fg, dtype=np.intc) >= ngpus))
-        node_admit = np.repeat(admit, self.partition_size)[:len(self.nodes)]
-        ids = np.nonzero(node_admit & self.feasible_mask(ncores, ngpus, exclusive))[0]
-        examined = int(np.count_nonzero(node_admit))
-        skipped = self.npartitions - int(np.count_nonzero(admit))
-        return ids, examined, skipped
+        nadmit = int(np.count_nonzero(admit))
+        examined = nadmit * self.partition_size
+        if admit[-1]:  # the last partition may be short
+            examined -= self.npartitions * self.partition_size - len(self.nodes)
+        return examined, self.npartitions - nadmit
 
     # --- resilience -------------------------------------------------------------
 

@@ -19,11 +19,12 @@ Properties:
 - *agreement*: both paper policies succeed or fail together on a fresh
   graph (they differ in cost and choice, never in feasibility) for
   single-node requests.
-- *oracle equivalence*: the partitioned matcher is behaviorally
-  identical to the flat matcher — same allocations, same cursor, same
-  success/failure — under every policy, on mirrored call streams. Only
-  the traversal cost may differ, and then only downward (watermark
-  skips never add node visits).
+- *oracle equivalence*: the matcher, whose scans skip partitions by
+  watermark, is behaviorally identical to the flat-scan oracle
+  (``tests/sched/oracles.FlatMatcher``) — same allocations, same
+  cursor, same success/failure — under every policy, on mirrored call
+  streams. Only the traversal cost may differ, and then only downward
+  (watermark skips never add node visits).
 - *gang/preemption*: ensembles place all-or-nothing and preemption is
   all-or-nothing too; neither can leak or double-claim resources, and
   a failed attempt leaves graph and cursor untouched.
@@ -39,6 +40,7 @@ import pytest
 from repro.sched.jobspec import JobSpec
 from repro.sched.matcher import Matcher, MatchPolicy
 from repro.sched.resources import ResourceError, ResourceGraph, summit_like
+from tests.sched.oracles import FlatMatcher
 
 SEEDS = range(12)
 
@@ -189,22 +191,22 @@ def test_first_match_visits_no_more_than_exhaustive(seed):
     assert fast.stats.vertices_visited <= low.stats.vertices_visited
 
 
-# --- partitioned-vs-flat oracle equivalence ---------------------------------
+# --- watermark-vs-flat oracle equivalence -----------------------------------
 
 
 @pytest.mark.parametrize("policy", list(MatchPolicy))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partitioned_matches_flat_oracle(policy, seed):
-    """The partitioned matcher is observationally identical to the flat
-    one on a mirrored call stream: same success/failure, same node and
+    """The matcher is observationally identical to the flat-scan oracle
+    on a mirrored call stream: same success/failure, same node and
     resource ids in every allocation, same rotating cursor afterwards —
     and never more node visits (watermark skips only remove work)."""
     rng = np.random.default_rng(400 + seed)
     graph_p = random_graph(rng)
     graph_f = clone_graph(graph_p)
-    part = Matcher(graph_p, policy=policy, partitioned=True)
-    flat = Matcher(graph_f, policy=policy, partitioned=False)
-    live = []  # (partitioned alloc, flat alloc) pairs
+    part = Matcher(graph_p, policy=policy)
+    flat = FlatMatcher(graph_f, policy=policy)
+    live = []  # (matcher alloc, oracle alloc) pairs
     for step in range(80):
         if live and rng.random() < 0.3:
             ap, af = live.pop(int(rng.integers(len(live))))
@@ -226,7 +228,7 @@ def test_partitioned_matches_flat_oracle(policy, seed):
             f"cursor diverged (seed {seed}, step {step})"
         assert (part.stats.vertices_visited - before_p) <= \
             (flat.stats.vertices_visited - before_f), \
-            f"partitioned scan cost more than flat (seed {seed}, step {step})"
+            f"watermark scan cost more than flat (seed {seed}, step {step})"
     assert_partition_summaries_consistent(graph_p)
     for ap, af in live:
         part.release(ap)
@@ -242,7 +244,7 @@ def _churn_and_check(nnodes, seed, ops):
     graph = ResourceGraph(nnodes, cores_per_node=8, gpus_per_node=2,
                           partition_size=256)
     rng = np.random.default_rng(seed)
-    matcher = Matcher(graph, policy=MatchPolicy.FIRST_MATCH, partitioned=True)
+    matcher = Matcher(graph, policy=MatchPolicy.FIRST_MATCH)
     live = []
     for _ in range(ops):
         if live and rng.random() < 0.4:
@@ -331,7 +333,7 @@ def test_partition_index_exact_after_every_op(seed):
     rng = np.random.default_rng(1100 + seed)
     graph = random_graph(rng)
     policy = [MatchPolicy.FIRST_MATCH, MatchPolicy.LOW_ID_FIRST, MatchPolicy.GANG][seed % 3]
-    matcher = Matcher(graph, policy=policy, partitioned=True)
+    matcher = Matcher(graph, policy=policy)
     live = []
     for _ in range(150):
         _index_stream_op(rng, graph, matcher, live)
@@ -391,7 +393,7 @@ def test_claim_release_never_recompute_a_partition(monkeypatch):
         raise AssertionError(f"partition {p} recomputed outside drain/undrain")
 
     monkeypatch.setattr(ResourceGraph, "_refresh_partition", no_refresh)
-    matcher = Matcher(graph, policy=MatchPolicy.FIRST_MATCH, partitioned=True)
+    matcher = Matcher(graph, policy=MatchPolicy.FIRST_MATCH)
     held = []
     for _ in range(500):
         alloc = matcher.match(JobSpec(name="probe", ncores=int(rng.integers(1, 45)),
@@ -407,19 +409,65 @@ def test_claim_release_never_recompute_a_partition(monkeypatch):
     assert_partition_summaries_consistent(graph)
 
 
+# --- low-id charge from the partition summaries ----------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_low_id_charge_walks_admitting_partitions(seed):
+    """Per call, low-id charges every node of each partition whose
+    summary admits the request, one vertex per other partition, and the
+    rest of each feasible node's subtree — a short last partition
+    charges only the nodes it has."""
+    rng = np.random.default_rng(1300 + seed)
+    graph = random_graph(rng)
+    matcher = Matcher(graph, policy=MatchPolicy.LOW_ID_FIRST)
+    live = []
+    for step in range(60):
+        if live and rng.random() < 0.3:
+            matcher.release(live.pop(int(rng.integers(len(live)))))
+            continue
+        if rng.random() < 0.1:
+            graph.drain(int(rng.integers(len(graph.nodes))))
+        spec = random_spec(rng, graph, tight=True)
+        expected = 0
+        skipped = 0
+        oversize = spec.exclusive and (spec.ncores > graph.cores_per_node
+                                       or spec.ngpus > graph.gpus_per_node)
+        for p in range(graph.npartitions):
+            if oversize:
+                break
+            lo, hi = graph._partition_bounds(p)
+            if graph.partition_feasible(p, spec.ncores, spec.ngpus, spec.exclusive):
+                expected += hi - lo
+            else:
+                expected += 1
+                skipped += 1
+        feasible = graph.feasible_ids(spec.ncores, spec.ngpus, spec.exclusive)
+        expected += len(feasible) * (graph.node_subtree_size - 1)
+        visits_before = matcher.stats.vertices_visited
+        skipped_before = matcher.stats.partitions_skipped
+        alloc = matcher.match(spec)
+        if alloc is not None:
+            expected += alloc.ncores + alloc.ngpus  # claim enumeration
+            live.append(alloc)
+        assert matcher.stats.vertices_visited - visits_before == expected, \
+            f"low-id charge off (seed {seed}, step {step}, spec {spec})"
+        assert matcher.stats.partitions_skipped - skipped_before == skipped
+
+
 # --- first-match visit-count upper bound with skips -------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partitioned_first_match_visit_bound(seed):
-    """Per call, the partitioned first-match charge (nodes scanned plus
-    one per skipped partition) never exceeds the graph size, and across
-    a stream it never exceeds the flat scan's total."""
+    """Per call, the first-match charge (nodes scanned plus one per
+    skipped partition) never exceeds the graph size plus its partition
+    count, and across a stream it never exceeds the flat oracle's total."""
     rng = np.random.default_rng(800 + seed)
     graph = random_graph(rng)
     graph_flat = clone_graph(graph)
-    part = Matcher(graph, policy=MatchPolicy.FIRST_MATCH, partitioned=True)
-    flat = Matcher(graph_flat, policy=MatchPolicy.FIRST_MATCH, partitioned=False)
+    part = Matcher(graph, policy=MatchPolicy.FIRST_MATCH)
+    flat = FlatMatcher(graph_flat, policy=MatchPolicy.FIRST_MATCH)
     n = len(graph.nodes)
     for _ in range(60):
         spec = random_spec(rng, graph, tight=True)
@@ -450,7 +498,7 @@ def test_gang_is_all_or_nothing(seed):
     to the pre-gang state."""
     rng = np.random.default_rng(900 + seed)
     graph = random_graph(rng)
-    matcher = Matcher(graph, policy=MatchPolicy.GANG, partitioned=True)
+    matcher = Matcher(graph, policy=MatchPolicy.GANG)
     # Pre-load some background occupancy so gangs sometimes fail.
     background = []
     for _ in range(int(rng.integers(0, 6))):
@@ -498,7 +546,7 @@ def test_preempt_never_leaks_resources(seed):
     success holds exactly the new allocation plus the survivors."""
     rng = np.random.default_rng(1000 + seed)
     graph = random_graph(rng)
-    matcher = Matcher(graph, policy=MatchPolicy.FIRST_MATCH, partitioned=True)
+    matcher = Matcher(graph, policy=MatchPolicy.FIRST_MATCH)
     running = {}  # key -> (priority, alloc)
     key = 0
     # Fill the machine with low/medium-priority work.

@@ -129,7 +129,7 @@ class TestResourceGraph:
 
     def test_first_feasible_wraps_around(self):
         g = summit_like(4)
-        ids, scanned = g.first_feasible(start=3, need=2, ncores=1, ngpus=0)
+        ids, scanned, _skipped = g.first_feasible(start=3, need=2, ncores=1, ngpus=0)
         assert ids == [3, 0]
         assert scanned <= 4
 
@@ -137,13 +137,13 @@ class TestResourceGraph:
         g = summit_like(10)
         for i in range(5):  # fill nodes 0-4 completely
             g.claim([(i, list(range(44)), list(range(6)))])
-        ids, scanned = g.first_feasible(start=0, need=1, ncores=1, ngpus=0)
+        ids, scanned, _skipped = g.first_feasible(start=0, need=1, ncores=1, ngpus=0)
         assert ids == [5]
         assert scanned == 6  # inspected nodes 0..5
 
     def test_first_feasible_not_enough(self):
         g = summit_like(2)
-        ids, scanned = g.first_feasible(start=0, need=5, ncores=1, ngpus=0)
+        ids, scanned, _skipped = g.first_feasible(start=0, need=5, ncores=1, ngpus=0)
         assert len(ids) == 2
         assert scanned >= 2
 

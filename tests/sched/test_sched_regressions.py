@@ -21,6 +21,7 @@ from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobSpec, JobState
 from repro.sched.matcher import Matcher, MatchPolicy
 from repro.sched.resources import ResourceGraph, summit_like
+from tests.sched.oracles import FlatMatcher
 
 
 class TestFirstMatchCursor:
@@ -98,10 +99,10 @@ class TestExclusiveOverRequest:
     the per-node request. Summit-like nodes own 44 cores / 6 GPUs."""
 
     @pytest.mark.parametrize("policy", list(MatchPolicy))
-    @pytest.mark.parametrize("partitioned", [True, False])
-    def test_exclusive_request_larger_than_node_fails(self, policy, partitioned):
+    @pytest.mark.parametrize("matcher_cls", [Matcher, FlatMatcher])
+    def test_exclusive_request_larger_than_node_fails(self, policy, matcher_cls):
         g = summit_like(4)
-        m = Matcher(g, policy=policy, partitioned=partitioned)
+        m = matcher_cls(g, policy=policy)
         # Regression: this used to hand back a 44-core node for a
         # 100-core exclusive request.
         assert m.match(JobSpec(name="too-big", ncores=100, exclusive=True)) is None
@@ -129,5 +130,5 @@ class TestExclusiveOverRequest:
         g = summit_like(3)
         assert not g.feasible_mask(100, 0, exclusive=True).any()
         assert len(g.feasible_ids(45, 0, True)) == 0
-        ids, scanned, skipped = g.first_feasible_partitioned(0, 1, 45, 0, True)
+        ids, scanned, skipped = g.first_feasible(0, 1, 45, 0, True)
         assert ids == [] and scanned == 0

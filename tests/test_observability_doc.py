@@ -12,6 +12,7 @@ import re
 
 from repro.core.telemetry import TelemetryReport
 from repro.datastore.stats import IOStats, LatencyHistogram, TransportStats
+from repro.sched.matcher import MatchStats
 from repro.util.locks import LockStats
 
 DOC = os.path.join(os.path.dirname(__file__), "..", "OBSERVABILITY.md")
@@ -44,6 +45,10 @@ class TestGuideCoversCode:
 
     def test_every_lockstats_counter_is_documented(self):
         assert set(LockStats().as_dict()) <= GUIDE_TOKENS
+
+    def test_every_match_stats_counter_is_documented(self):
+        # The telemetry ``scheduler`` section carries every field.
+        assert {f.name for f in dataclasses.fields(MatchStats)} <= GUIDE_TOKENS
 
     def test_trace_stages_are_documented(self):
         for stage in ("wm", "select", "schedule", "store", "feedback", "netkv"):
