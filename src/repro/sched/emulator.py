@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.sched.jobspec import JobSpec
 from repro.sched.matcher import Matcher, MatchPolicy

@@ -99,7 +99,7 @@ class TestExclusiveOverRequest:
     the per-node request. Summit-like nodes own 44 cores / 6 GPUs."""
 
     @pytest.mark.parametrize("policy", list(MatchPolicy))
-    @pytest.mark.parametrize("matcher_cls", [Matcher, FlatMatcher])
+    @pytest.mark.parametrize("matcher_cls", [Matcher, FlatMatcher], ids=["matcher", "flat_oracle"])
     def test_exclusive_request_larger_than_node_fails(self, policy, matcher_cls):
         g = summit_like(4)
         m = matcher_cls(g, policy=policy)
