@@ -35,7 +35,10 @@ per-shard requests (replicas, batch windows and chunks, listing
 shards) before it waits for any reply. Per-shard health is tracked
 continuously (fail-over marks a shard down; a cooldown-gated probe
 fails it back), and a read-repair pass re-synchronizes replicas after
-a recovery. A rename within one
+a recovery. The batch ops are the only replicated path: ``set``,
+``get`` and ``delete`` are one-key ``mset``, ``mget`` and ``mdelete``
+(so the cluster sends MSET, MGET and MDEL even for one key; SET, GET
+and DEL serve raw peers). A rename within one
 slot (keys sharing a ``{hash tag}``, as the WM's feedback keys do) is
 one native RENAME per replica; a cross-slot rename is two-phase: the
 destination copy is fully acknowledged before the source delete, so a
@@ -200,6 +203,14 @@ def _outcomes(got: List[Tuple[int, Any]]) -> Tuple[
         else:
             replies.append((idx, outcome))
     return replies, nf, down
+
+
+def _unavailable(message: str,
+                 cause: Optional[BaseException]) -> StoreUnavailable:
+    """A :class:`StoreUnavailable` to raise later, caused by ``cause``."""
+    exc = StoreUnavailable(message)
+    exc.__cause__ = cause
+    return exc
 
 
 def _answered(got: List[Tuple[int, Any]]) -> List[int]:
@@ -371,34 +382,41 @@ class NetKVCluster:
             primary = self._primary_for_slot(key_slot(key))
         return self._window(primary)
 
-    def _placement(self, key: str) -> Tuple[
-            List[int], Optional[List[int]], Optional[List[int]]]:
-        """(current window, migration-target window or None, drain
-        window or None — the pre-cutover window of a slot whose old
-        copies have not been pruned yet)."""
-        slot = key_slot(key)
-        with self._route_lock:
-            primary = self._primary_for_slot(slot)
-            dst = self._migrating.get(slot)
-            src = self._draining.get(slot)
-        window = self._window(primary)
-        if dst is not None and dst != primary:
-            return window, self._window(dst), None
-        if src is not None and src != primary:
-            return window, None, self._window(src)
-        return window, None, None
-
-    def _migrating_slots(self) -> Optional[Dict[int, int]]:
-        """Snapshot of slots needing special handling (mid-migration or
-        draining), or None (the common case, so batch routing pays one
-        lock acquire and no copies).  Batch ops detour these keys
-        through the single-key paths, which know both windows."""
+    def _route(self, keys: List[str]) -> List[
+            Tuple[int, Optional[int], Optional[int]]]:
+        """``(primary, migration target, drain source)`` per key, read
+        under one acquire of ``_route_lock`` with no copy of the map.
+        The target is set while the key's slot migrates; the drain
+        source (the pre-cutover primary) while its old copies have not
+        been pruned yet. Either is None when it is the primary."""
+        slots = [key_slot(k) for k in keys]
         with self._route_lock:
             if not self._migrating and not self._draining:
-                return None
-            out = dict(self._draining)
-            out.update(self._migrating)
+                return [(self._primary_for_slot(s), None, None)
+                        for s in slots]
+            out = []
+            for s in slots:
+                primary = self._primary_for_slot(s)
+                dst = self._migrating.get(s)
+                src = self._draining.get(s)
+                if dst is not None and dst != primary:
+                    out.append((primary, dst, None))
+                elif src is not None and src != primary:
+                    out.append((primary, None, src))
+                else:
+                    out.append((primary, None, None))
             return out
+
+    def _batches(self, groups: Dict[Tuple[int, ...], List[int]]
+                 ) -> List[Tuple[List[int], List[int]]]:
+        """``(replicas, key positions)`` per round trip: each group's
+        positions in chunks of ``config.batch_keys``, sent to the union
+        of the windows of the group's primaries, groups in order."""
+        return [(self._window(primaries[0]) if len(primaries) == 1
+                 else list(dict.fromkeys(r for p in primaries
+                                         for r in self._window(p))), chunk)
+                for primaries, positions in sorted(groups.items())
+                for chunk in _chunks(positions, self.config.batch_keys)]
 
     # --- shared routing map ----------------------------------------------
 
@@ -617,13 +635,6 @@ class NetKVCluster:
                     chans[idx]._discard(handle)
         return out
 
-    def _shard_op(self, idx: int, op: str, *args):
-        """One request to shard ``idx``: its reply, or its error raised."""
-        outcome = self._gather([(idx, op, args)])[0]
-        if isinstance(outcome, StoreError):
-            raise outcome
-        return outcome
-
     def _fan_out(self, calls: List[Tuple[List[int], str, tuple]],
                  last_ditch: bool = True, skip_suspect: bool = False
                  ) -> List[List[Tuple[int, Any]]]:
@@ -663,34 +674,181 @@ class NetKVCluster:
         self._probe(probes)
         return results
 
-    # --- single-key operations -------------------------------------------
+    # --- key operations ----------------------------------------------------
+    #
+    # One replicated path per operation: set/get/delete are one-key
+    # mset/mget/mdelete, and every op runs through the batch window
+    # primitives _write/_read (and _mdelete's fan-out) below.
 
     def set(self, key: str, value: bytes) -> None:
+        self.mset([(key, value)])
+
+    def get(self, key: str) -> bytes:
+        value = self.mget([key])[0]
+        if value is None:
+            raise KeyNotFound(key)
+        return value
+
+    def delete(self, key: str) -> None:
+        if not self.mdelete([key])[0]:
+            raise KeyNotFound(key)
+
+    def mget(self, keys: Iterable[str]) -> List[Optional[bytes]]:
+        """Values for ``keys`` in order (None where missing), batching
+        up to ``config.batch_keys`` keys per round trip with per-key
+        replica failover and read repair."""
         self._maybe_repair()
         self._maybe_refresh_route()
-        window, target, _drain = self._placement(key)
-        if target is None:
-            self._set_window(key, value, window)
-            return
-        # Dual-write while the slot migrates: the destination window is
-        # what survives cutover, so its ack is the one that counts; the
-        # source write keeps double-reads fresh and is best-effort.
-        self._set_window(key, value, target)
-        self.stats.note_dual_write()
-        try:
-            self._set_window(key, value, window)
-        except StoreUnavailable:
-            pass
+        return self._mget(list(keys))
 
-    def _set_window(self, key: str, value: bytes,
-                    replicas: List[int]) -> None:
-        (got,) = self._fan_out([(replicas, "set", (key, value))])
-        acked, _, last_exc = _outcomes(got)
-        if not acked:
-            raise StoreUnavailable(
-                f"no replica of {len(replicas)} accepted the write of {key!r}"
-            ) from last_exc
-        self._after_write([key], [idx for idx, _ in acked], replicas)
+    def mset(self, items: Iterable[Tuple[str, bytes]]) -> None:
+        """Write many key/value pairs, batching per replica window, every
+        batch and replica sent together; raises
+        :class:`StoreUnavailable` if any batch gets zero acknowledgements
+        (the other batches may have landed — writes are at-least-once,
+        as with retries)."""
+        self._maybe_repair()
+        self._maybe_refresh_route()
+        self._mset(list(items))
+
+    def mdelete(self, keys: Iterable[str]) -> List[bool]:
+        """Delete many keys; per-key flags say which existed on any
+        replica. Batched per replica window like :meth:`mset`."""
+        self._maybe_repair()
+        self._maybe_refresh_route()
+        return self._mdelete(list(keys))
+
+    def _groups(self, keys: List[str]) -> Tuple[
+            Dict[Tuple[int, ...], List[int]], Dict[Tuple[int, ...], List[int]]]:
+        """Key positions by the primary whose window answers for them (a
+        migrating slot's destination) and, for keys mid-migration only,
+        by their source primary."""
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        sources: Dict[Tuple[int, ...], List[int]] = {}
+        for i, (primary, target, _) in enumerate(self._route(keys)):
+            if target is None:
+                groups.setdefault((primary,), []).append(i)
+            else:
+                groups.setdefault((target,), []).append(i)
+                sources.setdefault((primary,), []).append(i)
+        return groups, sources
+
+    def _mget(self, keys: List[str]) -> List[Optional[bytes]]:
+        out: List[Optional[bytes]] = [None] * len(keys)
+        groups, sources = self._groups(keys)
+        batches = self._batches(groups)
+        # Double-read while a slot migrates: the destination window has
+        # every write made since the mark; the source still holds the
+        # not-yet-copied past. A key is missing only once both say so.
+        behind: Dict[int, StoreUnavailable] = {}  # destination down
+        for (_, chunk), exc in zip(batches, self._read(keys, batches, out)):
+            if exc is None:
+                continue
+            migrating = {p for positions in sources.values()
+                         for p in positions}
+            for p in chunk:
+                if p not in migrating:
+                    raise exc
+                behind[p] = exc
+        if sources:
+            batches = self._batches(
+                {g: [p for p in positions if out[p] is None]
+                 for g, positions in sources.items()})
+            for exc in self._read(keys, batches, out):
+                if exc is not None:
+                    raise exc
+            for p, exc in behind.items():
+                if out[p] is None:
+                    # The source proves absence of old data, but a write
+                    # acked by the unreachable destination could exist.
+                    raise exc
+        return out
+
+    def _mset(self, items: List[Tuple[str, bytes]]) -> None:
+        groups, sources = self._groups([k for k, _ in items])
+        batches = self._batches(groups)
+        failed = self._write(items, batches)
+        if sources:
+            # Dual-write while a slot migrates: the destination window
+            # is what survives cutover, so its ack is the one that
+            # counts; the source write keeps double-reads fresh and is
+            # best-effort.
+            lost = {p for (_, chunk), exc in zip(batches, failed)
+                    if exc is not None for p in chunk}
+            sources = {g: [p for p in positions if p not in lost]
+                       for g, positions in sources.items()}
+            for positions in sources.values():
+                for _ in positions:
+                    self.stats.note_dual_write()
+            self._write(items, self._batches(sources))
+        for exc in failed:
+            if exc is not None:
+                raise exc
+
+    def _mdelete(self, keys: List[str]) -> List[bool]:
+        flags = [False] * len(keys)
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        forced = set()
+        for i, (primary, target, drain) in enumerate(self._route(keys)):
+            other = target if target is not None else drain
+            if other is None:
+                groups.setdefault((primary,), []).append(i)
+            else:
+                # A slot mid-migration or draining: delete from both
+                # windows. The forced tombstone also stops the migration
+                # copier (the post-cutover straggler pass over a draining
+                # slot included) from resurrecting the key out of a
+                # source read that predates the delete.
+                groups.setdefault((other, primary), []).append(i)
+                forced.add(i)
+        batches = self._batches(groups)
+        results = self._fan_out([
+            (replicas, "mdelete", ([keys[p] for p in chunk],))
+            for replicas, chunk in batches])
+        failed: Optional[StoreUnavailable] = None
+        for (replicas, chunk), got in zip(batches, results):
+            answered, _, last_exc = _outcomes(got)
+            for _, fl in answered:
+                for p, f in zip(chunk, fl):
+                    if f:
+                        flags[p] = True
+            reached = [idx for idx, _ in answered]
+            if all(self._suspect(idx, replicas) for idx in reached):
+                failed = failed or _unavailable(
+                    f"no replica for a {len(chunk)}-key batch delete that "
+                    f"can vouch for it is available", last_exc)
+                continue
+            # A chunk's positions share one group, so forced or not.
+            if chunk[0] in forced or len(reached) < len(replicas):
+                self._write_tombstones([keys[p] for p in chunk], reached)
+        if failed:
+            raise failed
+        return flags
+
+    # --- window primitives -------------------------------------------------
+
+    def _write(self, items: List[Tuple[str, bytes]],
+               batches: List[Tuple[List[int], List[int]]]
+               ) -> List[Optional[StoreUnavailable]]:
+        """Write each batch ``(replicas, positions)`` of ``items`` to the
+        healthy replicas of its window, every batch in one fan-out. A
+        batch succeeds with one ack; returns per batch None, or the
+        error of a batch no replica took."""
+        results = self._fan_out([
+            (replicas, "mset", ([items[p] for p in chunk],))
+            for replicas, chunk in batches])
+        failed: List[Optional[StoreUnavailable]] = []
+        for (replicas, chunk), got in zip(batches, results):
+            acked, _, last_exc = _outcomes(got)
+            if not acked:
+                failed.append(_unavailable(
+                    f"no replica of {len(replicas)} accepted a "
+                    f"{len(chunk)}-key batch write", last_exc))
+                continue
+            self._after_write([items[p][0] for p in chunk],
+                              [idx for idx, _ in acked], replicas)
+            failed.append(None)
+        return failed
 
     def _after_write(self, keys: List[str], acked: List[int],
                      replicas: List[int]) -> None:
@@ -702,100 +860,94 @@ class NetKVCluster:
         if self._tombstones:
             self._clear_tombstones(keys, acked)
 
-    def get(self, key: str) -> bytes:
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        window, target, _drain = self._placement(key)
-        if target is None:
-            return self._get_window(key, window)
-        # Double-read while the slot migrates: the destination window
-        # has every write made since migration began; the source still
-        # holds the not-yet-copied past. NF only once both say NF.
-        first: Optional[BaseException] = None
-        try:
-            return self._get_window(key, target)
-        except (KeyNotFound, StoreUnavailable) as exc:
-            first = exc
-        try:
-            return self._get_window(key, window)
-        except KeyNotFound:
-            if isinstance(first, StoreUnavailable):
-                # The source proves absence of old data, but a write
-                # acked by the unreachable destination could exist.
-                raise first
-            raise
+    def _read(self, keys: List[str],
+              batches: List[Tuple[List[int], List[int]]],
+              out: List[Optional[bytes]]) -> List[Optional[StoreUnavailable]]:
+        """Read each batch ``(replicas, positions)`` of ``keys`` into
+        ``out``, leaving None where no replica that answered holds the
+        key. Every batch's first-choice replica is asked in one gather;
+        then each batch fails over, one replica at a time, for the keys
+        still missing, and read-repairs the replicas that lacked them.
+        Returns per batch None, or the error of a batch no replica could
+        answer."""
+        plans = [self._split_health(replicas) for replicas, _ in batches]
+        firsts = iter(self._gather([
+            (up[0], "mget", ([keys[p] for p in chunk],))
+            for (_, chunk), (up, _, _) in zip(batches, plans) if up]))
+        return [self._read_chunk(keys, chunk, replicas, out, plan,
+                                 next(firsts) if plan[0] else None)
+                for (replicas, chunk), plan in zip(batches, plans)]
 
-    def _get_window(self, key: str, replicas: List[int]) -> bytes:
-        up, probe, rest = self._split_health(replicas)
-        attempted: List[int] = []
-        nf: List[int] = []
+    def _read_chunk(self, keys: List[str], positions: List[int],
+                    replicas: List[int], out: List[Optional[bytes]],
+                    plan: Tuple[List[int], List[int], List[int]],
+                    first: Any) -> Optional[StoreUnavailable]:
+        """Finish one batch read given its first-choice replica's
+        outcome ``first``. A key served by a later replica counts one
+        failover."""
+        up, probe, rest = plan
+        remaining = list(positions)
+        reached: List[Tuple[int, List[int]]] = []  # (shard, positions it lacked)
         last_exc: Optional[BaseException] = None
-        value: Optional[bytes] = None
-        for tier in (up, probe + rest):
-            if tier is not up and nf:
-                break  # NF from a live replica wins over probing dead ones
-            for idx in tier:
-                attempted.append(idx)
-                try:
-                    value = self._shard_op(idx, "get", key)
-                except KeyNotFound:
-                    if not self._suspect(idx, replicas):
-                        nf.append(idx)
+        nattempt = 0
+
+        def attempt(idx: int) -> None:
+            nonlocal remaining, last_exc, nattempt
+            nattempt += 1
+            if nattempt == 1 and up:
+                values = first  # asked together with the other batches
+            else:
+                values = self._gather(
+                    [(idx, "mget", ([keys[p] for p in remaining],))])[0]
+            if isinstance(values, StoreUnavailable):
+                last_exc = values
+                return
+            if isinstance(values, StoreError):
+                raise values
+            if self._suspect(idx, replicas):
+                return  # possibly stale: its answers do not count
+            still: List[int] = []
+            for p, v in zip(remaining, values):
+                if v is None:
+                    still.append(p)
                     continue
-                except StoreUnavailable as exc:
-                    last_exc = exc
-                    continue
-                if self._suspect(idx, replicas):
-                    value = None  # possibly stale: not an answer
-                    continue
+                out[p] = v
+                if nattempt > 1:
+                    self.stats.note_failover()
+                    trace.event("netkv.failover", key=keys[p], served_by=idx)
+            reached.append((idx, still))
+            remaining = still
+
+        for idx in up:
+            attempt(idx)
+            if not remaining:
                 break
-            if value is not None or nf:
-                break
-        self._probe([idx for idx in probe if idx not in attempted])
-        if value is None:
-            if nf:
-                raise KeyNotFound(key)
-            raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for {key!r} are unavailable"
-            ) from last_exc
-        if len(attempted) > 1:
-            self.stats.note_failover()
-            trace.event("netkv.failover", key=key, served_by=attempted[-1])
-        if nf:
-            repaired = sum(not isinstance(o, StoreError) for o in self._gather(
-                [(idx, "set", (key, value)) for idx in nf]))
+        if not reached:
+            for idx in probe + rest:
+                attempt(idx)
+                if not remaining:
+                    break
+        else:
+            self._probe(probe)
+        if not reached:
+            return _unavailable(
+                f"all {len(replicas)} replica(s) for a {len(positions)}-key "
+                f"batch read are unavailable", last_exc)
+        # Read repair: replicas that answered but lacked keys a peer had.
+        repairs = [(idx, [(keys[p], out[p]) for p in missed
+                          if out[p] is not None])
+                   for idx, missed in reached]
+        repairs = [(idx, items) for idx, items in repairs if items]
+        if repairs:
+            repaired = sum(len(items) for (_, items), o in zip(
+                repairs, self._gather([(idx, "mset", (items,))
+                                       for idx, items in repairs]))
+                           if not isinstance(o, StoreError))
             if repaired:
                 self.stats.note_read_repair(repaired)
-        return value
+        return None
 
-    def delete(self, key: str) -> None:
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        window, target, drain = self._placement(key)
-        if target is None and drain is None:
-            self._delete_window(key, window)
-            return
-        # Delete from both windows; the forced tombstone also stops the
-        # migration copier (including the post-cutover straggler pass
-        # over a draining slot) from resurrecting this key out of a
-        # source read that predates the delete.
-        other = target if target is not None else drain
-        replicas = list(dict.fromkeys(other + window))
-        self._delete_window(key, replicas, force_tombstone=True)
-
-    def _delete_window(self, key: str, replicas: List[int],
-                       force_tombstone: bool = False) -> None:
-        (got,) = self._fan_out([(replicas, "delete", (key,))])
-        deleted, _, last_exc = _outcomes(got)
-        reached = _answered(got)
-        if all(self._suspect(idx, replicas) for idx in reached):
-            raise StoreUnavailable(
-                f"no replica for {key!r} that can vouch for it is available"
-            ) from last_exc
-        if force_tombstone or len(reached) < len(replicas):
-            self._write_tombstones([key], reached)
-        if not deleted:
-            raise KeyNotFound(key)
+    # --- listing and rename -----------------------------------------------
 
     def keys(self, prefix: str = "") -> List[str]:
         self._maybe_repair()
@@ -853,32 +1005,23 @@ class NetKVCluster:
     def rename(self, src: str, dst: str) -> None:
         self._maybe_repair()
         self._maybe_refresh_route()
-        special = self._migrating_slots()
-        migrating = bool(special) and (key_slot(src) in special
-                                       or key_slot(dst) in special)
-        src_replicas = self._replicas_for(src)
-        dst_replicas = self._replicas_for(dst)
-        if src_replicas == dst_replicas and not migrating:
-            self._rename_native(src, dst, src_replicas)
+        (src_primary, *src_moving), (dst_primary, *dst_moving) = \
+            self._route([src, dst])
+        moving = any(o is not None for o in src_moving + dst_moving)
+        if src_primary == dst_primary and not moving:
+            self._rename_native(src, dst, self._window(src_primary))
             return
-        # Two-phase cross-shard move: the destination copy is fully
+        # Two-phase cross-window move: the destination copy is fully
         # acknowledged before the source delete, so a shard death
         # between the phases leaves a duplicate (counted below), never
-        # a lost value. Keys that share a hash tag never take this path.
-        # A migrating slot needs the public paths, which know both of
-        # its windows; otherwise one window per key is the whole story.
-        if migrating:
-            self.set(dst, self.get(src))
-        else:
-            self._set_window(dst, self._get_window(src, src_replicas),
-                             dst_replicas)
+        # a lost value. Keys that share a hash tag take this path only
+        # while their slot migrates or drains.
+        value = self._mget([src])[0]
+        if value is None:
+            raise KeyNotFound(src)
+        self._mset([(dst, value)])
         try:
-            if migrating:
-                self.delete(src)
-            else:
-                self._delete_window(src, src_replicas)
-        except KeyNotFound:
-            pass  # a concurrent mover finished the delete first
+            self._mdelete([src])  # False: a concurrent mover deleted it
         except StoreUnavailable:
             self.stats.note_rename_orphan()
             trace.event("netkv.rename_orphan", src=src, dst=dst)
@@ -906,204 +1049,6 @@ class NetKVCluster:
             self._write_tombstones([src], reached)
         if len(renamed) < len(replicas):
             self._mark_missed([dst], [idx for idx, _ in renamed])
-
-    # --- pipelined batch operations --------------------------------------
-
-    def _group_positions(self, keys: List[str],
-                         skip: Optional[Dict[int, int]] = None
-                         ) -> Dict[int, List[int]]:
-        """Key positions grouped by primary shard (batch routing).
-
-        Keys whose slot appears in ``skip`` (in-flight migrations) are
-        left out — the caller routes them through the single-key path,
-        which knows how to dual-write and double-read.
-        """
-        n = len(self._channels)
-        with self._route_lock:
-            owner = dict(self._slot_owner) if self._slot_owner else None
-        groups: Dict[int, List[int]] = {}
-        for i, k in enumerate(keys):
-            slot = key_slot(k)
-            if skip is not None and slot in skip:
-                continue
-            primary = owner.get(slot, slot % n) if owner else slot % n
-            groups.setdefault(primary, []).append(i)
-        return groups
-
-    def _batches(self, keys: List[str], migrating: Optional[Dict[int, int]]
-                 ) -> List[Tuple[List[int], List[int]]]:
-        """``(replica window, key positions)`` per batch round trip."""
-        return [(self._window(primary), chunk)
-                for primary, positions in sorted(
-                    self._group_positions(keys, migrating).items())
-                for chunk in _chunks(positions, self.config.batch_keys)]
-
-    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
-        """Values for ``keys`` in order (None where missing), batching
-        up to ``config.batch_keys`` keys per round trip with per-key
-        replica failover and read repair. Each batch's first-choice
-        replica is asked in one gather for all batches."""
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        keys = list(keys)
-        out: List[Optional[bytes]] = [None] * len(keys)
-        migrating = self._migrating_slots()
-        batches = self._batches(keys, migrating)
-        plans = [self._split_health(replicas) for replicas, _ in batches]
-        firsts = iter(self._gather([
-            (up[0], "mget", ([keys[p] for p in chunk],))
-            for (_, chunk), (up, _, _) in zip(batches, plans) if up]))
-        for (replicas, chunk), plan in zip(batches, plans):
-            self._mget_chunk(keys, chunk, replicas, out, plan,
-                             next(firsts) if plan[0] else None)
-        if migrating:
-            # Keys mid-migration take the double-reading single-key path.
-            for i, k in enumerate(keys):
-                if key_slot(k) in migrating:
-                    try:
-                        out[i] = self.get(k)
-                    except KeyNotFound:
-                        out[i] = None
-        return out
-
-    def _mget_chunk(self, keys: List[str], positions: List[int],
-                    replicas: List[int], out: List[Optional[bytes]],
-                    plan: Tuple[List[int], List[int], List[int]],
-                    first: Any) -> None:
-        """Finish one batch read given its first-choice replica's
-        outcome ``first``: fail over, one replica at a time, for the
-        keys still missing, then read-repair the replicas that lacked
-        them."""
-        up, probe, rest = plan
-        remaining = list(positions)
-        reached: List[Tuple[int, List[int]]] = []  # (shard, positions it lacked)
-        last_exc: Optional[BaseException] = None
-        nattempt = 0
-
-        def attempt(idx: int) -> None:
-            nonlocal remaining, last_exc, nattempt
-            nattempt += 1
-            if nattempt == 1 and up:
-                values = first  # asked together with the other batches
-            else:
-                values = self._gather(
-                    [(idx, "mget", ([keys[p] for p in remaining],))])[0]
-            if isinstance(values, StoreUnavailable):
-                last_exc = values
-                return
-            if isinstance(values, StoreError):
-                raise values
-            if self._suspect(idx, replicas):
-                return  # possibly stale: its answers do not count
-            still: List[int] = []
-            for p, v in zip(remaining, values):
-                if v is None:
-                    still.append(p)
-                else:
-                    out[p] = v
-            if nattempt > 1 and len(still) < len(remaining):
-                self.stats.note_failover()
-            reached.append((idx, still))
-            remaining = still
-
-        for idx in up:
-            attempt(idx)
-            if not remaining:
-                break
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-                if not remaining:
-                    break
-        else:
-            self._probe(probe)
-        if not reached:
-            raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for a {len(positions)}-key "
-                f"batch read are unavailable"
-            ) from last_exc
-        # Read repair: replicas that answered but lacked keys a peer had.
-        repairs = [(idx, [(keys[p], out[p]) for p in missed
-                          if out[p] is not None])
-                   for idx, missed in reached]
-        repairs = [(idx, items) for idx, items in repairs if items]
-        repaired = sum(len(items) for (_, items), o in zip(
-            repairs, self._gather([(idx, "mset", (items,))
-                                   for idx, items in repairs]))
-                       if not isinstance(o, StoreError))
-        if repaired:
-            self.stats.note_read_repair(repaired)
-
-    def mset(self, items: List[Tuple[str, bytes]]) -> None:
-        """Write many key/value pairs, batching per primary shard and
-        replicating each batch, every batch and replica sent together;
-        raises :class:`StoreUnavailable` if any batch gets zero
-        acknowledgements (the other batches may have landed — writes
-        are at-least-once, as with single-key retries)."""
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        items = list(items)
-        migrating = self._migrating_slots()
-        keys = [k for k, _ in items]
-        batches = [(replicas, [items[p] for p in chunk])
-                   for replicas, chunk in self._batches(keys, migrating)]
-        results = self._fan_out([(replicas, "mset", (chunk,))
-                                 for replicas, chunk in batches])
-        failed = None
-        for (replicas, chunk), got in zip(batches, results):
-            acked, _, last_exc = _outcomes(got)
-            if not acked:
-                failed = failed or (
-                    f"no replica of {len(replicas)} accepted a "
-                    f"{len(chunk)}-key batch write", last_exc)
-                continue
-            self._after_write([k for k, _ in chunk],
-                              [idx for idx, _ in acked], replicas)
-        if failed:
-            raise StoreUnavailable(failed[0]) from failed[1]
-        if migrating:
-            for k, v in items:
-                if key_slot(k) in migrating:
-                    self.set(k, v)  # dual-writes while the slot migrates
-
-    def mdelete(self, keys: List[str]) -> List[bool]:
-        """Delete many keys; per-key flags say which existed on any
-        replica. Batched per primary shard like :meth:`mset`."""
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        keys = list(keys)
-        flags = [False] * len(keys)
-        migrating = self._migrating_slots()
-        batches = self._batches(keys, migrating)
-        results = self._fan_out([
-            (replicas, "mdelete", ([keys[p] for p in chunk],))
-            for replicas, chunk in batches])
-        failed = None
-        for (replicas, chunk), got in zip(batches, results):
-            answered, _, last_exc = _outcomes(got)
-            for _, fl in answered:
-                for p, f in zip(chunk, fl):
-                    if f:
-                        flags[p] = True
-            reached = [idx for idx, _ in answered]
-            if all(self._suspect(idx, replicas) for idx in reached):
-                failed = failed or (
-                    f"no replica for a {len(chunk)}-key batch delete that "
-                    f"can vouch for it is available", last_exc)
-                continue
-            if len(reached) < len(replicas):
-                self._write_tombstones([keys[p] for p in chunk], reached)
-        if failed:
-            raise StoreUnavailable(failed[0]) from failed[1]
-        if migrating:
-            for i, k in enumerate(keys):
-                if key_slot(k) in migrating:
-                    try:
-                        self.delete(k)  # both windows + copier tombstone
-                        flags[i] = True
-                    except KeyNotFound:
-                        flags[i] = False
-        return flags
 
     # --- tombstones -------------------------------------------------------
 
@@ -1538,26 +1483,29 @@ class NetKVCluster:
             # (fresher than anything the source can tell us), and a
             # tombstone there means it was deleted mid-migration.
             probe = chunk + [_TOMB + k for k in chunk]
-            try:
-                have = self._shard_op(dst, "mget", probe)
-            except StoreError:
+            have = self._gather([(dst, "mget", (probe,))])[0]
+            if isinstance(have, StoreError):
                 have = [None] * len(probe)  # dst down: MSETNX is idempotent
             need = [k for k, v, t in zip(chunk, have[:len(chunk)],
                                          have[len(chunk):])
                     if v is None and t is None]
-            items: List[Tuple[str, bytes]] = []
-            for k in need:
-                # Read the named window directly: a double-read via
-                # get() would consult the destination window first and
-                # read-repair the value onto it on overlap, making the
-                # MSETNX below report nothing stored and the drain
-                # accounting lie. Pre-cutover, _replicas_for still
-                # routes to the source; the post-cutover straggler pass
-                # passes the captured old window instead.
-                try:
-                    items.append((k, self._get_window(k, read_window(k))))
-                except KeyNotFound:
-                    continue  # deleted between the scan and this read
+            # Read the named windows directly, one batch per window: a
+            # double-read via mget() would consult the destination
+            # window first and read-repair the value onto it on
+            # overlap, making the MSETNX below report nothing stored and
+            # the drain accounting lie. Pre-cutover, _replicas_for still
+            # routes to the source; the post-cutover straggler pass
+            # passes the captured old window instead.
+            windows: Dict[Tuple[int, ...], List[int]] = {}
+            for i, k in enumerate(need):
+                windows.setdefault(tuple(read_window(k)), []).append(i)
+            values: List[Optional[bytes]] = [None] * len(need)
+            for exc in self._read(need, [(list(w), positions) for w, positions
+                                         in sorted(windows.items())], values):
+                if exc is not None:
+                    raise exc
+            # None: deleted between the scan and this read
+            items = [(k, v) for k, v in zip(need, values) if v is not None]
             if items:
                 copied += self._msetnx_window(items, dst_window)
         return copied

@@ -170,7 +170,8 @@ class TransportStats:
     ``rename_orphans`` — two-phase renames whose delete leg could not
     complete (the source copy survives on a dead shard as a duplicate,
     never as a loss). Pipelining counters: ``batched_requests`` —
-    MGET/MSET/MDEL round trips; ``batched_keys`` — keys carried by
+    MGET/MSET/MDEL round trips (a cluster's single-key ops are one-key
+    batches, so they count too); ``batched_keys`` — keys carried by
     those round trips; ``max_batch_keys`` — the deepest single batch
     (pipeline-depth high-water mark, a count not a cumulative sum).
     ``coalesced_requests`` / ``coalesced_keys`` are always 0: the

@@ -10,6 +10,7 @@ node-failure drain.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional
 
 from repro import trace
@@ -61,6 +62,9 @@ class FluxInstance:
                                   preemption=preemption)
         self.cycle_interval = cycle_interval
         self.jobs: Dict[int, JobRecord] = {}
+        # Ids count from 1 per instance, so a run's ids do not depend on
+        # what else ran in the process.
+        self._job_ids = itertools.count(1)
         self.start_log: List[tuple] = []  # (time, job_id, name) — Fig. 6 series
         self._on_complete: Dict[int, Callable[[JobRecord], None]] = {}
         self._cycling = False
@@ -73,7 +77,8 @@ class FluxInstance:
         on_complete: Optional[Callable[[JobRecord], None]] = None,
     ) -> JobRecord:
         """Submit a job; returns its record immediately (state PENDING)."""
-        record = JobRecord(spec=spec, submit_time=self.loop.now)
+        record = JobRecord(spec=spec, job_id=next(self._job_ids),
+                           submit_time=self.loop.now)
         self.jobs[record.job_id] = record
         self.queue.submit(record)
         if on_complete is not None:

@@ -15,6 +15,8 @@ import contextlib
 
 import pytest
 
+from repro import trace
+from repro.datastore.aio import LocalShard
 from repro.datastore.base import (
     KeyNotFound,
     StoreError,
@@ -222,17 +224,17 @@ class TestCrossShardRename:
             dst = key_on_shard(cluster, 1, "dst")
             cluster.set(src, b"payload")
 
-            original_delete = cluster._delete_window
+            original_delete = cluster._mdelete
 
             def delete_on_a_dying_shard(*args, **kwargs):
                 servers[0].stop()  # crash inside the two-phase window
                 return original_delete(*args, **kwargs)
 
-            cluster._delete_window = delete_on_a_dying_shard
+            cluster._mdelete = delete_on_a_dying_shard
             try:
                 cluster.rename(src, dst)  # must not raise
             finally:
-                cluster._delete_window = original_delete
+                del cluster._mdelete  # restore the real method
 
             assert cluster.get(dst) == b"payload"
             assert cluster.stats.rename_orphans == 1
@@ -282,6 +284,47 @@ class TestPipelinedBatches:
             with pytest.raises(KeyNotFound):
                 store.read_many(["s/0", "s/999"])
             assert store.delete_many(f"s/{i}" for i in range(25)) == 20
+
+
+class TestOneReadPath:
+    """``get`` is a one-key ``mget``: a key served by a non-first replica
+    counts one failover and emits one ``netkv.failover`` event through
+    either entry point."""
+
+    @staticmethod
+    def local_cluster():
+        shards = [LocalShard(("f", i)) for i in range(2)]
+        return shards, NetKVCluster([s.address for s in shards],
+                                    replication=2, route_refresh=0.0,
+                                    channels=shards)
+
+    @pytest.mark.parametrize("read", [
+        lambda cluster, key: cluster.get(key),
+        lambda cluster, key: cluster.mget([key])[0],
+    ], ids=["get", "mget"])
+    def test_failover_event_per_key(self, read):
+        shards, cluster = self.local_cluster()
+        key = key_on_shard(cluster, 0)
+        cluster.set(key, b"v")
+        shards[0].up = False
+        tracer = trace.enable()
+        try:
+            with trace.span("read"):
+                assert read(cluster, key) == b"v"
+        finally:
+            trace.disable()
+        events = [e["attrs"] for row in tracer.rows() for e in row["events"]
+                  if e["name"] == "netkv.failover"]
+        assert events == [{"key": key, "served_by": 1}]
+        assert cluster.stats.failovers == 1
+
+    def test_batch_counts_each_key_served_by_a_later_replica(self):
+        shards, cluster = self.local_cluster()
+        keys = [key_on_shard(cluster, 0, f"t{i}-") for i in range(3)]
+        cluster.mset([(k, b"v") for k in keys])
+        shards[0].up = False
+        assert cluster.mget(keys) == [b"v"] * 3
+        assert cluster.stats.failovers == 3
 
 
 class TestUrlAndValidation:

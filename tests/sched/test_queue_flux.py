@@ -227,3 +227,24 @@ class TestFluxInstance:
     def test_invalid_cycle_interval(self):
         with pytest.raises(ValueError):
             FluxInstance(summit_like(1), cycle_interval=0)
+
+
+def test_identical_runs_log_identical_start_logs(monkeypatch):
+    """The instance numbers its own jobs: a second identical load run in
+    the same process logs the same ``(time, job_id, name)`` start log,
+    ids included, whatever ran before it."""
+    from repro.sched import loadtest
+
+    instances = []
+
+    class Recording(FluxInstance):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            instances.append(self)
+
+    monkeypatch.setattr(loadtest, "FluxInstance", Recording)
+    for _ in range(2):
+        loadtest.run_load_experiment(20, 50, max_hours=0.5)
+    first, second = (flux.start_log for flux in instances)
+    assert len(first) == 50
+    assert first == second

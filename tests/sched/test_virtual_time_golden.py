@@ -7,8 +7,9 @@ the matcher as it stood before its scan paths were merged; a refactor
 of the scan must reproduce them exactly. Re-record them only for an
 intended change to the charge, and say so in CHANGES.md.
 
-Job ids come from a process-wide counter, so the hashed start logs keep
-start times and job names but not ids.
+The hashed start logs keep start times and job names; ids, which each
+``FluxInstance`` numbers from 1, are pinned by
+``tests/sched/test_queue_flux.py::test_identical_runs_log_identical_start_logs``.
 """
 
 import hashlib
