@@ -31,11 +31,11 @@ def test_backend_swap_roundtrip_and_cost(benchmark, tmp_path):
             store = open_store(_url(scheme, tmp_path))
             t0 = time.perf_counter()
             for i in range(N_PAYLOADS):
-                store.write_npz(f"patches/p{i:05d}", ARRAYS)
+                store.write_arrays(f"patches/p{i:05d}", ARRAYS)
             t_write = time.perf_counter() - t0
             t0 = time.perf_counter()
             for i in range(N_PAYLOADS):
-                back = store.read_npz(f"patches/p{i:05d}")
+                back = store.read_arrays(f"patches/p{i:05d}")
                 assert np.array_equal(back["rdf"], ARRAYS["rdf"])
             t_read = time.perf_counter() - t0
             times[scheme] = (t_write, t_read)

@@ -22,8 +22,8 @@ def backend_switch(tmp: str) -> None:
     payload = {"rdf": np.random.default_rng(0).random((6, 24))}
     for url in (f"fs://{tmp}/fs", f"taridx://{tmp}/tar", "kv://4"):
         with open_store(url) as store:
-            store.write_npz("rdf/live/frame-0001", payload)
-            back = store.read_npz("rdf/live/frame-0001")
+            store.write_arrays("rdf/live/frame-0001", payload)
+            back = store.read_arrays("rdf/live/frame-0001")
             ok = np.array_equal(back["rdf"], payload["rdf"])
             print(f"  {url:<28s} roundtrip {'OK' if ok else 'FAILED'}")
 

@@ -177,8 +177,8 @@ class StoreFeedbackMixin:
         """Move each processed key from the live to the done namespace.
 
         Cost is proportional to this iteration's item count only — the
-        scalability property §4.4 calls out.
+        scalability property §4.4 calls out. The moves are one
+        :meth:`DataStore.move_many`, which NetKV pipelines as a batch.
         """
-        for key in keys:
-            suffix = key[len(self.live_prefix):]
-            self.store.move(key, self.done_prefix + suffix)
+        n = len(self.live_prefix)
+        self.store.move_many([(key, self.done_prefix + key[n:]) for key in keys])

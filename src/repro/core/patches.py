@@ -69,11 +69,11 @@ class Patch:
         }
         if self.outer is not None:
             payload["outer"] = self.outer
-        return serial.npz_to_bytes(payload)
+        return serial.arrays_to_bytes(payload)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Patch":
-        arrays = serial.bytes_to_npz(data)
+        arrays = serial.bytes_to_arrays(data)
         return cls(
             patch_id=arrays["patch_id"].tobytes().decode(),
             time_us=float(arrays["time_us"][0]),

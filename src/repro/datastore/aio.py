@@ -44,6 +44,7 @@ import asyncio
 import concurrent.futures
 import json
 import random
+import re
 import socket
 import struct
 import threading
@@ -141,6 +142,9 @@ class WireProtocolError(StoreError):
     the peer closes it instead of guessing where the next frame starts."""
 
 
+_RESERVED = re.compile("[ \t\n\r\x00]")
+
+
 def _check_wire_key(key: str) -> str:
     """Reject keys the text protocol cannot carry unambiguously.
 
@@ -151,7 +155,7 @@ def _check_wire_key(key: str) -> str:
     """
     if not key:
         raise WireProtocolError("empty key")
-    if any(c in key for c in (" ", "\t", "\n", "\r", "\x00")):
+    if _RESERVED.search(key):
         raise WireProtocolError(f"key contains bytes the wire protocol reserves: {key!r}")
     return key
 

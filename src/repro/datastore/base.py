@@ -53,9 +53,9 @@ def validate_key(key: str) -> str:
     if key.startswith("/") or key.endswith("/"):
         raise StoreError(f"key may not start or end with '/': {key!r}")
     parts = key.split("/")
-    if any(p in ("", ".", "..") for p in parts):
+    if "" in parts or "." in parts or ".." in parts:
         raise StoreError(f"key contains empty or relative segments: {key!r}")
-    if any("\x00" in p for p in parts):
+    if "\x00" in key:
         raise StoreError(f"key contains NUL: {key!r}")
     return key
 
@@ -99,7 +99,7 @@ class DataStore(abc.ABC):
     """Abstract byte-stream store with namespace semantics.
 
     Subclasses implement the five primitive operations; the typed
-    convenience methods (`*_npz`, `*_json`) are shared, which is what
+    convenience methods (`*_arrays`, `*_json`) are shared, which is what
     makes payloads portable across backends. Every concrete backend is
     automatically instrumented: byte/operation counts accumulate in
     :attr:`stats` (see :class:`~repro.datastore.stats.IOStats`).
@@ -180,6 +180,13 @@ class DataStore(abc.ABC):
         for k, v in pairs:
             self.write(k, v)
 
+    def move_many(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        """Move several ``(src, dst)`` pairs; no key may appear in two
+        pairs. Batching backends override this; on an error, pairs
+        already moved stay moved."""
+        for src, dst in pairs:
+            self.move(src, dst)
+
     def delete_many(self, keys: Iterable[str]) -> int:
         """Delete several keys; returns the number actually removed."""
         n = 0
@@ -202,13 +209,13 @@ class DataStore(abc.ABC):
 
     # --- typed convenience ------------------------------------------------
 
-    def write_npz(self, key: str, arrays: Mapping[str, np.ndarray]) -> None:
+    def write_arrays(self, key: str, arrays: Mapping[str, np.ndarray]) -> None:
         """Store a dict of NumPy arrays as one payload."""
-        self.write(key, serial.npz_to_bytes(arrays))
+        self.write(key, serial.arrays_to_bytes(arrays))
 
-    def read_npz(self, key: str) -> Dict[str, np.ndarray]:
-        """Read back a payload written by :meth:`write_npz`."""
-        return serial.bytes_to_npz(self.read(key))
+    def read_arrays(self, key: str) -> Dict[str, np.ndarray]:
+        """Read back a payload written by :meth:`write_arrays`."""
+        return serial.bytes_to_arrays(self.read(key))
 
     def write_json(self, key: str, obj: Any) -> None:
         """Store a JSON-serializable object."""

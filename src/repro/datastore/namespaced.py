@@ -116,6 +116,9 @@ class NamespacedStore(DataStore):
     def delete_many(self, keys: Iterable[str]) -> int:
         return self.base.delete_many([self._abs(k) for k in keys])
 
+    def move_many(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        self.base.move_many([(self._abs(s), self._abs(d)) for s, d in pairs])
+
     def exists(self, key: str) -> bool:
         return self.base.exists(self._abs(key))
 

@@ -64,6 +64,7 @@ availability bottleneck):
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import json
 import threading
@@ -108,46 +109,17 @@ NetKVClient = AsyncClientChannel
 _HASH_SLOTS = 16384  # as in Redis Cluster
 
 
-def _crc16_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_CRC16_TABLE = _crc16_table()
-
-
-def _crc16(data: bytes) -> int:
-    """CRC16-CCITT (XModem), the hash Redis Cluster uses for slotting.
-
-    Table-driven (one lookup per byte): key_slot sits on the routing
-    hot path of every cluster operation, and batched mget/mset hash
-    each key of the batch, so the bit-by-bit loop showed up as the
-    single largest cost in pipelined round trips.
-    """
-    crc = 0
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ byte]
-    return crc
-
-
 def key_slot(key: str) -> int:
-    """Hash slot for a key (honors Redis-style ``{hash tags}``)."""
+    """Hash slot for a key (honors Redis-style ``{hash tags}``): the
+    CRC-16/XMODEM of the key, or of its tag, modulo 16384, as in Redis
+    Cluster. ``binascii.crc_hqx`` is that CRC in C."""
     raw = key
     lb = key.find("{")
     if lb != -1:
         rb = key.find("}", lb + 1)
         if rb != -1 and rb > lb + 1:
             raw = key[lb + 1 : rb]
-    return _crc16(raw.encode("utf-8")) % _HASH_SLOTS
+    return binascii.crc_hqx(raw.encode("utf-8"), 0) % _HASH_SLOTS
 
 
 def _chunks(seq: List, size: int) -> List[List]:
@@ -216,6 +188,10 @@ def _unavailable(message: str,
 def _answered(got: List[Tuple[int, Any]]) -> List[int]:
     """Shards of ``[(shard, outcome)]`` that answered at all."""
     return [idx for idx, o in got if not isinstance(o, StoreUnavailable)]
+
+
+# A key's route: (primary, migration target, drain source).
+_Route = Tuple[int, Optional[int], Optional[int]]
 
 
 class _ShardState:
@@ -382,13 +358,13 @@ class NetKVCluster:
             primary = self._primary_for_slot(key_slot(key))
         return self._window(primary)
 
-    def _route(self, keys: List[str]) -> List[
-            Tuple[int, Optional[int], Optional[int]]]:
+    def _route(self, keys: List[str]) -> List[_Route]:
         """``(primary, migration target, drain source)`` per key, read
         under one acquire of ``_route_lock`` with no copy of the map.
         The target is set while the key's slot migrates; the drain
         source (the pre-cutover primary) while its old copies have not
         been pruned yet. Either is None when it is the primary."""
+        self.stats.note_route(len(keys))
         slots = [key_slot(k) for k in keys]
         with self._route_lock:
             if not self._migrating and not self._draining:
@@ -607,6 +583,7 @@ class NetKVCluster:
         unread (``_discard``) before it propagates.
         """
         chans = self._channels if channels is None else channels
+        self.stats.note_ops(op for _, op, _ in reqs)
         handles: List[Any] = []
         out: List[Any] = []
         try:
@@ -718,14 +695,18 @@ class NetKVCluster:
         self._maybe_refresh_route()
         return self._mdelete(list(keys))
 
-    def _groups(self, keys: List[str]) -> Tuple[
-            Dict[Tuple[int, ...], List[int]], Dict[Tuple[int, ...], List[int]]]:
+    def _groups(self, keys: List[str], routes: Optional[List[_Route]]
+                ) -> Tuple[Dict[Tuple[int, ...], List[int]],
+                           Dict[Tuple[int, ...], List[int]]]:
         """Key positions by the primary whose window answers for them (a
         migrating slot's destination) and, for keys mid-migration only,
-        by their source primary."""
+        by their source primary. ``routes`` are the keys' :meth:`_route`
+        entries when the caller has them already."""
         groups: Dict[Tuple[int, ...], List[int]] = {}
         sources: Dict[Tuple[int, ...], List[int]] = {}
-        for i, (primary, target, _) in enumerate(self._route(keys)):
+        if routes is None:
+            routes = self._route(keys)
+        for i, (primary, target, _) in enumerate(routes):
             if target is None:
                 groups.setdefault((primary,), []).append(i)
             else:
@@ -733,9 +714,10 @@ class NetKVCluster:
                 sources.setdefault((primary,), []).append(i)
         return groups, sources
 
-    def _mget(self, keys: List[str]) -> List[Optional[bytes]]:
+    def _mget(self, keys: List[str], routes: Optional[List[_Route]] = None
+              ) -> List[Optional[bytes]]:
         out: List[Optional[bytes]] = [None] * len(keys)
-        groups, sources = self._groups(keys)
+        groups, sources = self._groups(keys, routes)
         batches = self._batches(groups)
         # Double-read while a slot migrates: the destination window has
         # every write made since the mark; the source still holds the
@@ -764,8 +746,9 @@ class NetKVCluster:
                     raise exc
         return out
 
-    def _mset(self, items: List[Tuple[str, bytes]]) -> None:
-        groups, sources = self._groups([k for k, _ in items])
+    def _mset(self, items: List[Tuple[str, bytes]],
+              routes: Optional[List[_Route]] = None) -> None:
+        groups, sources = self._groups([k for k, _ in items], routes)
         batches = self._batches(groups)
         failed = self._write(items, batches)
         if sources:
@@ -785,11 +768,14 @@ class NetKVCluster:
             if exc is not None:
                 raise exc
 
-    def _mdelete(self, keys: List[str]) -> List[bool]:
+    def _mdelete(self, keys: List[str],
+                 routes: Optional[List[_Route]] = None) -> List[bool]:
         flags = [False] * len(keys)
         groups: Dict[Tuple[int, ...], List[int]] = {}
         forced = set()
-        for i, (primary, target, drain) in enumerate(self._route(keys)):
+        if routes is None:
+            routes = self._route(keys)
+        for i, (primary, target, drain) in enumerate(routes):
             other = target if target is not None else drain
             if other is None:
                 groups.setdefault((primary,), []).append(i)
@@ -1003,52 +989,121 @@ class NetKVCluster:
         return sorted(k for k in out if not _internal(k) and k not in tombs)
 
     def rename(self, src: str, dst: str) -> None:
+        self.rename_many([(src, dst)])
+
+    def rename_many(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        """Rename each ``(src, dst)``; no key may appear in two pairs.
+
+        Every key is routed once. A pair whose keys share a replica
+        window, with neither slot migrating or draining, is a native
+        RENAME on each replica; the other pairs move in two phases, as
+        one batch: one read of their sources, one write of their
+        destinations and, once every copy is acknowledged, one delete
+        of their sources. A shard death between the phases leaves
+        duplicates (counted as orphans), never a lost value. Keys that
+        share a hash tag take the two-phase path only while their slot
+        migrates or drains.
+
+        Every pair that can move does; then the error of the first pair
+        that could not (KeyNotFound for a missing source) is raised.
+        """
+        pairs = list(pairs)
         self._maybe_repair()
         self._maybe_refresh_route()
-        (src_primary, *src_moving), (dst_primary, *dst_moving) = \
-            self._route([src, dst])
-        moving = any(o is not None for o in src_moving + dst_moving)
-        if src_primary == dst_primary and not moving:
-            self._rename_native(src, dst, self._window(src_primary))
-            return
-        # Two-phase cross-window move: the destination copy is fully
-        # acknowledged before the source delete, so a shard death
-        # between the phases leaves a duplicate (counted below), never
-        # a lost value. Keys that share a hash tag take this path only
-        # while their slot migrates or drains.
-        value = self._mget([src])[0]
-        if value is None:
-            raise KeyNotFound(src)
-        self._mset([(dst, value)])
-        try:
-            self._mdelete([src])  # False: a concurrent mover deleted it
-        except StoreUnavailable:
-            self.stats.note_rename_orphan()
-            trace.event("netkv.rename_orphan", src=src, dst=dst)
+        routes = self._route([k for pair in pairs for k in pair])
+        native: List[int] = []
+        cross: List[int] = []
+        for i in range(len(pairs)):
+            src, dst = routes[2 * i], routes[2 * i + 1]
+            if src[0] == dst[0] and src[1:] == dst[1:] == (None, None):
+                native.append(i)
+            else:
+                cross.append(i)
+        errors: List[Optional[StoreError]] = [None] * len(pairs)
+        if native:
+            for i, exc in zip(native, self._rename_native(
+                    [pairs[i] for i in native],
+                    [routes[2 * i][0] for i in native])):
+                errors[i] = exc
+        if cross:
+            for i, exc in zip(cross, self._rename_two_phase(
+                    [pairs[i] for i in cross],
+                    [routes[2 * i] for i in cross],
+                    [routes[2 * i + 1] for i in cross])):
+                errors[i] = exc
+        for exc in errors:
+            if exc is not None:
+                raise exc
 
-    def _rename_native(self, src: str, dst: str, replicas: List[int]) -> None:
-        """Same-window rename: one RENAME per replica, all sent together.
+    def _rename_native(self, pairs: List[Tuple[str, str]],
+                       primaries: List[int]) -> List[Optional[StoreError]]:
+        """Same-window renames: one RENAME per pair and replica, all
+        sent together; returns each pair's error or None.
 
         Replicas that may have missed writes sit it out (they could move
         a stale ``src``); the tombstone and marker below catch them up
         at repair. A down replica with peers is only probed, since it
         would fail back unrepaired.
         """
-        (got,) = self._fan_out([(replicas, "rename", (src, dst))],
-                               last_ditch=self.replication == 1,
-                               skip_suspect=True)
-        renamed, _, last_exc = _outcomes(got)
-        reached = _answered(got)
-        if not reached:
-            raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for {src!r} are unavailable"
-            ) from last_exc
-        if not renamed:
-            raise KeyNotFound(src)
-        if len(reached) < len(replicas):
-            self._write_tombstones([src], reached)
-        if len(renamed) < len(replicas):
-            self._mark_missed([dst], [idx for idx, _ in renamed])
+        windows = [self._window(p) for p in primaries]
+        results = self._fan_out(
+            [(replicas, "rename", pair) for replicas, pair in zip(windows, pairs)],
+            last_ditch=self.replication == 1, skip_suspect=True)
+        errors: List[Optional[StoreError]] = []
+        for (src, dst), replicas, got in zip(pairs, windows, results):
+            try:
+                renamed, _, last_exc = _outcomes(got)
+            except StoreError as exc:
+                errors.append(exc)
+                continue
+            reached = _answered(got)
+            if not reached:
+                errors.append(_unavailable(
+                    f"all {len(replicas)} replica(s) for {src!r} are "
+                    f"unavailable", last_exc))
+                continue
+            if not renamed:
+                errors.append(KeyNotFound(src))
+                continue
+            if len(reached) < len(replicas):
+                self._write_tombstones([src], reached)
+            if len(renamed) < len(replicas):
+                self._mark_missed([dst], [idx for idx, _ in renamed])
+            errors.append(None)
+        return errors
+
+    def _rename_two_phase(self, pairs: List[Tuple[str, str]],
+                          src_routes: List[_Route], dst_routes: List[_Route]
+                          ) -> List[Optional[StoreError]]:
+        """Cross-window renames: copy every pair, then delete every
+        source, each phase one batch op; returns each pair's error or
+        None."""
+        errors: List[Optional[StoreError]] = [None] * len(pairs)
+        try:
+            values = self._mget([src for src, _ in pairs], src_routes)
+            moved = []
+            for i, value in enumerate(values):
+                if value is None:
+                    errors[i] = KeyNotFound(pairs[i][0])
+                else:
+                    moved.append(i)
+            if not moved:
+                return errors
+            self._mset([(pairs[i][1], values[i]) for i in moved],
+                       [dst_routes[i] for i in moved])
+        except StoreUnavailable as exc:
+            return [e or exc for e in errors]
+        try:
+            # A False flag: a concurrent mover deleted the source.
+            self._mdelete([pairs[i][0] for i in moved],
+                          [src_routes[i] for i in moved])
+        except StoreUnavailable:
+            # Which sources survived is not known: each may be a duplicate.
+            self.stats.note_rename_orphan(len(moved))
+            for i in moved:
+                trace.event("netkv.rename_orphan", src=pairs[i][0],
+                            dst=pairs[i][1])
+        return errors
 
     # --- tombstones -------------------------------------------------------
 
@@ -1647,6 +1702,15 @@ class NetKVStore(DataStore):
 
     def move(self, src: str, dst: str) -> None:
         self.cluster.rename(src, validate_key(dst))
+
+    def move_many(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        pairs = [(src, validate_key(dst)) for src, dst in pairs]
+        with trace.span("store.move_many") as sp:
+            self.cluster.rename_many(pairs)
+            for _ in pairs:
+                self.stats.note("move")
+            if sp:
+                sp.set(keys=len(pairs))
 
     # --- batched overrides (one MGET/MSET/MDEL round trip per shard) ------
     #

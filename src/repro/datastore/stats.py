@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Iterable
 
 __all__ = ["IOStats", "LatencyHistogram", "TransportStats"]
 
@@ -183,7 +183,10 @@ class TransportStats:
     ``dual_writes`` — writes mirrored to both the old and new replica
     windows while their slot was mid-migration; ``route_refreshes`` —
     times this client adopted a newer routing map published by another
-    cluster instance.
+    cluster instance. Routing counters: ``key_slots`` — keys the
+    cluster hashed to a slot; ``op_requests`` — per-shard requests the
+    cluster sent, by op name (``mget``, ``mset``, ``mdelete``,
+    ``rename``, ...), over any channel.
     """
 
     def __init__(self) -> None:
@@ -210,6 +213,8 @@ class TransportStats:
         self.migrated_keys = 0
         self.dual_writes = 0
         self.route_refreshes = 0
+        self.key_slots = 0
+        self.op_requests: Dict[str, int] = {}
         self.latency = LatencyHistogram()
 
     def note_request(self, nbytes_sent: int) -> None:
@@ -254,9 +259,9 @@ class TransportStats:
         with self._lock:
             self.read_repairs += nkeys
 
-    def note_rename_orphan(self) -> None:
+    def note_rename_orphan(self, n: int = 1) -> None:
         with self._lock:
-            self.rename_orphans += 1
+            self.rename_orphans += n
 
     def note_batch(self, nkeys: int) -> None:
         with self._lock:
@@ -277,6 +282,16 @@ class TransportStats:
     def note_route_refresh(self) -> None:
         with self._lock:
             self.route_refreshes += 1
+
+    def note_route(self, nkeys: int) -> None:
+        with self._lock:
+            self.key_slots += nkeys
+
+    def note_ops(self, ops: Iterable[str]) -> None:
+        with self._lock:
+            counts = self.op_requests
+            for op in ops:
+                counts[op] = counts.get(op, 0) + 1
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -303,6 +318,8 @@ class TransportStats:
                 "migrated_keys": self.migrated_keys,
                 "dual_writes": self.dual_writes,
                 "route_refreshes": self.route_refreshes,
+                "key_slots": self.key_slots,
+                "op_requests": dict(sorted(self.op_requests.items())),
                 "latency": self.latency.as_dict(),
             }
 
@@ -316,5 +333,6 @@ class TransportStats:
             self.batched_requests = self.batched_keys = self.max_batch_keys = 0
             self.coalesced_requests = self.coalesced_keys = 0
             self.migrated_slots = self.migrated_keys = self.dual_writes = 0
-            self.route_refreshes = 0
+            self.route_refreshes = self.key_slots = 0
+            self.op_requests = {}
             self.latency.reset()

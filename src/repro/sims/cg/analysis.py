@@ -35,7 +35,7 @@ class RDFResult:
     g: np.ndarray  # (n_lipid_types, nbins)
 
     def to_bytes(self) -> bytes:
-        return serial.npz_to_bytes(
+        return serial.arrays_to_bytes(
             {
                 "time": np.array([self.time]),
                 "edges": self.edges,
@@ -46,7 +46,7 @@ class RDFResult:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RDFResult":
-        arrays = serial.bytes_to_npz(data)
+        arrays = serial.bytes_to_arrays(data)
         return cls(
             sim_id=arrays["sim_id"].tobytes().decode(),
             time=float(arrays["time"][0]),

@@ -3,7 +3,7 @@
 GridSim2D "delivers a new snapshot every 90 seconds" of walltime at a
 1 µs I/O interval (§4.1). A :class:`Snapshot` bundles the density
 fields and the protein table at one simulated time and round-trips
-through any :class:`~repro.datastore.base.DataStore` as one npz payload.
+through any :class:`~repro.datastore.base.DataStore` as one array payload.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Snapshot:
         return float(self.inner.sum() + self.outer.sum())
 
     def to_bytes(self) -> bytes:
-        return serial.npz_to_bytes(
+        return serial.arrays_to_bytes(
             {
                 "time_us": np.array([self.time_us]),
                 "inner": self.inner,
@@ -52,7 +52,7 @@ class Snapshot:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Snapshot":
-        arrays = serial.bytes_to_npz(data)
+        arrays = serial.bytes_to_arrays(data)
         return cls(
             time_us=float(arrays["time_us"][0]),
             inner=arrays["inner"],

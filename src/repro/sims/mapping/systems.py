@@ -27,7 +27,7 @@ class CGSystem:
         return self.positions.shape[0]
 
     def to_bytes(self) -> bytes:
-        return serial.npz_to_bytes(
+        return serial.arrays_to_bytes(
             {
                 "positions": self.positions,
                 "type_ids": self.type_ids,
@@ -39,7 +39,7 @@ class CGSystem:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CGSystem":
-        arrays = serial.bytes_to_npz(data)
+        arrays = serial.bytes_to_arrays(data)
         return cls(
             positions=arrays["positions"],
             type_ids=arrays["type_ids"],
@@ -64,7 +64,7 @@ class AASystem:
         return self.positions.shape[0]
 
     def to_bytes(self) -> bytes:
-        return serial.npz_to_bytes(
+        return serial.arrays_to_bytes(
             {
                 "positions": self.positions,
                 "bonds": self.bonds,
@@ -76,7 +76,7 @@ class AASystem:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AASystem":
-        arrays = serial.bytes_to_npz(data)
+        arrays = serial.bytes_to_arrays(data)
         return cls(
             positions=arrays["positions"],
             bonds=arrays["bonds"],

@@ -130,8 +130,8 @@ class TestKeyValidation:
 class TestTypedPayloads:
     def test_npz_roundtrip(self, store):
         arrays = {"x": np.arange(10), "y": np.eye(3)}
-        store.write_npz("arr", arrays)
-        back = store.read_npz("arr")
+        store.write_arrays("arr", arrays)
+        back = store.read_arrays("arr")
         np.testing.assert_array_equal(back["x"], arrays["x"])
         np.testing.assert_array_equal(back["y"], arrays["y"])
 

@@ -45,8 +45,8 @@ class TestAutomaticInstrumentation:
     def test_typed_helpers_flow_through(self, store):
         import numpy as np
 
-        store.write_npz("arr", {"x": np.arange(10)})
-        store.read_npz("arr")
+        store.write_arrays("arr", {"x": np.arange(10)})
+        store.read_arrays("arr")
         assert store.stats.writes == 1
         assert store.stats.reads == 1
         assert store.stats.bytes_written > 0

@@ -174,8 +174,8 @@ class TestNetKVStoreAdapter:
     def test_npz_payloads_over_the_wire(self, store):
         import numpy as np
 
-        store.write_npz("arr", {"x": np.arange(100)})
-        back = store.read_npz("arr")
+        store.write_arrays("arr", {"x": np.arange(100)})
+        back = store.read_arrays("arr")
         np.testing.assert_array_equal(back["x"], np.arange(100))
 
     def test_feedback_manager_works_over_tcp(self, store):

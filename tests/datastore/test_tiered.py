@@ -106,8 +106,8 @@ class TestDataStoreSemantics:
         assert store.keys("traj/") == []
 
     def test_npz_roundtrip(self, store):
-        store.write_npz("ckpt/arr", {"x": np.arange(5)})
-        back = store.read_npz("ckpt/arr")
+        store.write_arrays("ckpt/arr", {"x": np.arange(5)})
+        back = store.read_arrays("ckpt/arr")
         np.testing.assert_array_equal(back["x"], np.arange(5))
 
     def test_feedback_manager_over_tiered_store(self, store):
