@@ -92,7 +92,7 @@ class AASim:
 
     def _min_image(self, d: np.ndarray) -> np.ndarray:
         box = self.config.box
-        return d - box * np.round(d / box)
+        return d - box * np.rint(d / box)
 
     def forces(self) -> Tuple[np.ndarray, float]:
         return self._forces(with_energy=True)

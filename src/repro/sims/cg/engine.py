@@ -94,6 +94,7 @@ class CGSim:
         exclusions; bonds alone set their geometry)."""
         self._bond_ends, self._bond_r0 = bond_table(self.bonds)
         self.nlist = NeighbourList(self._bond_ends, exclude_bonded=True)
+        self._pairs_build = 0  # nlist build the pair tables below are for
 
     # --- construction helpers ------------------------------------------------
 
@@ -151,21 +152,31 @@ class CGSim:
 
     def _min_image(self, d: np.ndarray) -> np.ndarray:
         box = self.config.box
-        return d - box * np.round(d / box)
+        return d - box * np.rint(d / box)
 
     def forces(self) -> Tuple[np.ndarray, float]:
         """Total forces (n, 2) and potential energy."""
         return self._forces(with_energy=True)
 
+    def _pair_tables(self, nl: NeighbourList) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Type ids and well depths ``eps[ti, tj]`` of the list's pair
+        rows, gathered once per build."""
+        if self._pairs_build != nl.builds:
+            ti, tj = self.type_ids[nl.ii], self.type_ids[nl.jj]
+            self._pair_ti, self._pair_tj, self._pair_eps = ti, tj, self.ff.eps[ti, tj]
+            self._pairs_build = nl.builds
+        return self._pair_ti, self._pair_tj, self._pair_eps
+
     def _forces(self, with_energy: bool) -> Tuple[np.ndarray, Optional[float]]:
         box, rc = self.config.box, self.ff.cutoff
         nl = self.nlist.update(self.positions, box, rc)
         d, r = nl.separations(self.positions, box)
-        rp, ti, tj = r[:nl.npair], self.type_ids[nl.ii], self.type_ids[nl.jj]
+        ti, tj, e_att = self._pair_tables(nl)
+        rp = r[:nl.npair]
         stretch = r[nl.npair:] - self._bond_r0
         k = self._bond_k
-        # pair_force is exactly 0.0 for candidates beyond the cutoff.
-        fmag = np.concatenate([self.ff.pair_force(rp, ti, tj), -k * stretch])
+        # The pair force is exactly +0.0 for candidates beyond the cutoff.
+        fmag = np.concatenate([self.ff.pair_force_eps(rp, e_att), -k * stretch])
         F = nl.scatter((fmag / r)[:, None] * d)
         if not with_energy:
             return F, None
@@ -180,12 +191,16 @@ class CGSim:
     # --- integration -----------------------------------------------------------
 
     def step(self, nsteps: int = 1) -> None:
+        """``nsteps`` Langevin steps. At zero temperature the noise would
+        be exactly ±0.0, so no noise is drawn (createsim's relaxation)."""
         c = self.config
         sigma = np.sqrt(2.0 * c.mobility * c.temperature * c.dt)
         for _ in range(nsteps):
             F, _ = self._forces(with_energy=False)
-            noise = self.rng.standard_normal(self.positions.shape) * sigma
-            self.positions = (self.positions + c.mobility * F * c.dt + noise) % c.box
+            x = self.positions + c.mobility * F * c.dt
+            if c.temperature != 0.0:
+                x += self.rng.standard_normal(self.positions.shape) * sigma
+            self.positions = x % c.box
             self.time += c.dt
             self.step_count += 1
 

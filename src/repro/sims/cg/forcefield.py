@@ -102,23 +102,26 @@ class CGForceField:
         return self.pair_energy(r, type_i, type_j), self.pair_force(r, type_i, type_j)
 
     def pair_energy(self, r: np.ndarray, type_i: np.ndarray, type_j: np.ndarray) -> np.ndarray:
-        x, e_att, inside = self._reduced(r, type_i, type_j)
-        return np.where(inside, self.eps_rep * x**2 - e_att * x**4, 0.0)
+        x = self._reduced(r)
+        return self.eps_rep * x**2 - self.eps[type_i, type_j] * x**4
 
     def pair_force(self, r: np.ndarray, type_i: np.ndarray, type_j: np.ndarray) -> np.ndarray:
         """-dU/dr = (2*eps_rep*x - 4*e_att*x^3) / rc (the integrator
         needs only this)."""
-        x, e_att, inside = self._reduced(r, type_i, type_j)
-        F = (2.0 * self.eps_rep * x - 4.0 * e_att * x**3) / self.cutoff
-        return np.where(inside, F, 0.0)
+        return self.pair_force_eps(r, self.eps[type_i, type_j])
 
-    def _reduced(self, r, type_i, type_j):
-        """x = 1 - r/rc (0 beyond the cutoff), the well depths, and the
-        inside-cutoff mask."""
-        r = np.asarray(r, dtype=np.float64)
-        inside = r < self.cutoff
-        x = np.where(inside, 1.0 - r / self.cutoff, 0.0)
-        return x, self.eps[type_i, type_j], inside
+    def pair_force_eps(self, r: np.ndarray, e_att: np.ndarray) -> np.ndarray:
+        """:meth:`pair_force` given the pairs' well depths ``eps[ti, tj]``
+        (the engine caches them per neighbour-list build). A pair at or
+        beyond the cutoff has ``x = +0.0`` and so a force of exactly
+        +0.0, with no mask."""
+        x = self._reduced(r)
+        return (2.0 * self.eps_rep * x - 4.0 * e_att * x**3) / self.cutoff
+
+    def _reduced(self, r: np.ndarray) -> np.ndarray:
+        """x = max(1 - r/rc, 0): ``1 - r/rc`` inside the cutoff, +0.0 at
+        or beyond it."""
+        return np.maximum(1.0 - np.asarray(r, dtype=np.float64) / self.cutoff, 0.0)
 
     def index_of(self, name: str) -> int:
         return self.type_index[name]

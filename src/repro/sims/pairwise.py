@@ -12,8 +12,10 @@ cost is numpy call overhead, not arithmetic, so each sim keeps one
   method gives the same bits. Bonded pairs are excluded here, once per
   build, when the engine asks for it;
 - the row tables are built with the list: gather indices of the pair
-  rows followed by the bond rows, and the ``np.bincount`` scatter
-  targets ``concat(ii, jj, bi, bj)``;
+  rows followed by the bond rows, and the ``np.bincount`` scatter bins.
+  A row's target ``t`` in ``concat(ii, jj, bi, bj)`` becomes the two
+  interleaved bins ``2t`` (x) and ``2t + 1`` (y), so one ``bincount``
+  over the row-major weights fills both columns;
 - it rebuilds when some particle's minimum-image displacement since the
   build exceeds ``SKIN * cutoff / 2`` (no pair can then have crossed
   from beyond the candidate radius to inside the cutoff), or when the
@@ -22,8 +24,9 @@ cost is numpy call overhead, not arithmetic, so each sim keeps one
 
 Each force evaluation does one distance pass over every candidate row
 and one scatter. A candidate beyond the cutoff gets a force of exactly
-±0.0 from the engine's masked pair force, and ``bincount`` adds the rows
-in input order starting from +0.0, where ``x + ±0.0 == x``. So the
+±0.0 from the engine's clamped pair force (``x = max(1 - r/rc, 0)``),
+and ``bincount`` adds each bin's rows in input order starting from
++0.0, where ``x + ±0.0 == x``. So the
 forces are bitwise identical to separate passes over the inside-cutoff
 pairs alone, in sorted order, with one ``np.add.at`` per block
 (``tests/sims/oracles.py`` keeps those, with a fresh search per step,
@@ -90,7 +93,8 @@ class NeighbourList:
         self.ii, self.jj, self.npair, self.n = ii, jj, ii.size, n
         self.left = np.concatenate([ii, bi])
         self.right = np.concatenate([jj, bj])
-        self.targets = np.concatenate([ii, jj, bi, bj])
+        targets = np.concatenate([ii, jj, bi, bj])
+        self.bins = np.stack([2 * targets, 2 * targets + 1], axis=1).ravel()
         self._origin = positions.copy()
         self._max_drift2 = (SKIN * cutoff / 2.0) ** 2
         self._key = (n, box, cutoff)
@@ -109,8 +113,7 @@ class NeighbourList:
         """Forces (n, 2) from pair rows ``fvec[:npair]`` (+ on ii, - on jj)
         followed by bond rows (+ on the first end, - on the second)."""
         fp, fb = fvec[:self.npair], fvec[self.npair:]
-        weights = np.concatenate([fp, -fp, fb, -fb])
-        F = np.empty((self.n, 2))
-        F[:, 0] = np.bincount(self.targets, weights[:, 0], minlength=self.n)
-        F[:, 1] = np.bincount(self.targets, weights[:, 1], minlength=self.n)
-        return F
+        weights = np.concatenate([fp, -fp, fb, -fb]).ravel()
+        # With no rows bincount returns int64 zeros: keep the forces float64.
+        F = np.bincount(self.bins, weights, minlength=2 * self.n).astype(np.float64, copy=False)
+        return F.reshape(self.n, 2)

@@ -1,4 +1,5 @@
-"""Reference force passes and neighbour searches kept as test oracles.
+"""Reference force passes, neighbour searches and the continuum step
+kept as test oracles.
 
 The engines keep a Verlet neighbour list across steps and compute
 forces in one fused pass (one distance pass over every candidate row,
@@ -9,6 +10,11 @@ engine's own minimum-image ``r < rc``; separate pair and bond passes
 over those pairs alone, one ``np.add.at`` scatter per block; the
 energy always summed. The tree, brute-force and linked-cell searches
 give the same canonical pairs, so any of them can drive the oracle.
+
+The continuum engine steps all layers of a leaflet as one array and
+differences through precomputed shift indices; ``continuum_step`` is
+the per-layer ``np.roll`` finite-difference step it must match bit for
+bit.
 """
 
 from typing import Callable, Optional, Tuple
@@ -18,6 +24,7 @@ from scipy.spatial import cKDTree
 
 from repro.sims.aa.engine import AASim
 from repro.sims.cg.engine import CGSim
+from repro.sims.continuum.ddft import ContinuumSim
 
 Pairs = Tuple[np.ndarray, np.ndarray]
 
@@ -229,3 +236,70 @@ def minimize(sim: AASim, nsteps: int = 50, step_size: float = 1e-4) -> float:
         F, energy = aa_forces(sim)
         sim.positions = (sim.positions + step_size * F) % sim.config.box
     return energy
+
+
+# --- continuum ---------------------------------------------------------------
+
+
+def grad(field2d: np.ndarray, dx: float) -> tuple:
+    """Central-difference gradient on a periodic grid."""
+    gx = (np.roll(field2d, -1, axis=0) - np.roll(field2d, 1, axis=0)) / (2 * dx)
+    gy = (np.roll(field2d, -1, axis=1) - np.roll(field2d, 1, axis=1)) / (2 * dx)
+    return gx, gy
+
+
+def div(fx: np.ndarray, fy: np.ndarray, dx: float) -> np.ndarray:
+    """Central-difference divergence on a periodic grid."""
+    return (np.roll(fx, -1, axis=0) - np.roll(fx, 1, axis=0)) / (2 * dx) + (
+        np.roll(fy, -1, axis=1) - np.roll(fy, 1, axis=1)
+    ) / (2 * dx)
+
+
+def init_fields(rng: np.random.Generator, ntypes: int, grid: int) -> np.ndarray:
+    """``ContinuumSim._init_fields`` with ``np.roll``."""
+    fields = 1.0 + 0.1 * rng.standard_normal((ntypes, grid, grid))
+    for _ in range(4):
+        fields = 0.5 * fields + 0.125 * (
+            np.roll(fields, 1, axis=1)
+            + np.roll(fields, -1, axis=1)
+            + np.roll(fields, 1, axis=2)
+            + np.roll(fields, -1, axis=2)
+        )
+    return np.clip(fields, 0.05, None)
+
+
+def step_fields_fd(sim: ContinuumSim, fields: np.ndarray, g: np.ndarray, kernels) -> None:
+    """``ContinuumSim._step_fields_fd`` one layer at a time."""
+    c = sim.config
+    for l in range(fields.shape[0]):
+        rho = fields[l]
+        V = -(g[l, 0] * kernels[0] + g[l, 1] * kernels[1])
+        gVx, gVy = grad(V, sim.dx)
+        gRx, gRy = grad(rho, sim.dx)
+        fx = -c.diffusion * (gRx + rho * gVx)
+        fy = -c.diffusion * (gRy + rho * gVy)
+        rho -= c.dt * div(fx, fy, sim.dx)
+        np.clip(rho, 0.0, None, out=rho)
+
+
+def step_proteins(sim: ContinuumSim, kernels) -> None:
+    """``ContinuumSim._step_proteins`` over the whole-grid gradient."""
+    c = sim.config
+    n = len(sim.proteins)
+    gx, gy = grad(kernels[0] + kernels[1], sim.dx)
+    cells = np.floor(sim.proteins.positions / sim.dx).astype(int) % c.grid
+    drift = -np.stack([gx[cells[:, 0], cells[:, 1]], gy[cells[:, 0], cells[:, 1]]], axis=1)
+    noise = sim.rng.standard_normal((n, 2)) * np.sqrt(2 * c.protein_diffusion * c.dt)
+    sim.proteins.displace(drift * c.protein_diffusion * c.dt + noise)
+
+
+def continuum_step(sim: ContinuumSim, nsteps: int = 1) -> None:
+    """``ContinuumSim.step`` (FD solver) driven by the per-layer passes."""
+    c = sim.config
+    for _ in range(nsteps):
+        kernels = sim._protein_kernel()
+        step_fields_fd(sim, sim.inner, sim.g_inner, kernels)
+        step_fields_fd(sim, sim.outer, sim.g_outer, kernels)
+        step_proteins(sim, kernels)
+        sim.proteins.step_states(c.dt, sim.rng)
+        sim.time_us += c.dt

@@ -197,7 +197,11 @@ def test_planted_scatter_swap_is_caught(monkeypatch):
 
     def swapped(nl, fvec):
         flipped = copy.copy(nl)
-        flipped.targets = np.concatenate([nl.jj, nl.ii, nl.targets[2 * nl.npair:]])
+        # Two interleaved (x, y) bins per row: the pair rows fill the
+        # first 4 * npair entries, ii's block and then jj's.
+        pairs = 2 * nl.npair
+        flipped.bins = np.concatenate(
+            [nl.bins[pairs:2 * pairs], nl.bins[:pairs], nl.bins[2 * pairs:]])
         return scatter(flipped, np.concatenate([-fvec[:nl.npair], fvec[nl.npair:]]))
 
     monkeypatch.setattr(pairwise.NeighbourList, "scatter", swapped)
