@@ -197,10 +197,10 @@ class CGSim:
         sigma = np.sqrt(2.0 * c.mobility * c.temperature * c.dt)
         for _ in range(nsteps):
             F, _ = self._forces(with_energy=False)
-            x = self.positions + c.mobility * F * c.dt
+            moved = self.positions + c.mobility * F * c.dt
             if c.temperature != 0.0:
-                x += self.rng.standard_normal(self.positions.shape) * sigma
-            self.positions = x % c.box
+                moved += self.rng.standard_normal(self.positions.shape) * sigma
+            self.positions = moved % c.box
             self.time += c.dt
             self.step_count += 1
 

@@ -127,6 +127,18 @@ def test_aa_restrained_then_released_matches_oracle(seed, n, nsteps):
     assert_steps_same(a, b, 3)
 
 
+def test_zero_temperature_step_draws_no_noise():
+    """createsim's relaxation runs at T = 0, where the noise would be
+    exactly ±0.0: the engine draws none, and its positions still match
+    the oracle's, which draws and adds it."""
+    cfg = CGConfig(n_lipids=30, seed=6, box=5.0, temperature=0.0)
+    a, b = (CGSim.random_system(config=cfg) for _ in range(2))
+    untouched = a.rng.bit_generator.state
+    assert_steps_same(a, b, 5)
+    assert a.rng.bit_generator.state == untouched
+    assert b.rng.bit_generator.state != untouched
+
+
 def test_list_follows_a_larger_cutoff():
     cfg = CGConfig(n_lipids=30, seed=4, box=5.0)
     a, b = (CGSim.random_system(config=cfg) for _ in range(2))
